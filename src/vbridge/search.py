@@ -6,19 +6,25 @@ is colored; the move copies that color to the uncolored one.  The Wirtinger
 number is the least number of seed strands whose saturation colors every
 strand.  Certificates record the order in which strands were colored and the
 arrowhead justifying each step.
+
+The search runs one closure over Python-int bitmasks of colored strands.
+Each arrowhead becomes a pair (tail bit, before bit | after bit); a move
+fires when the tail bit is set and exactly one of the pair's bits is, and
+passes over the arrowheads in head order repeat until one fires nothing.
+Masks have no width limit, so any number of strands is searched the same
+way.  ``apply_coloring_moves`` computes the same closure strand by strand to
+build certificates.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
-from . import _kernels
 from .errors import CutSplitError, SearchExhaustedError, SearchTimeoutError
 from .gauss import GaussDiagram, HeadIncidence, StrandTable, cut_split_witness, strand_table
 
@@ -28,7 +34,6 @@ class ColoringState:
     """Partial coloring: strand -> color index (1..k) or None."""
 
     assignment: list[Optional[int]]
-    colored_mask: int
 
     @property
     def n_colored(self) -> int:
@@ -103,12 +108,55 @@ class WirtingerResult:
     stats: SearchStats
 
 
-def _arrays(table: StrandTable):
-    before = np.array([i.before for i in table.incidences], dtype=np.int64)
-    after = np.array([i.after for i in table.incidences], dtype=np.int64)
-    tail = np.array([i.tail_strand for i in table.incidences], dtype=np.int64)
-    comp_of = np.array([s.component for s in table.strands], dtype=np.int64)
-    return before, after, tail, comp_of
+_CHECK_EVERY = 256  # combinations between deadline checks
+
+
+def _move_pairs(table: StrandTable) -> list[tuple[int, int]]:
+    """(tail bit, before bit | after bit) for every arrowhead, in head order."""
+    return [
+        (1 << i.tail_strand, (1 << i.before) | (1 << i.after)) for i in table.incidences
+    ]
+
+
+def _saturate(pairs: list[tuple[int, int]], mask: int) -> int:
+    """Closure of the coloring moves on a bitmask of colored strands."""
+    changed = True
+    while changed:
+        changed = False
+        for tail, pair in pairs:
+            if mask & tail:
+                hit = mask & pair
+                if hit and hit != pair:
+                    mask |= pair
+                    changed = True
+    return mask
+
+
+def _search_level(
+    table: StrandTable, pairs: list[tuple[int, int]], k: int, deadline: Optional[float]
+):
+    """First size-k strand subset (lexicographic) that covers every
+    component and saturates to the full strand set.
+
+    Returns (combination or None, saturations examined, timed_out).
+    """
+    n = table.n_strands
+    full = (1 << n) - 1
+    comp_masks: dict[int, int] = {}
+    for s in table.strands:
+        comp_masks[s.component] = comp_masks.get(s.component, 0) | (1 << s.id)
+    covers = list(comp_masks.values())
+    examined = 0
+    for i, bits in enumerate(itertools.combinations([1 << s for s in range(n)], k)):
+        if deadline is not None and i % _CHECK_EVERY == 0 and time.monotonic() >= deadline:
+            return None, examined, True
+        mask = sum(bits)
+        if not all([mask & c for c in covers]):
+            continue
+        examined += 1
+        if _saturate(pairs, mask) == full:
+            return tuple(b.bit_length() - 1 for b in bits), examined, False
+    return None, examined, False
 
 
 def apply_coloring_moves(
@@ -131,11 +179,9 @@ def apply_coloring_moves(
         raise ValueError(f"seed strand out of range 0..{n - 1}")
 
     assignment: list[Optional[int]] = [None] * n
-    mask = 0
     entries = [SequenceEntry(s, None) for s in seed_list]
     for color, s in enumerate(seed_list, start=1):
         assignment[s] = color
-        mask |= 1 << s
 
     incidences = list(table.incidences)
     while True:
@@ -153,20 +199,25 @@ def apply_coloring_moves(
                 continue
             src, dst = (inc.before, inc.after) if b else (inc.after, inc.before)
             assignment[dst] = assignment[src]
-            mask |= 1 << dst
             entries.append(SequenceEntry(dst, inc.chord_id))
             fired = True
         if not fired:
             break
-    state = ColoringState(assignment, mask)
+    state = ColoringState(assignment)
     return state, ColoringSequence(tuple(entries), len(seed_list))
 
 
 def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
-    """Colored strand set after saturation, via the kernel backends."""
+    """Colored strand set after saturation, via the bitmask closure."""
     table = strand_table(d)
-    before, after, tail, _ = _arrays(table)
-    return _kernels.saturate(before, after, tail, table.n_strands, list(seeds))
+    n = table.n_strands
+    mask = 0
+    for s in map(int, seeds):
+        if not 0 <= s < n:
+            raise ValueError(f"seed strand out of range 0..{n - 1}")
+        mask |= 1 << s
+    out = _saturate(_move_pairs(table), mask)
+    return frozenset(s for s in range(n) if out >> s & 1)
 
 
 def wirtinger_number(
@@ -183,16 +234,14 @@ def wirtinger_number(
     """
     table = strand_table(d)
     n = table.n_strands
-    before, after, tail, comp_of = _arrays(table)
+    pairs = _move_pairs(table)
     n_comps = d.n_components
     k_hi = n if max_k is None else min(max_k, n)
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     examined = 0
     for k in range(n_comps, k_hi + 1):
-        comb, ex, timed_out = _kernels.search_level(
-            before, after, tail, comp_of, n, n_comps, k, deadline
-        )
+        comb, ex, timed_out = _search_level(table, pairs, k, deadline)
         examined += ex
         if timed_out:
             raise SearchTimeoutError(

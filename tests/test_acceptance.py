@@ -53,12 +53,6 @@ def report(line: str, ok: bool) -> None:
     assert ok, line
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile / load the jitted kernels so timed tests measure the search
-    wirtinger_number(parse_gauss_code(D3_CODE))
-
-
 @pytest.fixture(scope="module")
 def corpus():
     rng = random.Random(99)

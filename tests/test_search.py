@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,13 @@ from vbridge.search import (
     verify_height_certificate,
     wirtinger_number,
 )
-from util import brute_force_omega, enumerate_knot_codes, random_diagram
+from util import (
+    brute_force_omega,
+    enumerate_knot_codes,
+    numpy_search,
+    random_diagram,
+    random_one_overbridge_code,
+)
 
 
 class TestApplyColoringMoves:
@@ -91,6 +98,55 @@ class TestWirtingerNumber:
             assert verify_coloring_sequence(d, r.sequence).ok
 
 
+def _search_triple(d):
+    r = wirtinger_number(d)
+    return r.omega, r.seed_set, r.stats.subsets_examined
+
+
+def _relabel(code, offset):
+    return re.sub(r"([OU])(\d+)", lambda m: f"{m[1]}{int(m[2]) + offset}", code)
+
+
+class TestNumpySearchOracle:
+    """The bitmask search reproduces the former numpy backend exactly:
+    same Wirtinger number, same witness, same subsets examined."""
+
+    def test_every_small_knot(self):
+        checked = 0
+        for n_chords in range(6):
+            for code in enumerate_knot_codes(n_chords):
+                d = parse_gauss_code(code)
+                assert _search_triple(d) == numpy_search(d), code
+                checked += 1
+        assert checked == 32055
+
+    def test_random_links(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 20:
+            d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
+            if d.n_components < 2:
+                continue
+            d = ensure_tail_per_component(d)
+            assert _search_triple(d) == numpy_search(d)
+            checked += 1
+
+    def test_more_than_62_strands(self):
+        # 62 strands was the width limit of the former int64 jit masks
+        rng = random.Random(62)
+        for _ in range(3):
+            d = parse_gauss_code(random_one_overbridge_code(rng, 90, min_chords=63))
+            assert strand_table(d).n_strands > 62
+            assert _search_triple(d) == numpy_search(d)
+        # two one-overbridge components joined by one chord
+        for _ in range(3):
+            first = random_one_overbridge_code(rng, 40, min_chords=32)
+            second = _relabel(random_one_overbridge_code(rng, 40, min_chords=32), 40)
+            d = parse_gauss_code(f"O99+{first}|U99+{second}")
+            assert strand_table(d).n_strands > 62
+            assert _search_triple(d) == numpy_search(d)
+
+
 class TestConfluence:
     def test_randomized_scan_orders_agree(self):
         rng = random.Random(17)
@@ -113,6 +169,11 @@ class TestConfluence:
                     if shuffled.assignment[s] is not None
                 )
                 assert colored == reference
+
+    def test_saturated_strands_rejects_bad_seeds(self, d3):
+        for seed in (-1, 3):
+            with pytest.raises(ValueError):
+                saturated_strands(d3, {seed})
 
     def test_overbridge_seeds_color_everything(self):
         rng = random.Random(41)

@@ -2,16 +2,23 @@
 
 The oracles deliberately avoid the library's search kernels: the Wirtinger
 oracle does a breadth-first walk over colored-set states for every seed
-subset, and the coloring oracle enumerates all strand assignments.
+subset, and the coloring oracle enumerates all strand assignments.  The
+numpy seed-subset search is the former library backend, kept verbatim to
+check that the bitmask search reproduces its witnesses and work counters.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import deque
 
+import numpy as np
+
 from vbridge.gauss import GaussDiagram, parse_gauss_code, strand_table
+
+_NP_CHECK_EVERY = 256
 
 
 def enumerate_knot_codes(n_chords: int):
@@ -85,6 +92,56 @@ def _bfs_reaches(start, full, moves) -> bool:
     return full in seen
 
 
+def _saturate_np(before, after, tail, colored):
+    """Vectorized closure of the coloring-move operator on a bool array."""
+    while True:
+        fire = colored[tail] & (colored[before] ^ colored[after])
+        if not fire.any():
+            return colored
+        colored[before[fire]] = True
+        colored[after[fire]] = True
+
+
+def _search_level_np(before, after, tail, comp_of, n_strands, n_comps, k, deadline):
+    need = frozenset(range(n_comps))
+    comp_list = [int(c) for c in comp_of]
+    examined = 0
+    if deadline is not None and time.monotonic() >= deadline:
+        return None, examined, True
+    for i, comb in enumerate(itertools.combinations(range(n_strands), k)):
+        if deadline is not None and i % _NP_CHECK_EVERY == 0 and time.monotonic() >= deadline:
+            return None, examined, True
+        if {comp_list[s] for s in comb} != need:
+            continue
+        examined += 1
+        colored = np.zeros(n_strands, dtype=bool)
+        colored[list(comb)] = True
+        if _saturate_np(before, after, tail, colored).all():
+            return comb, examined, False
+    return None, examined, False
+
+
+def numpy_search(d: GaussDiagram):
+    """(omega, seed_set, subsets_examined) from the numpy seed-subset
+    search, levels walked from the component count up as in
+    ``wirtinger_number``."""
+    table = strand_table(d)
+    n = table.n_strands
+    before = np.array([i.before for i in table.incidences], dtype=np.int64)
+    after = np.array([i.after for i in table.incidences], dtype=np.int64)
+    tail = np.array([i.tail_strand for i in table.incidences], dtype=np.int64)
+    comp_of = np.array([s.component for s in table.strands], dtype=np.int64)
+    examined = 0
+    for k in range(d.n_components, n + 1):
+        comb, ex, _ = _search_level_np(
+            before, after, tail, comp_of, n, d.n_components, k, None
+        )
+        examined += ex
+        if comb is not None:
+            return k, tuple(comb), examined
+    raise AssertionError("seeding every strand always succeeds")
+
+
 def brute_force_colorings(d: GaussDiagram, quandle) -> int:
     """Count strand assignments satisfying every arrowhead relation."""
     table = strand_table(d)
@@ -124,10 +181,12 @@ def random_knot(rng: random.Random, max_chords: int = 8, min_chords: int = 1) ->
     return random_diagram(rng, max_chords=max_chords, max_components=1, min_chords=min_chords)
 
 
-def random_one_overbridge_code(rng: random.Random, max_chords: int = 10) -> str:
+def random_one_overbridge_code(
+    rng: random.Random, max_chords: int = 10, min_chords: int = 1
+) -> str:
     """Knot code whose arrowtails sit in one consecutive run, randomly
     rotated so the run may wrap around position zero."""
-    n = rng.randint(1, max_chords)
+    n = rng.randint(min_chords, max_chords)
     tail_order = list(range(1, n + 1))
     head_order = list(range(1, n + 1))
     rng.shuffle(tail_order)
