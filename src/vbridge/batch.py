@@ -149,26 +149,32 @@ def _process_entry(entry: TableEntry, config: PipelineConfig) -> ResultRecord:
         rec.status = "error"
         rec.error_code = "exhausted"
 
-    def time_left() -> bool:
-        return deadline is None or time.perf_counter() < deadline
+    def should_run(analysis: str, applies: bool) -> bool:
+        # an analysis that applies but finds the deadline passed times the record out
+        if analysis not in config.analyses or not applies:
+            return False
+        if deadline is None or time.perf_counter() < deadline:
+            return True
+        rec.status = "timeout"
+        return False
 
     is_knot = diagram.n_components == 1
     if rec.status == "ok":
-        if "ideal" in config.analyses and is_knot and time_left():
+        if should_run("ideal", is_knot):
             rec.ideal_lb = ideal_lower_bound(
                 diagram, config.max_k, config.prime_bound
             ).bound
-        if "parity" in config.analyses and is_knot and time_left():
+        if should_run("parity", is_knot):
             rec.parity_lb = parity_lower_bound(
                 diagram, config.max_k, config.prime_bound
             ).bound
-        if "quandle" in config.analyses and result is not None and time_left():
+        if should_run("quandle", bool(config.quandles)):
             for q in config.quandles:
                 rec.quandle_counts[q.name or f"Q{q.order}"] = count_colorings(
                     diagram, q, result=result
                 )
         welded_cert = None
-        if "welded" in config.analyses and is_knot and time_left():
+        if should_run("welded", is_knot):
             if is_one_overbridge(diagram):
                 welded_cert = welded_unknot_certificate(diagram)
                 rec.welded_unknot = bool(replay_certificate(welded_cert))

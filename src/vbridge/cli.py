@@ -40,7 +40,7 @@ from .linkgroup import (
     wirtinger_presentation,
 )
 from .parity import gaussian_parity, parity_projection
-from .quandle import count_colorings, load_quandle_table, sandwich_check
+from .quandle import count_colorings, load_quandle_table
 from .search import wirtinger_number
 from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
 
@@ -59,33 +59,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-k", type=int, default=None, help="cap on seed-set / ideal index search")
-    shared.add_argument("--time-limit", type=float, default=None, help="per-diagram wall-clock limit in seconds")
-    shared.add_argument("--jobs", type=int, default=1, help="worker count for batch processing")
-    shared.add_argument("--format", choices=["csv", "json"], default="csv", help="batch output format")
-    shared.add_argument("--certificates", action="store_true", help="embed certificates in JSON output")
-    shared.add_argument("--quandle", action="append", default=[], metavar="FILE", help="quandle table file (repeatable)")
-    shared.add_argument("--prime-bound", type=int, default=97, help="largest prime tried for ideal certificates")
+_FLAGS = {
+    "--max-k": dict(type=int, default=None, help="cap on seed-set / ideal index search"),
+    "--time-limit": dict(type=float, default=None, help="per-diagram wall-clock limit in seconds"),
+    "--jobs": dict(type=int, default=1, help="worker count for batch processing"),
+    "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
+    "--certificates": dict(action="store_true", help="embed certificates in JSON output"),
+    "--quandle": dict(action="append", default=[], metavar="FILE", help="quandle table file (repeatable)"),
+    "--prime-bound": dict(type=int, default=97, help="largest prime tried for ideal certificates"),
+}
 
+# command -> (help, the flags it reads)
+_COMMANDS = {
+    "parse": ("validate a Gauss code and report its structure", ()),
+    "bridge": ("count overbridges", ()),
+    "wirtinger": ("minimal seed-set search", ("--max-k", "--time-limit", "--certificates")),
+    "parity": ("Gaussian parity and projection", ()),
+    "alexander": ("Fox-calculus matrix and ideal bounds", ("--max-k", "--prime-bound")),
+    "quandle": ("coloring counts for quandle table files", ("--max-k", "--time-limit", "--quandle")),
+    "welded": ("one-overbridge unknotting certificate", ()),
+}
+
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="vbridge", description="Bridge-number bounds for virtual links from Gauss codes")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("parse", "validate a Gauss code and report its structure"),
-        ("bridge", "count overbridges"),
-        ("wirtinger", "minimal seed-set search"),
-        ("parity", "Gaussian parity and projection"),
-        ("alexander", "Fox-calculus matrix and ideal bounds"),
-        ("quandle", "coloring counts for quandle table files"),
-        ("welded", "one-overbridge unknotting certificate"),
-    ]:
-        p = sub.add_parser(name, parents=[shared], help=help_text)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("code", help="Gauss code, e.g. 'O1+U2+O2+U1+'")
 
-    batch = sub.add_parser("batch", parents=[shared], help="process a name<TAB>code table")
+    batch = sub.add_parser("batch", help="process a name<TAB>code table")
+    for flag, options in _FLAGS.items():
+        batch.add_argument(flag, **options)
     batch.add_argument("table", help="input table path")
     batch.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     return parser
@@ -157,20 +166,16 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "parity":
-        steps = [to_gauss_code(d)]
-        current = d
-        while True:
-            nxt = parity_projection(current)
-            if to_gauss_code(nxt) == to_gauss_code(current):
-                break
-            steps.append(to_gauss_code(nxt))
-            current = nxt
+        steps = [d]
+        while (nxt := parity_projection(steps[-1])) != steps[-1]:
+            steps.append(nxt)
+        codes = [to_gauss_code(step) for step in steps]
         _emit(
             {
                 "parity": {str(c): b for c, b in sorted(gaussian_parity(d).items())},
-                "projection": steps[1] if len(steps) > 1 else steps[0],
-                "iterated": steps,
-                "fixpoint": steps[-1],
+                "projection": codes[1] if len(codes) > 1 else codes[0],
+                "iterated": codes,
+                "fixpoint": codes[-1],
             }
         )
         return EXIT_OK
@@ -204,13 +209,10 @@ def _dispatch(args) -> int:
             return EXIT_USAGE
         quandles = [load_quandle_table(path) for path in args.quandle]
         result = wirtinger_number(d, max_k=args.max_k, time_limit=args.time_limit)
-        _emit(
-            {
-                "omega": result.omega,
-                "counts": {q.name: count_colorings(d, q, result=result) for q in quandles},
-                "sandwich": {q.name: sandwich_check(d, q, result=result) for q in quandles},
-            }
-        )
+        counts = {q.name: count_colorings(d, q, result=result) for q in quandles}
+        # the sandwich |X| <= colorings <= |X|^omega, from the counts just made
+        sandwich = {q.name: q.order <= counts[q.name] <= q.order ** result.omega for q in quandles}
+        _emit({"omega": result.omega, "counts": counts, "sandwich": sandwich})
         return EXIT_OK
 
     if cmd == "welded":

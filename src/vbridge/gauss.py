@@ -10,14 +10,21 @@ undercrossing passage (token ``U``, the arrowhead).  Textual grammar:
 
 Whitespace between tokens is ignored.  Chord labels are global, so a chord
 may join two different components.
+
+This module owns the token codec and the strand table.  ``parse_gauss_code``
+tokenizes a code and ``from_tokens`` builds the validated diagram from
+per-component ``(kind, label, sign)`` tokens; ``component_tokens`` is its
+inverse and ``to_gauss_code`` the only formatter.  Other modules rewrite a
+diagram as tokens, never as text.  Each diagram builds its strand table
+once, on first use, and the table is freed with the diagram.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -30,6 +37,8 @@ TAIL = "O"
 HEAD = "U"
 
 _TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
+
+Token = tuple[str, int, int]  # (kind, chord label, sign)
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,10 @@ class GaussDiagram:
 
     def chord(self, chord_id: int) -> Chord:
         return self._chord_index[chord_id]
+
+    @cached_property
+    def _strand_table(self) -> StrandTable:
+        return _build_strand_table(self)
 
 
 @dataclass(frozen=True)
@@ -125,17 +138,17 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     Raises EmptyInputError, GaussSyntaxError, UnbalancedChordError or
     SignMismatchError on invalid input.
     """
+    return from_tokens(_tokenize(text))
+
+
+def _tokenize(text: str) -> list[list[Token]]:
     stripped = re.sub(r"\s+", "", text or "")
     if not stripped:
         raise EmptyInputError("no components in Gauss code")
-
-    raw_components = stripped.split("|")
-    occurrences: dict[int, list[tuple[str, int, int, int]]] = {}
-    component_tokens: list[list[tuple[str, int, int]]] = []
-
-    for ci, comp_text in enumerate(raw_components):
+    out = []
+    for ci, comp_text in enumerate(stripped.split("|")):
         if comp_text == ".":
-            component_tokens.append([])
+            out.append([])
             continue
         if not comp_text:
             raise GaussSyntaxError(f"component {ci} is empty; use '.' for a chordless circle")
@@ -146,64 +159,69 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if m is None:
                 raise GaussSyntaxError(f"bad token at {comp_text[pos:pos + 8]!r} in component {ci}")
             kind, label_text, sign_text = m.groups()
-            label = int(label_text)
+            tokens.append((kind, int(label_text), 1 if sign_text == "+" else -1))
+            pos = m.end()
+        out.append(tokens)
+    return out
+
+
+def from_tokens(component_tokens: Sequence[Sequence[Token]]) -> GaussDiagram:
+    """Build a validated diagram from per-component token lists; an empty
+    list is a chordless circle.  Raises the errors of parse_gauss_code."""
+    if not component_tokens:
+        raise EmptyInputError("no components in Gauss code")
+    components = tuple(
+        tuple(Endpoint(kind, label, ci, pos) for pos, (kind, label, _) in enumerate(tokens))
+        for ci, tokens in enumerate(component_tokens)
+    )
+    occurrences: dict[int, list[tuple[Endpoint, int]]] = {}
+    for comp, tokens in zip(components, component_tokens):
+        for e, (_, label, sign) in zip(comp, tokens):
             if label < 1:
                 raise GaussSyntaxError(f"chord label must be positive, got {label}")
-            sign = 1 if sign_text == "+" else -1
-            occurrences.setdefault(label, []).append((kind, sign, ci, len(tokens)))
-            tokens.append((kind, label, sign))
-            pos = m.end()
-        component_tokens.append(tokens)
+            occurrences.setdefault(label, []).append((e, sign))
 
+    chords = []
     for label, occ in sorted(occurrences.items()):
-        kinds = sorted(k for k, _, _, _ in occ)
-        if len(occ) != 2 or kinds != [TAIL, HEAD]:
+        if sorted(e.kind for e, _ in occ) != [TAIL, HEAD]:
             raise UnbalancedChordError(
                 f"chord {label} must appear exactly once as O and once as U"
             )
-        if occ[0][1] != occ[1][1]:
+        (first, sign), (second, other_sign) = occ
+        if sign != other_sign:
             raise SignMismatchError(f"chord {label} carries both signs")
-
-    components = tuple(
-        tuple(
-            Endpoint(kind, label, ci, pos)
-            for pos, (kind, label, _) in enumerate(tokens)
-        )
-        for ci, tokens in enumerate(component_tokens)
-    )
-    chords = []
-    for label, occ in sorted(occurrences.items()):
-        by_kind = {k: (ci, pos) for k, _, ci, pos in occ}
-        sign = occ[0][1]
-        tci, tpos = by_kind[TAIL]
-        hci, hpos = by_kind[HEAD]
-        chords.append(
-            Chord(label, sign, components[tci][tpos], components[hci][hpos])
-        )
+        tail, head = (first, second) if first.kind == TAIL else (second, first)
+        chords.append(Chord(label, sign, tail, head))
     return GaussDiagram(components, tuple(chords))
+
+
+def component_tokens(d: GaussDiagram) -> list[list[Token]]:
+    """Per-component token lists; from_tokens(component_tokens(d)) == d."""
+    return [
+        [(e.kind, e.chord_id, d.chord(e.chord_id).sign) for e in comp]
+        for comp in d.components
+    ]
 
 
 def to_gauss_code(d: GaussDiagram) -> str:
     """Serialize with no whitespace; parse(to_gauss_code(d)) == d."""
-    parts = []
-    for comp in d.components:
-        if not comp:
-            parts.append(".")
-            continue
-        sign_of = {c.id: c.sign for c in d.chords}
-        parts.append(
-            "".join(f"{e.kind}{e.chord_id}{'+' if sign_of[e.chord_id] > 0 else '-'}" for e in comp)
-        )
-    return "|".join(parts)
+    return "|".join(
+        "".join(f"{kind}{label}{'+' if sign > 0 else '-'}" for kind, label, sign in tokens) or "."
+        for tokens in component_tokens(d)
+    )
 
 
-@lru_cache(maxsize=None)
 def strand_table(d: GaussDiagram) -> StrandTable:
-    """Strand decomposition and arrowhead incidences of a diagram.
+    """Strand decomposition and arrowhead incidences of a diagram, built
+    once per diagram object.
 
     Strand ids are dense and deterministic: components in order, and within
     a component by the position of the terminating arrowhead.
     """
+    return d._strand_table
+
+
+def _build_strand_table(d: GaussDiagram) -> StrandTable:
     strands: list[Strand] = []
     pos_to_strand: list[list[int]] = []
     comp_base: list[int] = []
@@ -261,10 +279,8 @@ def strand_table(d: GaussDiagram) -> StrandTable:
 def bridge_count(d: GaussDiagram) -> int:
     """Number of overbridges: tail-bearing strands plus chordless circles
     (a chordless circle counts one, via an invisible R1 kink)."""
-    table = strand_table(d)
-    count = sum(1 for s in table.strands if s.tails)
-    count += sum(1 for comp in d.components if not comp)
-    return count
+    tail_strands = sum(1 for s in strand_table(d).strands if s.tails)
+    return tail_strands + sum(1 for comp in d.components if not comp)
 
 
 def cut_split_witness(d: GaussDiagram) -> Optional[CutSplitWitness]:
@@ -286,18 +302,12 @@ def is_cut_split(d: GaussDiagram) -> bool:
 def ensure_tail_per_component(d: GaussDiagram) -> GaussDiagram:
     """Insert an R1 kink (fresh chord, tail then head) on every component
     that carries no arrowtail, chordless circles included."""
-    needs = [
-        ci
-        for ci, comp in enumerate(d.components)
-        if not any(e.kind == TAIL for e in comp)
-    ]
-    if not needs:
+    if all(any(e.kind == TAIL for e in comp) for comp in d.components):
         return d
+    tokens = component_tokens(d)
     label = max((c.id for c in d.chords), default=0)
-    code = to_gauss_code(d)
-    parts = code.split("|")
-    for ci in needs:
-        label += 1
-        kink = f"O{label}+U{label}+"
-        parts[ci] = kink if parts[ci] == "." else kink + parts[ci]
-    return parse_gauss_code("|".join(parts))
+    for comp in tokens:
+        if not any(kind == TAIL for kind, _, _ in comp):
+            label += 1
+            comp[:0] = [(TAIL, label, 1), (HEAD, label, 1)]
+    return from_tokens(tokens)

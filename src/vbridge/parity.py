@@ -9,7 +9,7 @@ classical (all-even) diagram is the diagram itself.
 from __future__ import annotations
 
 from .errors import NotAKnotError
-from .gauss import GaussDiagram, parse_gauss_code
+from .gauss import GaussDiagram, component_tokens, from_tokens
 from .linkgroup import IdealBoundResult, ideal_lower_bound
 
 
@@ -43,14 +43,8 @@ def parity_projection(d: GaussDiagram) -> GaussDiagram:
     """Delete every odd chord, keeping cyclic order, labels and signs.
     All-odd diagrams project to the chordless circle."""
     parity = gaussian_parity(d)
-    sign_of = {c.id: c.sign for c in d.chords}
-    kept = [e for e in d.components[0] if parity[e.chord_id] == 0]
-    if not kept:
-        return parse_gauss_code(".")
-    code = "".join(
-        f"{e.kind}{e.chord_id}{'+' if sign_of[e.chord_id] > 0 else '-'}" for e in kept
-    )
-    return parse_gauss_code(code)
+    [tokens] = component_tokens(d)
+    return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
 
 
 def parity_lower_bound(

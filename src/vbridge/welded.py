@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAKnotError, NotOneOverbridgeError
-from .gauss import HEAD, TAIL, GaussDiagram, parse_gauss_code, strand_table, to_gauss_code
+from .gauss import HEAD, TAIL, GaussDiagram, bridge_count, component_tokens, parse_gauss_code, to_gauss_code
 from .search import VerifyResult
 
 
@@ -70,21 +70,7 @@ def is_one_overbridge(d: GaussDiagram) -> bool:
     the chordless circle."""
     if d.n_components != 1:
         raise NotAKnotError("one-overbridge test is defined for knot diagrams")
-    if d.n_chords == 0:
-        return True
-    table = strand_table(d)
-    return sum(1 for s in table.strands if s.tails) == 1
-
-
-def _tokens(d: GaussDiagram) -> list[tuple[str, int, int]]:
-    sign_of = {c.id: c.sign for c in d.chords}
-    return [(e.kind, e.chord_id, sign_of[e.chord_id]) for e in d.components[0]]
-
-
-def _serialize_tokens(tokens: list[tuple[str, int, int]]) -> str:
-    if not tokens:
-        return "."
-    return "".join(f"{k}{label}{'+' if s > 0 else '-'}" for k, label, s in tokens)
+    return bridge_count(d) == 1
 
 
 def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
@@ -93,7 +79,7 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     if not is_one_overbridge(d):
         raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
     initial = to_gauss_code(d)
-    tokens = _tokens(d)
+    [tokens] = component_tokens(d)
     n_chords = d.n_chords
     if n_chords == 0:
         return UnknottingCertificate(initial, (), ".")
@@ -152,7 +138,7 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         return VerifyResult(False, None)
     if d.n_components != 1:
         return VerifyResult(False, None)
-    tokens = _tokens(d)
+    [tokens] = component_tokens(d)
 
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
@@ -176,6 +162,6 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         else:
             return VerifyResult(False, idx)
 
-    if tokens or _serialize_tokens(tokens) != cert.final:
+    if tokens or cert.final != ".":
         return VerifyResult(False, None)
     return VerifyResult(True, None)

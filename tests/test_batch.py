@@ -1,8 +1,13 @@
+import gc
 import json
 import os
+import random
+import time
+import weakref
 
 import pytest
 
+from vbridge import batch
 from vbridge.batch import (
     CSV_COLUMNS,
     PipelineConfig,
@@ -12,7 +17,9 @@ from vbridge.batch import (
     run_pipeline,
     write_results,
 )
+from vbridge.gauss import to_gauss_code
 from vbridge.quandle import dihedral_quandle
+from util import random_knot
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 
@@ -115,6 +122,44 @@ class TestPipeline:
             PipelineConfig(time_limit=0.0),
         )
         assert recs[0].status_text == "timeout"
+
+    def test_analysis_skipped_for_time_is_a_timeout(self, monkeypatch):
+        real = batch.ideal_lower_bound
+
+        def slow_ideal(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(batch, "ideal_lower_bound", slow_ideal)
+        [r] = run_pipeline(
+            [TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)],
+            PipelineConfig(time_limit=0.1),
+        )
+        assert r.status_text == "timeout"
+        # the fields computed before the deadline are kept
+        assert (r.vb_d, r.omega_d, r.ideal_lb) == (3, 2, 2)
+        assert r.parity_lb is None
+
+    def test_diagrams_freed_after_run(self, monkeypatch):
+        refs = []
+        real = batch.ensure_tail_per_component
+
+        def keep_ref(d):
+            out = real(d)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(batch, "ensure_tail_per_component", keep_ref)
+        # fresh diagrams: an equal diagram analyzed earlier must not hide a leak
+        rng = random.Random(5150)
+        entries = [
+            TableEntry(f"k{i}", to_gauss_code(random_knot(rng, max_chords=6, min_chords=4)), i)
+            for i in range(10)
+        ]
+        run_pipeline(entries, PipelineConfig(quandles=(dihedral_quandle(3),)))
+        gc.collect()
+        assert len(refs) == len(entries)
+        assert all(ref() is None for ref in refs)
 
     def test_exhausted_record(self):
         recs = run_pipeline(

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from vbridge.cli import main
+from vbridge import cli, quandle
+from vbridge.cli import _UsageError, _build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 D6 = "O1-O2-O3-U1-O4-U3-O5-U6-U2-U5-U4-O6-"
@@ -110,6 +111,22 @@ class TestSingleDiagramCommands:
         assert data["counts"] == {"r3": 9}
         assert data["sandwich"] == {"r3": True}
 
+    def test_quandle_counts_each_table_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "r3.txt"
+        path.write_text("3\n0 2 1\n2 1 0\n1 0 2\n")
+        calls = []
+        real = quandle.count_colorings
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "count_colorings", counted)
+        monkeypatch.setattr(quandle, "count_colorings", counted)
+        data = run_json(capsys, "quandle", "--quandle", str(path), D3)
+        assert data["sandwich"] == {"r3": True}
+        assert len(calls) == 1
+
     def test_welded_positive(self, capsys):
         data = run_json(capsys, "welded", DV)
         assert data["one_overbridge"] and data["verified"]
@@ -117,6 +134,40 @@ class TestSingleDiagramCommands:
 
     def test_welded_negative(self, capsys):
         assert run_json(capsys, "welded", D3) == {"one_overbridge": False}
+
+
+class TestFlags:
+    VALUES = {
+        "--max-k": ["3"],
+        "--time-limit": ["5"],
+        "--jobs": ["2"],
+        "--format": ["json"],
+        "--certificates": [],
+        "--quandle": ["r3.txt"],
+        "--prime-bound": ["11"],
+    }
+    COMMANDS = ["parse", "bridge", "wirtinger", "parity", "alexander", "quandle", "welded", "batch"]
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        accepted = set()
+        for command in self.COMMANDS:
+            for flag, value in self.VALUES.items():
+                try:
+                    _build_parser().parse_args([command, flag, *value, D3])
+                except _UsageError:
+                    continue
+                accepted.add((command, flag))
+        expected = {("batch", flag) for flag in self.VALUES}
+        expected |= {("wirtinger", f) for f in ("--max-k", "--time-limit", "--certificates")}
+        expected |= {("alexander", f) for f in ("--max-k", "--prime-bound")}
+        expected |= {("quandle", f) for f in ("--max-k", "--time-limit", "--quandle")}
+        assert accepted == expected and len(expected) == 15
+
+    def test_unread_flags_are_usage_errors(self, capsys):
+        code, out, err = run(
+            capsys, "parse", "--jobs", "9", "--quandle", "/nonexistent", "--prime-bound", "-3", "O1+U1+"
+        )
+        assert code == 1 and out == "" and "unrecognized arguments" in err
 
 
 class TestBatchCommand:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -11,14 +13,17 @@ from vbridge.errors import (
 from vbridge.gauss import (
     bridge_count,
     cut_split_witness,
+    component_tokens,
     ensure_tail_per_component,
+    from_tokens,
     is_cut_split,
     parse_gauss_code,
     strand_table,
     to_gauss_code,
 )
+from vbridge.search import wirtinger_number
 from conftest import D6_CODE
-from util import random_diagram
+from util import enumerate_knot_codes, random_diagram
 
 
 class TestParser:
@@ -49,6 +54,8 @@ class TestParser:
             parse_gauss_code("")
         with pytest.raises(EmptyInputError):
             parse_gauss_code("   ")
+        with pytest.raises(EmptyInputError):
+            from_tokens([])
 
     def test_unbalanced(self):
         with pytest.raises(UnbalancedChordError):
@@ -57,21 +64,36 @@ class TestParser:
             parse_gauss_code("O1+O1+")
         with pytest.raises(UnbalancedChordError):
             parse_gauss_code("O1+U1+O1+")
+        with pytest.raises(UnbalancedChordError):
+            from_tokens([[("O", 1, 1), ("U", 1, 1), ("O", 1, 1)]])
+        with pytest.raises(UnbalancedChordError):
+            from_tokens([[("O", 1, 1)], [("O", 1, 1)]])
 
     def test_sign_mismatch(self):
         with pytest.raises(SignMismatchError):
             parse_gauss_code("O1+U1-")
+        with pytest.raises(SignMismatchError):
+            from_tokens([[("O", 1, 1)], [("U", 1, -1)]])
 
     def test_syntax_errors(self):
         for bad in ["O1*U1+", "X1+Y1+", "O1+|", "O1+||U1+", "O0+U0+", "OU+"]:
             with pytest.raises(GaussSyntaxError):
                 parse_gauss_code(bad)
+        with pytest.raises(GaussSyntaxError):
+            from_tokens([[("O", 0, 1), ("U", 0, 1)]])
 
     def test_roundtrip_random(self):
         rng = random.Random(20260823)
         for _ in range(200):
             d = random_diagram(rng)
             assert parse_gauss_code(to_gauss_code(d)) == d
+            assert from_tokens(component_tokens(d)) == d
+
+    def test_knot_codes_round_trip(self):
+        for n in range(5):
+            for code in enumerate_knot_codes(n):
+                d = parse_gauss_code(code)
+                assert from_tokens(component_tokens(d)) == d
 
 
 class TestStrands:
@@ -90,6 +112,18 @@ class TestStrands:
         assert table.n_strands == 1
         assert table.strands[0].tails == ()
         assert table.strands[0].head_pos is None
+
+    def test_table_built_once_per_diagram(self, d6):
+        assert strand_table(d6) is strand_table(d6)
+
+    def test_table_freed_with_diagram(self):
+        d = parse_gauss_code(D6_CODE)
+        ref = weakref.ref(d)
+        strand_table(d)
+        wirtinger_number(d)
+        del d
+        gc.collect()
+        assert ref() is None
 
     def test_strand_count_matches_heads(self):
         rng = random.Random(7)

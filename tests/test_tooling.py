@@ -19,3 +19,16 @@ def test_import_loads_no_numpy_or_numba():
         env=env,
         check=True,
     )
+
+
+def test_pytest_finds_the_package_without_pythonpath():
+    # pyproject.toml puts src/ on the path, so a plain checkout needs no install
+    root = SRC.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_laurent.py"],
+        cwd=root,
+        env=env,
+        check=True,
+        capture_output=True,
+    )
