@@ -13,6 +13,7 @@ from .errors import (
     EmptyInputError,
     GaussCodeError,
     GaussSyntaxError,
+    InvariantError,
     NotAKnotError,
     NotDistributiveError,
     NotIdempotentError,
@@ -176,6 +177,7 @@ __all__ = [
     "CutSplitError",
     "SearchExhaustedError",
     "SearchTimeoutError",
+    "InvariantError",
     "BadIdealIndexError",
     "QuandleAxiomError",
     "NotIdempotentError",

@@ -1,10 +1,14 @@
-"""Table ingestion, the per-entry analysis pipeline, and result writers.
+"""Table ingestion, the per-diagram analysis path, and result writers.
 
 Input tables are tab-separated ``name<TAB>code`` lines; ``#`` lines are
 comments.  Every entry is normalized (a tail on each component) before
 analysis, and the reported component/chord/strand statistics describe the
 normalized diagram, so the recorded invariant ideal_lb <= omega <= vb is
 meaningful within one record.
+
+``analyze`` is the one per-diagram path, shared with the single-diagram
+commands: it fills a record and raises on failure, and each entry turns
+those exceptions into its status.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import GaussCodeError, SearchExhaustedError, SearchTimeoutError
-from .gauss import bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
+from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError
+from .gauss import GaussDiagram, bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
 from .linkgroup import ideal_lower_bound
 from .parity import parity_lower_bound
 from .quandle import FiniteQuandle, count_colorings
-from .search import wirtinger_number
+from .search import SearchStats, wirtinger_number
 from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
 
 CSV_COLUMNS = [
@@ -55,6 +59,11 @@ class TableProblem:
     message: str
 
 
+def _quandle_key(q: FiniteQuandle) -> str:
+    """The key of a quandle's count in ResultRecord.quandle_counts."""
+    return q.name or f"Q{q.order}"
+
+
 @dataclass
 class PipelineConfig:
     max_k: Optional[int] = None
@@ -64,6 +73,12 @@ class PipelineConfig:
     quandles: tuple[FiniteQuandle, ...] = ()
     prime_bound: int = 97
     certificates: bool = False
+
+    def __post_init__(self):
+        keys = [_quandle_key(q) for q in self.quandles]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ValueError(f"two quandle tables share the key {key!r}")
 
 
 @dataclass
@@ -75,6 +90,7 @@ class ResultRecord:
     vb_d: Optional[int] = None
     omega_d: Optional[int] = None
     seed_set: tuple[int, ...] = ()
+    stats: Optional[SearchStats] = None
     ideal_lb: Optional[int] = None
     parity_lb: Optional[int] = None
     quandle_counts: dict = field(default_factory=dict)
@@ -122,82 +138,72 @@ def ingest_table(path) -> tuple[list[TableEntry], list[TableProblem]]:
 def _process_entry(entry: TableEntry, config: PipelineConfig) -> ResultRecord:
     rec = ResultRecord(name=entry.name)
     start = time.perf_counter()
-    deadline = None if config.time_limit is None else start + config.time_limit
     try:
-        diagram = ensure_tail_per_component(parse_gauss_code(entry.code))
+        analyze(ensure_tail_per_component(parse_gauss_code(entry.code)), config, rec)
     except GaussCodeError:
-        rec.status = "error"
-        rec.error_code = "parse"
-        rec.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return rec
-
-    table = strand_table(diagram)
-    rec.components = diagram.n_components
-    rec.chords = diagram.n_chords
-    rec.strands = table.n_strands
-    rec.vb_d = bridge_count(diagram)
-
-    result = None
-    try:
-        remaining = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-        result = wirtinger_number(diagram, max_k=config.max_k, time_limit=remaining)
-        rec.omega_d = result.omega
-        rec.seed_set = result.seed_set
+        rec.status, rec.error_code = "error", "parse"
     except SearchTimeoutError:
         rec.status = "timeout"
     except SearchExhaustedError:
-        rec.status = "error"
-        rec.error_code = "exhausted"
+        rec.status, rec.error_code = "error", "exhausted"
+    except InvariantError:
+        rec.status, rec.error_code = "error", "invariant"
+    rec.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return rec
 
-    def should_run(analysis: str, applies: bool) -> bool:
-        # an analysis that applies but finds the deadline passed times the record out
+
+def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) -> ResultRecord:
+    """Fill ``rec`` from ``diagram``: statistics, the Wirtinger search, then
+    each enabled analysis that applies, in a fixed order.
+
+    Failures are exceptions, and the fields filled before one stay:
+    SearchTimeoutError past ``config.time_limit`` (the search gets the time
+    left; each later analysis checks the deadline before it starts),
+    SearchExhaustedError at ``config.max_k``, InvariantError when
+    ideal_lb <= omega <= vb fails.
+    """
+    deadline = None if config.time_limit is None else time.perf_counter() + config.time_limit
+
+    def due(analysis: str, applies: bool) -> bool:
         if analysis not in config.analyses or not applies:
             return False
-        if deadline is None or time.perf_counter() < deadline:
-            return True
-        rec.status = "timeout"
-        return False
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise SearchTimeoutError(
+                f"time limit of {config.time_limit}s reached before the {analysis} analysis"
+            )
+        return True
+
+    rec.components = diagram.n_components
+    rec.chords = diagram.n_chords
+    rec.strands = strand_table(diagram).n_strands
+    rec.vb_d = bridge_count(diagram)
+
+    remaining = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+    result = wirtinger_number(diagram, max_k=config.max_k, time_limit=remaining)
+    rec.omega_d = result.omega
+    rec.seed_set = result.seed_set
+    rec.stats = result.stats
+    if config.certificates:
+        rec.certificates = {"sequence": result.sequence.to_json_dict()}
 
     is_knot = diagram.n_components == 1
-    if rec.status == "ok":
-        if should_run("ideal", is_knot):
-            rec.ideal_lb = ideal_lower_bound(
-                diagram, config.max_k, config.prime_bound
-            ).bound
-        if should_run("parity", is_knot):
-            rec.parity_lb = parity_lower_bound(
-                diagram, config.max_k, config.prime_bound
-            ).bound
-        if should_run("quandle", bool(config.quandles)):
-            for q in config.quandles:
-                rec.quandle_counts[q.name or f"Q{q.order}"] = count_colorings(
-                    diagram, q, result=result
-                )
-        welded_cert = None
-        if should_run("welded", is_knot):
-            if is_one_overbridge(diagram):
-                welded_cert = welded_unknot_certificate(diagram)
-                rec.welded_unknot = bool(replay_certificate(welded_cert))
-            else:
-                rec.welded_unknot = None  # not applicable on this diagram
-
-        if (
-            rec.ideal_lb is not None
-            and rec.omega_d is not None
-            and not rec.ideal_lb <= rec.omega_d <= rec.vb_d
-        ):
-            rec.status = "error"
-            rec.error_code = "invariant"
-
+    if due("ideal", is_knot):
+        rec.ideal_lb = ideal_lower_bound(diagram, config.max_k, config.prime_bound).bound
+    if due("parity", is_knot):
+        rec.parity_lb = parity_lower_bound(diagram, config.max_k, config.prime_bound).bound
+    if due("quandle", bool(config.quandles)):
+        for q in config.quandles:
+            rec.quandle_counts[_quandle_key(q)] = count_colorings(diagram, q, result=result)
+    if due("welded", is_knot) and is_one_overbridge(diagram):
+        cert = welded_unknot_certificate(diagram)
+        rec.welded_unknot = bool(replay_certificate(cert))
         if config.certificates:
-            certs = {}
-            if result is not None:
-                certs["sequence"] = result.sequence.to_json_dict()
-            if welded_cert is not None:
-                certs["welded"] = welded_cert.to_json_dict()
-            rec.certificates = certs or None
+            rec.certificates["welded"] = cert.to_json_dict()
 
-    rec.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if rec.ideal_lb is not None and not rec.ideal_lb <= rec.omega_d <= rec.vb_d:
+        raise InvariantError(
+            f"ideal_lb {rec.ideal_lb} <= omega {rec.omega_d} <= vb {rec.vb_d} fails"
+        )
     return rec
 
 
@@ -222,6 +228,8 @@ def _record_json_dict(rec: ResultRecord) -> dict:
         "vbD": rec.vb_d,
         "omegaD": rec.omega_d,
         "seed_set": list(rec.seed_set),
+        "subsets_examined": None if rec.stats is None else rec.stats.subsets_examined,
+        "saturation_steps": None if rec.stats is None else rec.stats.saturation_steps,
         "ideal_lb": rec.ideal_lb,
         "parity_lb": rec.parity_lb,
         "quandle_counts": rec.quandle_counts,

@@ -2,34 +2,31 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 timeout-only
 failures.  Single-diagram commands print JSON; ``batch`` honors --format.
+``wirtinger``, ``quandle`` and ``welded`` print fields of the record that
+``batch.analyze`` fills, the path every ``batch`` entry takes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
 
 from . import __version__
 from .batch import (
-    ALL_ANALYSES,
     PipelineConfig,
+    ResultRecord,
+    analyze,
     ingest_table,
     run_pipeline,
     write_results,
 )
-from .errors import (
-    GaussCodeError,
-    NotAKnotError,
-    SearchExhaustedError,
-    SearchTimeoutError,
-    VbridgeError,
-)
+from .errors import NotAKnotError, SearchTimeoutError, VbridgeError
 from .gauss import (
     bridge_count,
     cut_split_witness,
-    ensure_tail_per_component,
     parse_gauss_code,
     strand_table,
     to_gauss_code,
@@ -40,9 +37,7 @@ from .linkgroup import (
     wirtinger_presentation,
 )
 from .parity import gaussian_parity, parity_projection
-from .quandle import count_colorings, load_quandle_table
-from .search import wirtinger_number
-from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
+from .quandle import load_quandle_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,16 +96,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(_build_parser().parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        return _dispatch(args)
-    except (GaussCodeError, NotAKnotError, VbridgeError, OSError, ValueError) as exc:
+    except (VbridgeError, OSError, ValueError) as exc:
         if isinstance(exc, SearchTimeoutError):
             print(f"timeout: {exc}", file=sys.stderr)
             return EXIT_TIMEOUT
@@ -120,6 +111,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _config(args, **fields) -> PipelineConfig:
+    """PipelineConfig from the flags a command read, then ``fields``; a
+    quandle key shared by two tables is a usage error."""
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in names}
+    try:
+        return PipelineConfig(**{**flags, **fields})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _analyze(args, d, *analyses, **fields) -> ResultRecord:
+    """The batch record of one diagram, analyzed as given (not normalized)."""
+    config = _config(args, analyses=frozenset(analyses), **fields)
+    return analyze(d, config, ResultRecord(name=args.code))
 
 
 def _dispatch(args) -> int:
@@ -153,15 +161,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "wirtinger":
-        result = wirtinger_number(d, max_k=args.max_k, time_limit=args.time_limit)
-        out = {
-            "omega": result.omega,
-            "seed_set": list(result.seed_set),
-            "subsets_examined": result.stats.subsets_examined,
-            "saturation_steps": result.stats.saturation_steps,
-        }
+        rec = _analyze(args, d)
+        out = {"omega": rec.omega_d, "seed_set": list(rec.seed_set), **vars(rec.stats)}
         if args.certificates:
-            out["sequence"] = result.sequence.to_json_dict()
+            out["sequence"] = rec.certificates["sequence"]
         _emit(out)
         return EXIT_OK
 
@@ -205,28 +208,25 @@ def _dispatch(args) -> int:
 
     if cmd == "quandle":
         if not args.quandle:
-            print("usage error: quandle command needs at least one --quandle FILE", file=sys.stderr)
-            return EXIT_USAGE
-        quandles = [load_quandle_table(path) for path in args.quandle]
-        result = wirtinger_number(d, max_k=args.max_k, time_limit=args.time_limit)
-        counts = {q.name: count_colorings(d, q, result=result) for q in quandles}
-        # the sandwich |X| <= colorings <= |X|^omega, from the counts just made
-        sandwich = {q.name: q.order <= counts[q.name] <= q.order ** result.omega for q in quandles}
-        _emit({"omega": result.omega, "counts": counts, "sandwich": sandwich})
+            raise _UsageError("quandle command needs at least one --quandle FILE")
+        quandles = tuple(load_quandle_table(path) for path in args.quandle)
+        rec = _analyze(args, d, "quandle", quandles=quandles)
+        # the sandwich |X| <= colorings <= |X|^omega; counts follow the table order
+        sandwich = {
+            key: q.order <= count <= q.order ** rec.omega_d
+            for (key, count), q in zip(rec.quandle_counts.items(), quandles)
+        }
+        _emit({"omega": rec.omega_d, "counts": rec.quandle_counts, "sandwich": sandwich})
         return EXIT_OK
 
     if cmd == "welded":
-        if not is_one_overbridge(d):
-            _emit({"one_overbridge": False})
-            return EXIT_OK
-        cert = welded_unknot_certificate(d)
-        _emit(
-            {
-                "one_overbridge": True,
-                "certificate": cert.to_json_dict(),
-                "verified": bool(replay_certificate(cert)),
-            }
-        )
+        if d.n_components != 1:
+            raise NotAKnotError("one-overbridge test is defined for knot diagrams")
+        rec = _analyze(args, d, "welded", certificates=True)
+        out = {"one_overbridge": rec.welded_unknot is not None}
+        if out["one_overbridge"]:
+            out.update(certificate=rec.certificates["welded"], verified=rec.welded_unknot)
+        _emit(out)
         return EXIT_OK
 
     raise _UsageError(f"unknown command {cmd!r}")  # pragma: no cover
@@ -238,15 +238,7 @@ def _cmd_batch(args) -> int:
         print(f"{args.table}:{problem.line}: {problem.message}", file=sys.stderr)
 
     quandles = tuple(load_quandle_table(path) for path in args.quandle)
-    config = PipelineConfig(
-        max_k=args.max_k,
-        time_limit=args.time_limit,
-        jobs=args.jobs,
-        analyses=ALL_ANALYSES,
-        quandles=quandles,
-        prime_bound=args.prime_bound,
-        certificates=args.certificates,
-    )
+    config = _config(args, quandles=quandles)
     records = run_pipeline(entries, config)
     text = write_results(records, args.format, args.output)
     if args.output is None:

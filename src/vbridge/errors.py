@@ -41,6 +41,10 @@ class SearchTimeoutError(VbridgeError, RuntimeError):
     """Seed-set search hit its wall-clock limit."""
 
 
+class InvariantError(VbridgeError, RuntimeError):
+    """A record's bounds break ideal_lb <= omega <= vb."""
+
+
 class BadIdealIndexError(VbridgeError, ValueError):
     """Elementary-ideal index outside 0 <= k < number of generators."""
 

@@ -277,10 +277,11 @@ def _build_strand_table(d: GaussDiagram) -> StrandTable:
 
 
 def bridge_count(d: GaussDiagram) -> int:
-    """Number of overbridges: tail-bearing strands plus chordless circles
-    (a chordless circle counts one, via an invisible R1 kink)."""
+    """Number of overbridges: tail-bearing strands plus one per component
+    without an arrowtail, chordless circles included (each counts the R1
+    kink ensure_tail_per_component would add)."""
     tail_strands = sum(1 for s in strand_table(d).strands if s.tails)
-    return tail_strands + sum(1 for comp in d.components if not comp)
+    return tail_strands + sum(1 for comp in d.components if all(e.kind != TAIL for e in comp))
 
 
 def cut_split_witness(d: GaussDiagram) -> Optional[CutSplitWitness]:

@@ -245,7 +245,7 @@ def wirtinger_number(
         examined += ex
         if timed_out:
             raise SearchTimeoutError(
-                f"no seed set found within {time_limit}s ({examined} subsets examined)"
+                f"no seed set found within the time limit ({examined} subsets examined)"
             )
         if comb is not None:
             state, seq = apply_coloring_moves(d, comb)
@@ -261,65 +261,51 @@ def wirtinger_number(
     )
 
 
-def _move_legal(inc: HeadIncidence, colored: set, target: int) -> bool:
-    if inc.tail_strand not in colored:
-        return False
-    b = inc.before in colored
-    a = inc.after in colored
-    if b == a:
-        return False
-    return target == (inc.after if b else inc.before)
+def _move_source(inc: HeadIncidence, colors: list, target: int) -> Optional[int]:
+    """The strand whose color a move legal at ``inc`` copies onto ``target``,
+    or None when no such move is legal."""
+    if colors[inc.tail_strand] is None:
+        return None
+    b = colors[inc.before] is not None
+    if b == (colors[inc.after] is not None):
+        return None
+    src, dst = (inc.before, inc.after) if b else (inc.after, inc.before)
+    return src if dst == target else None
+
+
+def _replay(d: GaussDiagram, seq: ColoringSequence) -> tuple[VerifyResult, list]:
+    """Walk a sequence once: the verdict of verify_coloring_sequence, and
+    the color of every strand reached (seed j gets color j, a later entry
+    the color of its move's source; None where the walk stopped)."""
+    table = strand_table(d)
+    n = table.n_strands
+    colors: list[Optional[int]] = [None] * n
+    if not 1 <= seq.k <= len(seq.entries) or len(seq.entries) != n:
+        return VerifyResult(False, None), colors
+    by_chord = {i.chord_id: i for i in table.incidences}
+    for idx, e in enumerate(seq.entries):
+        if not 0 <= e.strand < n or colors[e.strand] is not None:
+            return VerifyResult(False, idx), colors
+        if idx < seq.k:
+            colors[e.strand] = idx + 1
+            continue
+        if e.via is None:
+            candidates = table.incidences
+        else:
+            candidates = [by_chord[e.via]] if e.via in by_chord else []
+        sources = (_move_source(inc, colors, e.strand) for inc in candidates)
+        src = next((s for s in sources if s is not None), None)
+        if src is None:
+            return VerifyResult(False, idx), colors
+        colors[e.strand] = colors[src]
+    return VerifyResult(True, None), colors
 
 
 def verify_coloring_sequence(d: GaussDiagram, seq: ColoringSequence) -> VerifyResult:
     """Check that a sequence is a valid certificate: every strand appears
     exactly once, the first k entries are the seeds, and each later entry is
     justified by a move legal at its stage."""
-    table = strand_table(d)
-    n = table.n_strands
-    if not 1 <= seq.k <= len(seq.entries):
-        return VerifyResult(False, None)
-    if len(seq.entries) != n:
-        return VerifyResult(False, None)
-    by_chord = {i.chord_id: i for i in table.incidences}
-    colored: set = set()
-    for idx, e in enumerate(seq.entries):
-        if not 0 <= e.strand < n or e.strand in colored:
-            return VerifyResult(False, idx)
-        if idx >= seq.k:
-            if e.via is not None:
-                inc = by_chord.get(e.via)
-                legal = inc is not None and _move_legal(inc, colored, e.strand)
-            else:
-                legal = any(
-                    _move_legal(inc, colored, e.strand) for inc in table.incidences
-                )
-            if not legal:
-                return VerifyResult(False, idx)
-        colored.add(e.strand)
-    return VerifyResult(True, None)
-
-
-def _replay_colors(d: GaussDiagram, seq: ColoringSequence) -> list[int]:
-    """Color of every strand after replaying a verified sequence."""
-    table = strand_table(d)
-    by_chord = {i.chord_id: i for i in table.incidences}
-    colors: dict[int, int] = {}
-    for idx, e in enumerate(seq.entries):
-        if idx < seq.k:
-            colors[e.strand] = idx + 1
-            continue
-        if e.via is not None:
-            inc = by_chord[e.via]
-            src = inc.before if e.strand == inc.after else inc.after
-        else:
-            src = next(
-                (i.before if i.before in colors else i.after)
-                for i in table.incidences
-                if _move_legal(i, set(colors), e.strand)
-            )
-        colors[e.strand] = colors[src]
-    return [colors[s] for s in range(table.n_strands)]
+    return _replay(d, seq)[0]
 
 
 def _cyclic_runs(positions: set, m: int) -> Optional[list[int]]:
@@ -345,11 +331,10 @@ def verify_height_certificate(d: GaussDiagram, seq: ColoringSequence) -> VerifyR
     witness = cut_split_witness(d)
     if witness is not None:
         raise CutSplitError(f"diagram is cut-split at {witness.kind} {witness.index}")
-    base = verify_coloring_sequence(d, seq)
+    base, colors = _replay(d, seq)
     if not base.ok:
         return base
     table = strand_table(d)
-    colors = _replay_colors(d, seq)
     heights = seq.heights()
     seeds = set(seq.seeds)
 
@@ -413,8 +398,11 @@ class LowTailReport:
 
 
 def low_tail_chords(d: GaussDiagram, seq: ColoringSequence) -> LowTailReport:
+    """Raises ValueError when ``seq`` fails verify_coloring_sequence."""
+    verdict, colors = _replay(d, seq)
+    if not verdict.ok:
+        raise ValueError(f"coloring sequence fails verification at entry {verdict.failed_at}")
     table = strand_table(d)
-    colors = _replay_colors(d, seq)
     heights = seq.heights()
     comp_of = [s.component for s in table.strands]
     comp_sizes: dict[int, int] = {}

@@ -17,8 +17,10 @@ from vbridge.batch import (
     run_pipeline,
     write_results,
 )
-from vbridge.gauss import to_gauss_code
-from vbridge.quandle import dihedral_quandle
+from vbridge.errors import SearchExhaustedError
+from vbridge.gauss import parse_gauss_code, to_gauss_code
+from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
+from vbridge.search import wirtinger_number
 from util import random_knot
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
@@ -115,6 +117,8 @@ class TestPipeline:
         [r] = recs
         assert r.status_text == "error(parse)"
         assert r.components is None and r.omega_d is None
+        [data] = json.loads(render_results(recs, "json"))
+        assert data["subsets_examined"] is None and data["saturation_steps"] is None
 
     def test_timeout_record(self):
         recs = run_pipeline(
@@ -160,6 +164,24 @@ class TestPipeline:
         gc.collect()
         assert len(refs) == len(entries)
         assert all(ref() is None for ref in refs)
+
+    def test_analyze_keeps_the_fields_filled_before_a_failure(self):
+        rec = batch.ResultRecord("capped")
+        with pytest.raises(SearchExhaustedError):
+            batch.analyze(parse_gauss_code("O1-U2-O3-U1-O2-U3-"), PipelineConfig(max_k=1), rec)
+        assert (rec.components, rec.strands, rec.vb_d, rec.omega_d) == (1, 3, 3, None)
+
+    def test_quandle_keys_must_differ(self):
+        with pytest.raises(ValueError, match="'R3'"):
+            PipelineConfig(quandles=(dihedral_quandle(3), dihedral_quandle(3)))
+        unnamed = validate_quandle(dihedral_quandle(3).table)
+        with pytest.raises(ValueError, match="'Q3'"):
+            PipelineConfig(quandles=(unnamed, unnamed))
+        [rec] = run_pipeline(
+            [TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)],
+            PipelineConfig(quandles=(unnamed, trivial_quandle(3))),
+        )
+        assert rec.quandle_counts == {"Q3": 9, "T3": 3}
 
     def test_exhausted_record(self):
         recs = run_pipeline(
@@ -215,6 +237,9 @@ class TestRendering:
         assert [d["name"] for d in data] == ["unknot", "kink", "trefoil", "vtrefoil"]
         assert all(d["elapsed_ms"] >= 0.0 for d in data)
         assert data[2]["quandle_counts"] == {"R3": 9}
+        stats = wirtinger_number(parse_gauss_code("O1-U2-O3-U1-O2-U3-")).stats
+        assert data[2]["subsets_examined"] == stats.subsets_examined
+        assert data[2]["saturation_steps"] == stats.saturation_steps
         assert data[3]["certificates"]["welded"]["initial"] == "O1+O2+U1+U2+"
         assert data[2]["status"] == "ok"
 

@@ -1,15 +1,20 @@
 import json
 import os
+import time
 
 import pytest
 
-from vbridge import cli, quandle
+from vbridge import batch, quandle
+from vbridge.batch import PipelineConfig, ingest_table, run_pipeline
+from vbridge.gauss import ensure_tail_per_component, parse_gauss_code
+from vbridge.quandle import load_quandle_table
 from vbridge.cli import _UsageError, _build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 D6 = "O1-O2-O3-U1-O4-U3-O5-U6-U2-U5-U4-O6-"
 DV = "O1+O2+U1+U2+"
 D3 = "O1-U2-O3-U1-O2-U3-"
+R3_TABLE = "3\n0 2 1\n2 1 0\n1 0 2\n"
 
 
 def run(capsys, *argv):
@@ -44,7 +49,8 @@ class TestExitCodes:
         assert code == 2 and "error" in err
 
     def test_knot_only_command_on_link(self, capsys):
-        assert run(capsys, "alexander", ".|.")[0] == 2
+        for command in ("alexander", "welded"):
+            assert run(capsys, command, ".|.")[0] == 2
 
     def test_missing_table(self, capsys):
         assert run(capsys, "batch", "/nonexistent/table.tsv")[0] == 2
@@ -121,11 +127,55 @@ class TestSingleDiagramCommands:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "count_colorings", counted)
+        monkeypatch.setattr(batch, "count_colorings", counted)
         monkeypatch.setattr(quandle, "count_colorings", counted)
         data = run_json(capsys, "quandle", "--quandle", str(path), D3)
         assert data["sandwich"] == {"r3": True}
         assert len(calls) == 1
+
+    def test_quandle_time_limit_covers_the_counts(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "r3.txt"
+        path.write_text(R3_TABLE)
+        real = batch.wirtinger_number
+
+        def slow_search(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "wirtinger_number", slow_search)
+        code, out, err = run(capsys, "quandle", "--time-limit", "0.1", "--quandle", str(path), D3)
+        assert code == 3 and out == "" and "timeout" in err
+
+    def test_commands_agree_with_batch_records(self, capsys, tmp_path):
+        path = tmp_path / "r3.txt"
+        path.write_text(R3_TABLE)
+        # batch normalizes; on these codes normalizing changes nothing
+        entries = [
+            e for e in ingest_table(DATA)[0]
+            if (d := parse_gauss_code(e.code)) is ensure_tail_per_component(d)
+        ]
+        config = PipelineConfig(quandles=(load_quandle_table(path),), certificates=True)
+        for e, rec in zip(entries, run_pipeline(entries, config)):
+            w = run_json(capsys, "wirtinger", "--certificates", e.code)
+            assert (w["omega"], tuple(w["seed_set"])) == (rec.omega_d, rec.seed_set)
+            assert (w["subsets_examined"], w["saturation_steps"]) == (
+                rec.stats.subsets_examined,
+                rec.stats.saturation_steps,
+            )
+            assert w["sequence"] == rec.certificates["sequence"]
+            q = run_json(capsys, "quandle", "--quandle", str(path), e.code)
+            assert (q["omega"], q["counts"]) == (rec.omega_d, rec.quandle_counts)
+        assert len(entries) == 14
+
+    def test_shared_quandle_key_is_a_usage_error(self, capsys, tmp_path):
+        for sub, text in (("a", R3_TABLE), ("b", "2\n0 0\n1 1\n")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "r.txt").write_text(text)
+        files = ["--quandle", str(tmp_path / "a" / "r.txt"), "--quandle", str(tmp_path / "b" / "r.txt")]
+        for argv in (["quandle", *files, D3], ["batch", *files, DATA]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "usage error" in err and "'r'" in err
 
     def test_welded_positive(self, capsys):
         data = run_json(capsys, "welded", DV)

@@ -148,6 +148,18 @@ class TestBridgeCount:
         assert bridge_count(dv) == 1
         assert bridge_count(parse_gauss_code(".|.")) == 2
 
+    def test_tailless_component_counts_one(self):
+        # the heads-only component is one overbridge, as after its R1 kink
+        d = parse_gauss_code("O1+O2+|U1+U2+")
+        assert bridge_count(d) == 2 == wirtinger_number(d).omega
+
+    def test_normalization_keeps_the_count_and_omega_stays_below(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            d = random_diagram(rng, max_chords=6, max_components=3)
+            assert bridge_count(d) == bridge_count(ensure_tail_per_component(d))
+            assert wirtinger_number(d).omega <= bridge_count(d)
+
     def test_at_least_components_after_normalization(self):
         rng = random.Random(99)
         for _ in range(150):

@@ -260,6 +260,19 @@ class TestLowTailChords:
         assert report.entries[0].chord_id == 3
         assert report.consistent
 
+    def test_rejects_sequences_that_fail_verification(self, d3):
+        seed = SequenceEntry(0, None)
+        illegal = [
+            (SequenceEntry(1, 2), SequenceEntry(2, 1)),  # chord 2 cannot color strand 1 yet
+            (SequenceEntry(1, 9), SequenceEntry(2, 1)),  # no chord 9
+            (SequenceEntry(1, None), SequenceEntry(2, None)),  # no legal move at all
+        ]
+        for rest in illegal:
+            seq = ColoringSequence((seed, *rest), k=1)
+            assert verify_coloring_sequence(d3, seq).failed_at == 1
+            with pytest.raises(ValueError, match="entry 1"):
+                low_tail_chords(d3, seq)
+
     def test_random_reports_consistent(self):
         rng = random.Random(67)
         from vbridge.gauss import is_cut_split
