@@ -158,9 +158,9 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 
     Failures are exceptions, and the fields filled before one stay:
     SearchTimeoutError past ``config.time_limit`` (the search gets the time
-    left; each later analysis checks the deadline before it starts),
-    SearchExhaustedError at ``config.max_k``, InvariantError when
-    ideal_lb <= omega <= vb fails.
+    left; each later analysis and each quandle count checks the deadline
+    before it starts), SearchExhaustedError at ``config.max_k``,
+    InvariantError when ideal_lb <= omega <= vb fails.
     """
     deadline = None if config.time_limit is None else time.perf_counter() + config.time_limit
 
@@ -191,8 +191,8 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
         rec.ideal_lb = ideal_lower_bound(diagram, config.max_k, config.prime_bound).bound
     if due("parity", is_knot):
         rec.parity_lb = parity_lower_bound(diagram, config.max_k, config.prime_bound).bound
-    if due("quandle", bool(config.quandles)):
-        for q in config.quandles:
+    for q in config.quandles:
+        if due("quandle", True):
             rec.quandle_counts[_quandle_key(q)] = count_colorings(diagram, q, result=result)
     if due("welded", is_knot) and is_one_overbridge(diagram):
         cert = welded_unknot_certificate(diagram)

@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 timeout-only
 failures.  Single-diagram commands print JSON; ``batch`` honors --format.
-``wirtinger``, ``quandle`` and ``welded`` print fields of the record that
+``wirtinger`` and ``quandle`` print fields of the record that
 ``batch.analyze`` fills, the path every ``batch`` entry takes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional
@@ -23,7 +22,7 @@ from .batch import (
     run_pipeline,
     write_results,
 )
-from .errors import NotAKnotError, SearchTimeoutError, VbridgeError
+from .errors import SearchTimeoutError, VbridgeError
 from .gauss import (
     bridge_count,
     cut_split_witness,
@@ -38,6 +37,7 @@ from .linkgroup import (
 )
 from .parity import gaussian_parity, parity_projection
 from .quandle import load_quandle_table
+from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,20 +114,17 @@ def _emit(obj) -> None:
 
 
 def _config(args, **fields) -> PipelineConfig:
-    """PipelineConfig from the flags a command read, then ``fields``; a
+    """PipelineConfig from ``--max-k``, ``--time-limit`` and ``fields``; a
     quandle key shared by two tables is a usage error."""
-    names = {f.name for f in dataclasses.fields(PipelineConfig)}
-    flags = {k: v for k, v in vars(args).items() if k in names}
     try:
-        return PipelineConfig(**{**flags, **fields})
+        return PipelineConfig(max_k=args.max_k, time_limit=args.time_limit, **fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _analyze(args, d, *analyses, **fields) -> ResultRecord:
+def _analyze(args, d, **fields) -> ResultRecord:
     """The batch record of one diagram, analyzed as given (not normalized)."""
-    config = _config(args, analyses=frozenset(analyses), **fields)
-    return analyze(d, config, ResultRecord(name=args.code))
+    return analyze(d, _config(args, **fields), ResultRecord(name=args.code))
 
 
 def _dispatch(args) -> int:
@@ -161,8 +158,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "wirtinger":
-        rec = _analyze(args, d)
-        out = {"omega": rec.omega_d, "seed_set": list(rec.seed_set), **vars(rec.stats)}
+        rec = _analyze(args, d, analyses=frozenset(), certificates=args.certificates)
+        out = {
+            "omega": rec.omega_d,
+            "seed_set": list(rec.seed_set),
+            "subsets_examined": rec.stats.subsets_examined,
+            "saturation_steps": rec.stats.saturation_steps,
+        }
         if args.certificates:
             out["sequence"] = rec.certificates["sequence"]
         _emit(out)
@@ -210,7 +212,7 @@ def _dispatch(args) -> int:
         if not args.quandle:
             raise _UsageError("quandle command needs at least one --quandle FILE")
         quandles = tuple(load_quandle_table(path) for path in args.quandle)
-        rec = _analyze(args, d, "quandle", quandles=quandles)
+        rec = _analyze(args, d, analyses=frozenset({"quandle"}), quandles=quandles)
         # the sandwich |X| <= colorings <= |X|^omega; counts follow the table order
         sandwich = {
             key: q.order <= count <= q.order ** rec.omega_d
@@ -220,12 +222,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "welded":
-        if d.n_components != 1:
-            raise NotAKnotError("one-overbridge test is defined for knot diagrams")
-        rec = _analyze(args, d, "welded", certificates=True)
-        out = {"one_overbridge": rec.welded_unknot is not None}
+        out = {"one_overbridge": is_one_overbridge(d)}
         if out["one_overbridge"]:
-            out.update(certificate=rec.certificates["welded"], verified=rec.welded_unknot)
+            cert = welded_unknot_certificate(d)
+            out.update(certificate=cert.to_json_dict(), verified=bool(replay_certificate(cert)))
         _emit(out)
         return EXIT_OK
 
@@ -238,7 +238,9 @@ def _cmd_batch(args) -> int:
         print(f"{args.table}:{problem.line}: {problem.message}", file=sys.stderr)
 
     quandles = tuple(load_quandle_table(path) for path in args.quandle)
-    config = _config(args, quandles=quandles)
+    config = _config(
+        args, jobs=args.jobs, quandles=quandles, prime_bound=args.prime_bound, certificates=args.certificates
+    )
     records = run_pipeline(entries, config)
     text = write_results(records, args.format, args.output)
     if args.output is None:

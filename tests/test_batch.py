@@ -144,6 +144,28 @@ class TestPipeline:
         assert (r.vb_d, r.omega_d, r.ideal_lb) == (3, 2, 2)
         assert r.parity_lb is None
 
+    def test_no_quandle_count_starts_past_the_deadline(self, monkeypatch):
+        real = batch.count_colorings
+        calls = []
+
+        def slow_count(d, q, **kwargs):
+            calls.append(q.name)
+            time.sleep(0.2)
+            return real(d, q, **kwargs)
+
+        monkeypatch.setattr(batch, "count_colorings", slow_count)
+        cfg = PipelineConfig(
+            time_limit=0.1,
+            analyses=frozenset({"quandle"}),
+            quandles=(dihedral_quandle(3), trivial_quandle(3)),
+        )
+        rec = batch.ResultRecord("t")
+        with pytest.raises(batch.SearchTimeoutError):
+            batch.analyze(parse_gauss_code("O1-U2-O3-U1-O2-U3-"), cfg, rec)
+        # the first count ran past the deadline; the second never started
+        assert calls == ["R3"]
+        assert rec.quandle_counts == {"R3": 9}
+
     def test_diagrams_freed_after_run(self, monkeypatch):
         refs = []
         real = batch.ensure_tail_per_component

@@ -185,6 +185,15 @@ class TestSingleDiagramCommands:
     def test_welded_negative(self, capsys):
         assert run_json(capsys, "welded", D3) == {"one_overbridge": False}
 
+    def test_welded_runs_no_search(self, capsys, monkeypatch):
+        # welded has no --max-k or --time-limit, so an unbounded search must not run
+        def no_search(*args, **kwargs):
+            raise AssertionError("welded ran the Wirtinger search")
+
+        monkeypatch.setattr(batch, "wirtinger_number", no_search)
+        assert run_json(capsys, "welded", DV)["verified"]
+        assert run_json(capsys, "welded", D3) == {"one_overbridge": False}
+
 
 class TestFlags:
     VALUES = {
