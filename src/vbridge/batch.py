@@ -158,8 +158,9 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 
     Failures are exceptions, and the fields filled before one stay:
     SearchTimeoutError past ``config.time_limit`` (the search gets the time
-    left; each later analysis and each quandle count checks the deadline
-    before it starts), SearchExhaustedError at ``config.max_k``,
+    left, the ideal and parity bounds check the deadline as they go, and
+    each later analysis and each quandle count checks it before it starts),
+    SearchExhaustedError at ``config.max_k``,
     InvariantError when ideal_lb <= omega <= vb fails.
     """
     deadline = None if config.time_limit is None else time.perf_counter() + config.time_limit
@@ -188,9 +189,13 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 
     is_knot = diagram.n_components == 1
     if due("ideal", is_knot):
-        rec.ideal_lb = ideal_lower_bound(diagram, config.max_k, config.prime_bound).bound
+        rec.ideal_lb = ideal_lower_bound(
+            diagram, config.max_k, config.prime_bound, deadline=deadline
+        ).bound
     if due("parity", is_knot):
-        rec.parity_lb = parity_lower_bound(diagram, config.max_k, config.prime_bound).bound
+        rec.parity_lb = parity_lower_bound(
+            diagram, config.max_k, config.prime_bound, deadline=deadline
+        ).bound
     for q in config.quandles:
         if due("quandle", True):
             rec.quandle_counts[_quandle_key(q)] = count_colorings(diagram, q, result=result)

@@ -16,7 +16,8 @@ class LaurentPolynomial:
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
         acc: dict[int, int] = {}
         if coeffs is not None:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+            # dict first: the exact type check is far cheaper than the ABC one
+            items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
             for e, c in items:
                 acc[int(e)] = acc.get(int(e), 0) + int(c)
         object.__setattr__(self, "_coeffs", {e: c for e, c in acc.items() if c})
@@ -35,6 +36,11 @@ class LaurentPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    @property
+    def is_unit(self) -> bool:
+        """True for the units of Z[t, 1/t], the monomials ±t^m."""
+        return len(self._coeffs) == 1 and abs(next(iter(self._coeffs.values()))) == 1
 
     def degree_range(self) -> tuple[int, int] | None:
         """(min exponent, max exponent), or None for the zero polynomial."""
@@ -104,7 +110,7 @@ class LaurentPolynomial:
         total = 0
         for e, c in self._coeffs.items():
             # u^(p-1) = 1 mod p, so negative exponents reduce cleanly
-            total += c * pow(u, e % (p - 1) if p > 2 else e % 1, p)
+            total += c * pow(u, e % (p - 1), p)
         return total % p
 
     def unit_canonical(self) -> "LaurentPolynomial":

@@ -9,17 +9,25 @@ with coincident generators accumulating.  A size-(n-k) minor ideal is
 certified proper by a prime p and unit u with every generator vanishing at
 t = u over Z/p; such a certificate at index k puts the bridge number above
 k, hence the lower bound 1 + max qualifying k.
+
+Every row has a unit -1 in its ``after`` column, so the bound first
+eliminates unit pivots +-t^m (``alexander_core``) and takes minors of the
+small matrix left over: the elementary ideals are invariants of the module
+the matrix presents, which the elimination keeps.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import BadIdealIndexError, NotAKnotError
+from .errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from .gauss import GaussDiagram, strand_table
-from .laurent import ONE, LaurentPolynomial
+from .laurent import ONE, ZERO, LaurentPolynomial
+
+_CHECK_EVERY = 32  # minors between deadline checks
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,63 @@ def alexander_matrix(p: Presentation) -> AlexanderMatrix:
     return AlexanderMatrix(tuple(rows))
 
 
-def _minor_determinants(a: AlexanderMatrix, size: int) -> list[LaurentPolynomial]:
+def alexander_core(a: AlexanderMatrix) -> AlexanderMatrix:
+    """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
+
+    Each pivot's row clears the rest of its column, then the pivot's row and
+    column go.  The result presents the same module, so for k below its
+    width E_k is the ideal of its (width - k)-minors, and E_k = (1) above.
+    Pivots are chosen by least fill-in (Markowitz), ties by position.
+    """
+    rows = [{j: p for j, p in enumerate(row) if not p.is_zero} for row in a.rows]
+    cols = list(range(a.n_cols))
+    while (pivot := _unit_pivot(rows)) is not None:
+        r, c = pivot
+        prow = rows.pop(r)
+        [(m, sign)] = prow.pop(c).items()
+        scale = LaurentPolynomial({-m: -sign})  # -1 / pivot
+        for row in rows:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            f = f * scale
+            for j, p in prow.items():
+                v = row.get(j, ZERO) + f * p
+                if v.is_zero:
+                    row.pop(j, None)
+                else:
+                    row[j] = v
+        cols.remove(c)
+    return AlexanderMatrix(tuple(tuple(row.get(j, ZERO) for j in cols) for row in rows))
+
+
+def _unit_pivot(rows: list[dict[int, LaurentPolynomial]]) -> Optional[tuple[int, int]]:
+    counts: dict[int, int] = {}
+    for row in rows:
+        for j in row:
+            counts[j] = counts.get(j, 0) + 1
+    best = None
+    for i, row in enumerate(rows):
+        for j, p in row.items():
+            if p.is_unit:
+                key = ((len(row) - 1) * (counts[j] - 1), i, j)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else best[1:]
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.perf_counter() >= deadline:
+        raise SearchTimeoutError("time limit reached during the elementary-ideal bound")
+
+
+def _minor_determinants(
+    a: AlexanderMatrix, size: int, deadline: Optional[float] = None
+) -> list[LaurentPolynomial]:
     """All size x size minors, by cofactor expansion memoized on the
-    (rows, cols) index pair so shared subminors are computed once."""
+    (rows, cols) index pair so shared subminors are computed once.
+    Raises SearchTimeoutError once ``time.perf_counter()`` passes
+    ``deadline``, checked every few dozen minors."""
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPolynomial] = {}
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPolynomial:
@@ -104,11 +166,15 @@ def _minor_determinants(a: AlexanderMatrix, size: int) -> list[LaurentPolynomial
     out = []
     for rows in combinations(range(a.n_rows), size):
         for cols in combinations(range(a.n_cols), size):
+            if len(out) % _CHECK_EVERY == 0:
+                _check_deadline(deadline)
             out.append(det(rows, cols))
     return out
 
 
-def elementary_ideal_generators(a: AlexanderMatrix, k: int) -> list[LaurentPolynomial]:
+def elementary_ideal_generators(
+    a: AlexanderMatrix, k: int, deadline: Optional[float] = None
+) -> list[LaurentPolynomial]:
     """Generators of the k-th elementary ideal: the (n-k) x (n-k) minors,
     deduplicated up to sign and powers of t.  Empty when the matrix has too
     few rows for minors of that size."""
@@ -119,7 +185,7 @@ def elementary_ideal_generators(a: AlexanderMatrix, k: int) -> list[LaurentPolyn
     if size > a.n_rows:
         return []
     seen = {}
-    for minor in _minor_determinants(a, size):
+    for minor in _minor_determinants(a, size, deadline):
         canon = minor.unit_canonical()
         seen.setdefault(str(canon), canon)
     return [seen[key] for key in sorted(seen)]
@@ -141,7 +207,10 @@ def properness_certificate(
 ) -> Optional[tuple[int, int]]:
     """Smallest (prime p, unit u) with every generator vanishing at t = u
     over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
-    proper; failure to find one proves nothing."""
+    proper; failure to find one proves nothing.  A unit generator +-t^m
+    vanishes nowhere, so it ends the scan at once."""
+    if any(g.is_unit for g in gens):
+        return None
     for p in _primes_upto(prime_bound):
         for u in range(1, p):
             if all(g.evaluate_mod(p, u) == 0 for g in gens):
@@ -171,20 +240,24 @@ def ideal_lower_bound(
     d: GaussDiagram,
     k_max: Optional[int] = None,
     prime_bound: int = 97,
+    deadline: Optional[float] = None,
 ) -> IdealBoundResult:
     """Bridge-number lower bound 1 + max{k : E_k certified proper and
     nontrivial}, scanning k = 1..k_max; 1 when no index qualifies.
-    Knot diagrams only."""
+    Each E_k is generated by minors of ``alexander_core``, and is (1) from
+    the core's width on.  Raises SearchTimeoutError once
+    ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     pres = wirtinger_presentation(d)
-    a = alexander_matrix(pres)
+    core = alexander_core(alexander_matrix(pres))
     n = len(pres.generators)
     k_hi = n - 1 if k_max is None else min(k_max, n - 1)
     certificates = []
     best = 0
     for k in range(1, k_hi + 1):
-        gens = elementary_ideal_generators(a, k)
+        _check_deadline(deadline)
+        gens = elementary_ideal_generators(core, k, deadline) if k < core.n_cols else [ONE]
         nontrivial = any(not g.is_zero for g in gens)
         witness = properness_certificate(gens, prime_bound) if gens else None
         cert = IdealCertificate(k, tuple(gens), witness, nontrivial)

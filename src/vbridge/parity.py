@@ -51,8 +51,11 @@ def parity_lower_bound(
     d: GaussDiagram,
     k_max: int | None = None,
     prime_bound: int = 97,
+    deadline: float | None = None,
 ) -> IdealBoundResult:
     """Elementary-ideal bound of the parity projection; since the projection
-    never raises the bridge count, this bounds the original knot too."""
+    never raises the bridge count, this bounds the original knot too.
+    ``deadline`` is a ``time.perf_counter()`` value, as for
+    ``ideal_lower_bound``."""
     _require_knot(d)
-    return ideal_lower_bound(parity_projection(d), k_max, prime_bound)
+    return ideal_lower_bound(parity_projection(d), k_max, prime_bound, deadline)

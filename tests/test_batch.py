@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import time
 import weakref
 
@@ -130,7 +131,8 @@ class TestPipeline:
     def test_analysis_skipped_for_time_is_a_timeout(self, monkeypatch):
         real = batch.ideal_lower_bound
 
-        def slow_ideal(*args):
+        def slow_ideal(*args, deadline=None):
+            # a bound that finishes after the deadline instead of stopping
             time.sleep(0.2)
             return real(*args)
 
@@ -143,6 +145,26 @@ class TestPipeline:
         # the fields computed before the deadline are kept
         assert (r.vb_d, r.omega_d, r.ideal_lb) == (3, 2, 2)
         assert r.parity_lb is None
+
+    def test_bounds_get_the_entry_deadline(self, monkeypatch):
+        deadlines = {}
+
+        def recorder(name, real):
+            def bound(*args, deadline=None):
+                deadlines[name] = deadline
+                return real(*args, deadline=deadline)
+
+            return bound
+
+        monkeypatch.setattr(batch, "ideal_lower_bound", recorder("ideal", batch.ideal_lower_bound))
+        monkeypatch.setattr(batch, "parity_lower_bound", recorder("parity", batch.parity_lower_bound))
+        before = time.perf_counter()
+        [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)], PipelineConfig(time_limit=60))
+        assert r.status == "ok"
+        assert deadlines["ideal"] == deadlines["parity"]
+        assert before + 60 <= deadlines["ideal"] <= time.perf_counter() + 60
+        [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)])
+        assert deadlines == {"ideal": None, "parity": None}
 
     def test_no_quandle_count_starts_past_the_deadline(self, monkeypatch):
         real = batch.count_colorings
@@ -227,6 +249,36 @@ class TestPipeline:
         for jobs in (1, 4):
             recs = run_pipeline(entries, PipelineConfig(jobs=jobs))
             assert [r.name for r in recs] == [e.name for e in entries]
+
+
+TREFOIL = "O1-U2-O3-U1-O2-U3-"
+FIGURE_EIGHT = "O1-U2-O3-U1-O4+U3-O2-U4+"
+
+
+def _connected_sum(code: str, m: int) -> str:
+    """m relabelled copies of a knot code in a row: their connected sum."""
+    n = code.count("O")
+    return "".join(
+        re.sub(r"\d+", lambda num: str(int(num[0]) + i * n), code) for i in range(m)
+    )
+
+
+class TestConnectedSums:
+    """The m-fold sum of 2-bridge knots has bridge number m + 1 (Schubert),
+    and the bounds reach it: omega, ideal and parity bounds all equal m + 1,
+    and the dihedral quandle of the determinant p counts p^(m+1)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "code, p", [(TREFOIL, 3), (FIGURE_EIGHT, 5)], ids=["trefoil", "figure-eight"]
+    )
+    def test_bounds_meet_the_bridge_number(self, code, p, m):
+        q = dihedral_quandle(p)
+        entry = TableEntry("sum", _connected_sum(code, m), 1)
+        [r] = run_pipeline([entry], PipelineConfig(quandles=(q,)))
+        assert r.status == "ok"
+        assert r.omega_d == r.ideal_lb == r.parity_lb == m + 1
+        assert r.quandle_counts == {q.name: p ** (m + 1)}
 
 
 class TestRendering:

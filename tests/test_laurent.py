@@ -66,3 +66,11 @@ def test_hash_eq():
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.x = 1
+
+
+def test_units_are_signed_monomials():
+    assert LaurentPolynomial({-3: -1}).is_unit
+    assert LaurentPolynomial({0: 1}).is_unit
+    assert not LaurentPolynomial().is_unit
+    assert not LaurentPolynomial({0: 2}).is_unit
+    assert not LaurentPolynomial({1: 1, 0: -1}).is_unit

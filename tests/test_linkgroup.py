@@ -1,19 +1,30 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from vbridge.errors import BadIdealIndexError, NotAKnotError
+from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from vbridge.gauss import parse_gauss_code
 from vbridge.laurent import LaurentPolynomial
 from vbridge.linkgroup import (
     Relation,
+    _minor_determinants,
+    alexander_core,
     alexander_matrix,
     elementary_ideal_generators,
     ideal_lower_bound,
     properness_certificate,
     wirtinger_presentation,
 )
-from util import random_knot
+from vbridge.parity import parity_lower_bound, parity_projection
+from util import (
+    enumerate_knot_codes,
+    full_matrix_ideal_lower_bound,
+    ideal_summary,
+    random_knot,
+    with_signs,
+)
 
 
 class TestPresentation:
@@ -79,8 +90,6 @@ class TestElementaryIdeals:
         assert [g.is_zero for g in gens] == [True]
 
     def test_trefoil_minors_at_minus_one(self, d3):
-        from vbridge.linkgroup import _minor_determinants
-
         a = alexander_matrix(wirtinger_presentation(d3))
         minors = _minor_determinants(a, 2)
         assert len(minors) == 9
@@ -106,6 +115,8 @@ class TestPropernessCertificate:
         assert properness_certificate([t_plus_1, three]) == (3, 2)
         assert properness_certificate([LaurentPolynomial({2: 1, 1: -1, 0: 1})]) == (3, 2)
         assert properness_certificate([LaurentPolynomial({0: 1})]) is None
+        # -t^3 is a unit; the zero generator alone would vanish everywhere
+        assert properness_certificate([LaurentPolynomial(), LaurentPolynomial({3: -1})]) is None
 
     def test_bound_too_small(self):
         assert properness_certificate([LaurentPolynomial({0: 5})], prime_bound=3) is None
@@ -139,3 +150,65 @@ class TestIdealLowerBound:
         for _ in range(40):
             d = random_knot(rng, max_chords=6)
             assert ideal_lower_bound(d).bound <= wirtinger_number(d).omega
+
+
+def _assert_core_matches_full_matrix(d):
+    expected = ideal_summary(full_matrix_ideal_lower_bound(d))
+    assert ideal_summary(ideal_lower_bound(d)) == expected, d
+    projection = parity_projection(d)
+    if projection != d:  # an all-even diagram is its own projection
+        expected = ideal_summary(full_matrix_ideal_lower_bound(projection))
+    assert ideal_summary(parity_lower_bound(d)) == expected, d
+
+
+class TestAlexanderCore:
+    """The bound on the core certifies what the full-matrix bound, kept in
+    tests/util.py, certifies: same bound, witnesses and nontrivial flags."""
+
+    def test_trefoil_core(self, d3):
+        core = alexander_core(alexander_matrix(wirtinger_presentation(d3)))
+        assert (core.n_rows, core.n_cols) == (2, 2)
+        assert not any(p.is_unit for row in core.rows for p in row)
+        # E_1 of the core is the Alexander polynomial's ideal, as before
+        assert [str(g) for g in elementary_ideal_generators(core, 1)] == ["1*t^2-1*t^1+1*t^0"]
+
+    def test_virtual_trefoil_core_is_one_zero(self, dv):
+        # the columns sum to zero, so a one-column core is zero
+        core = alexander_core(alexander_matrix(wirtinger_presentation(dv)))
+        assert core.rows == ((LaurentPolynomial(),),)
+        [cert] = ideal_lower_bound(dv).certificates
+        assert cert.generators == (LaurentPolynomial({0: 1}),)
+
+    def test_every_code_up_to_three_chords_every_sign(self):
+        checked = 0
+        for n_chords in range(4):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    _assert_core_matches_full_matrix(parse_gauss_code(with_signs(code, signs)))
+                    checked += 1
+        assert checked == 1 + 2 * 2 + 12 * 4 + 120 * 8
+
+    def test_seeded_four_and_five_chord_codes(self):
+        rng = random.Random(404)
+        codes = list(enumerate_knot_codes(4)) + list(enumerate_knot_codes(5))
+        for code in rng.sample(codes, 300):
+            signs = [rng.choice("+-") for _ in range(5)]
+            _assert_core_matches_full_matrix(parse_gauss_code(with_signs(code, signs)))
+
+    def test_random_six_and_seven_chord_knots(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            _assert_core_matches_full_matrix(random_knot(rng, max_chords=7, min_chords=6))
+
+    def test_deadline_stops_the_bounds(self, d3):
+        core = alexander_core(alexander_matrix(wirtinger_presentation(d3)))
+        assert core.n_cols > 0
+        past = time.perf_counter() - 1.0
+        with pytest.raises(SearchTimeoutError):
+            ideal_lower_bound(d3, deadline=past)
+        with pytest.raises(SearchTimeoutError):
+            parity_lower_bound(d3, deadline=past)
+        with pytest.raises(SearchTimeoutError):
+            _minor_determinants(core, 1, deadline=past)
+        future = time.perf_counter() + 60.0
+        assert ideal_lower_bound(d3, deadline=future).bound == 2

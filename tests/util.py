@@ -5,18 +5,31 @@ oracle does a breadth-first walk over colored-set states for every seed
 subset, and the coloring oracle enumerates all strand assignments.  The
 numpy seed-subset search is the former library backend, kept verbatim to
 check that the bitmask search reproduces its witnesses and work counters.
+The full-matrix ideal bound is the former library bound, kept verbatim to
+check that the bound on the Alexander core gives the same bound, witnesses
+and nontriviality flags.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from collections import deque
 
 import numpy as np
 
+from vbridge.errors import NotAKnotError
 from vbridge.gauss import GaussDiagram, parse_gauss_code, strand_table
+from vbridge.linkgroup import (
+    IdealBoundResult,
+    IdealCertificate,
+    _primes_upto,
+    alexander_matrix,
+    elementary_ideal_generators,
+    wirtinger_presentation,
+)
 
 _NP_CHECK_EVERY = 256
 
@@ -140,6 +153,49 @@ def numpy_search(d: GaussDiagram):
         if comb is not None:
             return k, tuple(comb), examined
     raise AssertionError("seeding every strand always succeeds")
+
+
+def full_matrix_properness_certificate(gens, prime_bound: int = 97):
+    """Smallest (prime p, unit u) with every generator vanishing at t = u
+    over Z/p, or None: every pair is tried, units included."""
+    for p in _primes_upto(prime_bound):
+        for u in range(1, p):
+            if all(g.evaluate_mod(p, u) == 0 for g in gens):
+                return p, u
+    return None
+
+
+def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97):
+    """The ideal bound from every minor of the full n x n Alexander
+    matrix, as the library computed it before the Alexander core."""
+    if d.n_components != 1:
+        raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
+    pres = wirtinger_presentation(d)
+    a = alexander_matrix(pres)
+    n = len(pres.generators)
+    k_hi = n - 1 if k_max is None else min(k_max, n - 1)
+    certificates = []
+    best = 0
+    for k in range(1, k_hi + 1):
+        gens = elementary_ideal_generators(a, k)
+        nontrivial = any(not g.is_zero for g in gens)
+        witness = full_matrix_properness_certificate(gens, prime_bound) if gens else None
+        cert = IdealCertificate(k, tuple(gens), witness, nontrivial)
+        certificates.append(cert)
+        if cert.qualifies:
+            best = max(best, k)
+    return IdealBoundResult(1 + best, tuple(certificates))
+
+
+def ideal_summary(result: IdealBoundResult):
+    """What the bound certifies, independent of the generators chosen:
+    (bound, [(k, witness, nontrivial)])."""
+    return result.bound, [(c.k, c.witness, c.nontrivial) for c in result.certificates]
+
+
+def with_signs(code: str, signs) -> str:
+    """``code`` with chord label i signed ``signs[i - 1]`` ('+' or '-')."""
+    return re.sub(r"([OU])(\d+)[+-]", lambda m: f"{m[1]}{m[2]}{signs[int(m[2]) - 1]}", code)
 
 
 def brute_force_colorings(d: GaussDiagram, quandle) -> int:
