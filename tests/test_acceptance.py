@@ -41,7 +41,6 @@ from test_batch import DATA
 from util import (
     brute_force_omega,
     enumerate_knot_codes,
-    numpy_search,
     random_diagram,
     random_one_overbridge_code,
 )
@@ -82,13 +81,9 @@ def test_six_crossing_example_is_one_bridge():
 
 
 def test_search_matches_brute_force_oracle():
-    """Each exhaustive code is parsed and searched once, then checked
-    against both oracles: the brute-force walk (omega, witness) and the
-    former numpy backend (omega, witness, subsets examined)."""
     start = time.perf_counter()
     checked = 0
     mismatches = 0
-    numpy_mismatches = 0
     for n_chords, expected in EXHAUSTIVE_COUNTS.items():
         seen = 0
         for code in enumerate_knot_codes(n_chords):
@@ -97,8 +92,6 @@ def test_search_matches_brute_force_oracle():
             omega, seeds = brute_force_omega(d)
             if result.omega != omega or result.seed_set != seeds:
                 mismatches += 1
-            if (result.omega, result.seed_set, result.stats.subsets_examined) != numpy_search(d):
-                numpy_mismatches += 1
             seen += 1
         assert seen == expected, f"{n_chords}-chord enumeration incomplete"
         checked += seen
@@ -117,9 +110,8 @@ def test_search_matches_brute_force_oracle():
     elapsed = time.perf_counter() - start
     report(
         f"oracle equivalence: {checked} exhaustive + {sampled} random diagrams, "
-        f"{mismatches} mismatches, {numpy_mismatches} numpy-search mismatches, "
-        f"{elapsed:.1f}s < 300s",
-        mismatches == 0 and numpy_mismatches == 0 and elapsed < 300.0,
+        f"{mismatches} mismatches, {elapsed:.1f}s < 300s",
+        mismatches == 0 and elapsed < 300.0,
     )
 
 

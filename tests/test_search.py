@@ -16,6 +16,8 @@ from vbridge.search import (
     wirtinger_number,
 )
 from util import (
+    brute_force_omega,
+    enumerate_knot_codes,
     numpy_search,
     random_diagram,
     random_one_overbridge_code,
@@ -76,6 +78,18 @@ class TestWirtingerNumber:
         with pytest.raises(SearchTimeoutError):
             wirtinger_number(d3, time_limit=0.0)
 
+    def test_matches_oracle_small(self):
+        checked = 0
+        for c in range(5):
+            for code in enumerate_knot_codes(c):
+                d = parse_gauss_code(code)
+                result = wirtinger_number(d)
+                omega, seeds = brute_force_omega(d)
+                assert result.omega == omega, code
+                assert result.seed_set == seeds, code
+                checked += 1
+        assert checked == 1 + 2 + 12 + 120 + 1680
+
     def test_sequence_always_verifies(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -95,9 +109,16 @@ def _relabel(code, offset):
 
 class TestNumpySearchOracle:
     """The bitmask search reproduces the former numpy backend exactly:
-    same Wirtinger number, same witness, same subsets examined.  Every knot
-    code up to five chords is compared in
-    test_acceptance.py::test_search_matches_brute_force_oracle."""
+    same Wirtinger number, same witness, same subsets examined."""
+
+    def test_every_small_knot(self):
+        checked = 0
+        for n_chords in range(6):
+            for code in enumerate_knot_codes(n_chords):
+                d = parse_gauss_code(code)
+                assert _search_triple(d) == numpy_search(d), code
+                checked += 1
+        assert checked == 32055
 
     def test_random_links(self):
         rng = random.Random(23)
