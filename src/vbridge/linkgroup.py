@@ -202,16 +202,56 @@ def _primes_upto(bound: int) -> list[int]:
     return primes
 
 
+def _poly_mod(g: LaurentPolynomial, p: int) -> list[int]:
+    """Coefficients over Z/p of g times a power of t that makes it a
+    polynomial, lowest degree first, with no zero leading coefficient;
+    [] for zero.  The shift keeps the roots u != 0."""
+    span = g.degree_range()
+    if span is None:
+        return []
+    out = [0] * (span[1] - span[0] + 1)
+    for e, c in g.items():
+        out[e - span[0]] = c % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_mod(gens: Sequence[LaurentPolynomial], p: int) -> list[int]:
+    """A gcd over Z/p of the generators as ``_poly_mod`` polynomials: every
+    common root u != 0 mod p is one of its roots.  [] when all vanish mod p;
+    length 1 (a nonzero constant) when they share no root."""
+    a: list[int] = []
+    for g in gens:
+        b = _poly_mod(g, p)
+        while b:  # Euclid: a, b = b, a mod b
+            inv = pow(b[-1], p - 2, p)
+            while len(a) >= len(b):
+                f = a[-1] * inv % p
+                shift = len(a) - len(b)
+                for i, c in enumerate(b):
+                    a[shift + i] = (a[shift + i] - f * c) % p
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if len(a) == 1:
+            break
+    return a
+
+
 def properness_certificate(
     gens: Sequence[LaurentPolynomial], prime_bound: int = 97
 ) -> Optional[tuple[int, int]]:
     """Smallest (prime p, unit u) with every generator vanishing at t = u
     over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
     proper; failure to find one proves nothing.  A unit generator +-t^m
-    vanishes nowhere, so it ends the scan at once."""
+    vanishes nowhere, so it ends the scan at once, and a prime over which
+    the generators' gcd is a nonzero constant has no common root to scan."""
     if any(g.is_unit for g in gens):
         return None
     for p in _primes_upto(prime_bound):
+        if len(_gcd_mod(gens, p)) == 1:
+            continue
         for u in range(1, p):
             if all(g.evaluate_mod(p, u) == 0 for g in gens):
                 return p, u

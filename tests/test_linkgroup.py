@@ -21,6 +21,7 @@ from vbridge.parity import parity_lower_bound, parity_projection
 from util import (
     enumerate_knot_codes,
     full_matrix_ideal_lower_bound,
+    full_matrix_properness_certificate,
     ideal_summary,
     random_knot,
     with_signs,
@@ -121,6 +122,23 @@ class TestPropernessCertificate:
     def test_bound_too_small(self):
         assert properness_certificate([LaurentPolynomial({0: 5})], prime_bound=3) is None
         assert properness_certificate([LaurentPolynomial({0: 5})], prime_bound=5) == (5, 1)
+
+    def test_matches_full_scan(self):
+        # the gcd mod p skips primes only; the smallest witness must not move
+        rng = random.Random(11)
+
+        def poly():
+            lo = rng.randint(-2, 2)
+            return LaurentPolynomial(
+                {lo + i: rng.choice((0, 0, 1, -1, 2, -3, 6)) for i in range(rng.randint(1, 4))}
+            )
+
+        factor = LaurentPolynomial({1: 1, 0: -2})  # t - 2: a root mod every odd prime
+        for case in range(600):
+            gens = [poly() for _ in range(rng.randint(1, 3))]
+            if case % 3 == 0:
+                gens = [g * factor for g in gens]
+            assert properness_certificate(gens) == full_matrix_properness_certificate(gens), gens
 
 
 class TestIdealLowerBound:
