@@ -158,8 +158,9 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 
     Failures are exceptions, and the fields filled before one stay:
     SearchTimeoutError past ``config.time_limit`` (the search gets the time
-    left, the ideal and parity bounds check the deadline as they go, and
-    each later analysis and each quandle count checks it before it starts),
+    left, the ideal and parity bounds and enumerated quandle counts check
+    the deadline as they go, and each later analysis and each quandle count
+    checks it before it starts),
     SearchExhaustedError at ``config.max_k``,
     InvariantError when ideal_lb <= omega <= vb fails.
     """
@@ -198,7 +199,9 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
         ).bound
     for q in config.quandles:
         if due("quandle", True):
-            rec.quandle_counts[_quandle_key(q)] = count_colorings(diagram, q, result=result)
+            rec.quandle_counts[_quandle_key(q)] = count_colorings(
+                diagram, q, result=result, deadline=deadline
+            )
     if due("welded", is_knot) and is_one_overbridge(diagram):
         cert = welded_unknot_certificate(diagram)
         rec.welded_unknot = bool(replay_certificate(cert))

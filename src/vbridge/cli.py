@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional
 
 from . import __version__
@@ -70,7 +71,7 @@ _COMMANDS = {
     "bridge": ("count overbridges", ()),
     "wirtinger": ("minimal seed-set search", ("--max-k", "--time-limit", "--certificates")),
     "parity": ("Gaussian parity and projection", ()),
-    "alexander": ("Fox-calculus matrix and ideal bounds", ("--max-k", "--prime-bound")),
+    "alexander": ("Fox-calculus matrix and ideal bounds", ("--max-k", "--time-limit", "--prime-bound")),
     "quandle": ("coloring counts for quandle table files", ("--max-k", "--time-limit", "--quandle")),
     "welded": ("one-overbridge unknotting certificate", ()),
 }
@@ -186,9 +187,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "alexander":
+        deadline = None if args.time_limit is None else time.perf_counter() + args.time_limit
         pres = wirtinger_presentation(d)
         matrix = alexander_matrix(pres)
-        result = ideal_lower_bound(d, k_max=args.max_k, prime_bound=args.prime_bound)
+        result = ideal_lower_bound(
+            d, k_max=args.max_k, prime_bound=args.prime_bound, deadline=deadline
+        )
         _emit(
             {
                 "generators": len(pres.generators),

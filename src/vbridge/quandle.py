@@ -4,16 +4,24 @@ A quandle is a finite set with a binary operation x > y that is idempotent,
 right-invertible (for fixed y, x -> x > y permutes the set) and
 self-distributive.  A diagram coloring assigns a quandle element to every
 strand so that at each arrowhead a_after = a_before >^e b with b the tail
-strand's element and e the chord sign.  Counting enumerates seed
-assignments, propagates them along a stored coloring sequence, and keeps
-those satisfying the remaining arrowhead relations; the result equals the
-brute-force count over all strand assignments.
+strand's element and e the chord sign.  A coloring is fixed by its values
+on the seeds of a stored coloring sequence: walking the sequence gives
+every other strand's value, and the arrowhead relations not used as moves
+decide whether the seed values extend to a coloring.
+
+For an Alexander quandle (Z/p, p prime, x > y = u*x + (1-u)*y) the walk
+carries each strand's value as a linear form in the seed values, the
+leftover relations form a linear system over Z/p, and the count is
+p^(seeds - rank).  Every other quandle enumerates the |X|^seeds seed
+assignments.  Both equal the brute-force count over all strand
+assignments.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +29,7 @@ from .errors import (
     NotDistributiveError,
     NotIdempotentError,
     NotRightInvertibleError,
+    SearchTimeoutError,
 )
 from .gauss import GaussDiagram, strand_table
 from .search import WirtingerResult, apply_coloring_moves, wirtinger_number
@@ -106,18 +115,58 @@ def load_quandle_table(path) -> FiniteQuandle:
     return validate_quandle(rows, name=stem)
 
 
+_CHECK_EVERY = 4096  # enumerated seed assignments between deadline checks
+
+
+def _alexander_unit(q: FiniteQuandle) -> Optional[int]:
+    """u when ``q`` is the Alexander quandle x > y = u*x + (1-u)*y on Z/p
+    with p prime, else None.  u is read off 0 > 1 = 1 - u and checked
+    against the whole table."""
+    p = q.order
+    if p < 2 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
+        return None
+    u = (1 - q.table[0][1]) % p
+    if u == 0 or any(
+        q.table[x][y] != (u * x + (1 - u) * y) % p for x in range(p) for y in range(p)
+    ):
+        return None
+    return u
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over Z/p (p prime) of the rows, by elimination in place."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def count_colorings(
     d: GaussDiagram,
     q: FiniteQuandle,
     seeds: Optional[Iterable[int]] = None,
     result: Optional[WirtingerResult] = None,
+    deadline: Optional[float] = None,
 ) -> int:
     """Number of quandle colorings of the strands.
 
-    Enumerates |X|^k assignments of the seed strands, propagates each along
-    the coloring sequence, then filters by the arrowhead relations not used
-    as moves.  The count does not depend on which generating seed set or
-    sequence is used.
+    The seeds of a coloring sequence fix a coloring: each later entry takes
+    the value its move gives, and the arrowhead relations not used as moves
+    must hold.  For an Alexander quandle the values are linear forms in the
+    seed values and the count is p^(seeds - rank of those relations);
+    otherwise the |X|^seeds seed assignments are enumerated, checking the
+    ``deadline`` (a ``time.perf_counter()`` value) every _CHECK_EVERY
+    assignments and raising SearchTimeoutError past it.  The count does not
+    depend on which generating seed set or sequence is used.
     """
     table = strand_table(d)
     if result is not None:
@@ -129,26 +178,58 @@ def count_colorings(
     else:
         seq = wirtinger_number(d).sequence
 
+    # (strand, source, tail strand, sign): value[strand] = value[source] >^sign value[tail]
     by_chord = {i.chord_id: i for i in table.incidences}
-    used = {e.via for e in seq.entries if e.via is not None}
-    residual = [i for i in table.incidences if i.chord_id not in used]
+    steps = []
+    for e in seq.entries[seq.k :]:
+        inc = by_chord[e.via]
+        if e.strand == inc.after:
+            steps.append((inc.after, inc.before, inc.tail_strand, inc.sign))
+        else:
+            steps.append((inc.before, inc.after, inc.tail_strand, -inc.sign))
+    used = {e.via for e in seq.entries}
+    residual = [
+        (i.after, i.before, i.tail_strand, i.sign)
+        for i in table.incidences
+        if i.chord_id not in used
+    ]
     n = table.n_strands
+    seeds = seq.seeds
+
+    u = _alexander_unit(q)
+    if u is not None:
+        p = q.order
+        coef = {1: u, -1: pow(u, -1, p)}
+        forms: list = [None] * n
+        for j, s in enumerate(seeds):
+            forms[s] = [int(i == j) for i in range(seq.k)]
+
+        def apply(x, y, sign):
+            c = coef[sign]
+            return [(c * a + (1 - c) * b) % p for a, b in zip(x, y)]
+
+        for strand, src, tail, sign in steps:
+            forms[strand] = apply(forms[src], forms[tail], sign)
+        rows = [
+            [(a - b) % p for a, b in zip(forms[strand], apply(forms[src], forms[tail], sign))]
+            for strand, src, tail, sign in residual
+        ]
+        return p ** (seq.k - _rank_mod(rows, p))
 
     count = 0
-    for assign in itertools.product(range(q.order), repeat=seq.k):
+    for i, assign in enumerate(itertools.product(range(q.order), repeat=seq.k)):
+        if deadline is not None and i % _CHECK_EVERY == 0 and time.perf_counter() >= deadline:
+            raise SearchTimeoutError(
+                f"quandle count stopped at the time limit ({i} assignments enumerated)"
+            )
         values = [-1] * n
-        for idx, e in enumerate(seq.entries):
-            if idx < seq.k:
-                values[e.strand] = assign[idx]
-                continue
-            inc = by_chord[e.via]
-            if e.strand == inc.after:
-                values[inc.after] = q.apply(values[inc.before], values[inc.tail_strand], inc.sign)
-            else:
-                values[inc.before] = q.apply(values[inc.after], values[inc.tail_strand], -inc.sign)
+        for s, v in zip(seeds, assign):
+            values[s] = v
+        for strand, src, tail, sign in steps:
+            values[strand] = q.apply(values[src], values[tail], sign)
         if all(
-            values[i.after] == q.apply(values[i.before], values[i.tail_strand], i.sign)
-            for i in residual
+            values[strand] == q.apply(values[src], values[tail], sign)
+            for strand, src, tail, sign in residual
         ):
             count += 1
     return count

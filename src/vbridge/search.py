@@ -7,13 +7,15 @@ number is the least number of seed strands whose saturation colors every
 strand.  Certificates record the order in which strands were colored and the
 arrowhead justifying each step.
 
-The search runs one closure over Python-int bitmasks of colored strands.
-Each arrowhead becomes a pair (tail bit, before bit | after bit); a move
-fires when the tail bit is set and exactly one of the pair's bits is, and
-passes over the arrowheads in head order repeat until one fires nothing.
-Masks have no width limit, so any number of strands is searched the same
-way.  ``apply_coloring_moves`` computes the same closure strand by strand to
-build certificates.
+The search saturates many seed subsets at once.  Each strand gets a Python
+int whose bit j says "colored in subset j"; at an arrowhead the bits where
+the tail strand is colored and exactly one head-side strand is are
+``x[tail] & (x[before] ^ x[after])``, and OR-ing them into both head-side
+strands fires the move in every subset together.  Passes over the
+arrowheads in head order repeat until one fires nothing.  Ints have no
+width limit, so any number of strands and subsets is handled the same
+way.  ``apply_coloring_moves`` computes the same closure strand by strand
+to build certificates.
 """
 
 from __future__ import annotations
@@ -108,55 +110,95 @@ class WirtingerResult:
     stats: SearchStats
 
 
-_CHECK_EVERY = 256  # combinations between deadline checks
+_BATCH_BITS = 1024  # a batch grows by whole prefixes until it holds this many subsets
 
 
-def _move_pairs(table: StrandTable) -> list[tuple[int, int]]:
-    """(tail bit, before bit | after bit) for every arrowhead, in head order."""
-    return [
-        (1 << i.tail_strand, (1 << i.before) | (1 << i.after)) for i in table.incidences
-    ]
+def _moves(table: StrandTable) -> list[tuple[int, int, int]]:
+    """(tail, before, after) strands of every arrowhead, in head order."""
+    return [(i.tail_strand, i.before, i.after) for i in table.incidences]
 
 
-def _saturate(pairs: list[tuple[int, int]], mask: int) -> int:
-    """Closure of the coloring moves on a bitmask of colored strands."""
+def _saturate_batch(moves: list[tuple[int, int, int]], x: list[int]) -> None:
+    """Close the strand bitsets ``x`` under the coloring moves, in place:
+    bit j of x[s] says strand s is colored in subset j."""
     changed = True
     while changed:
         changed = False
-        for tail, pair in pairs:
-            if mask & tail:
-                hit = mask & pair
-                if hit and hit != pair:
-                    mask |= pair
-                    changed = True
-    return mask
+        for tail, before, after in moves:
+            xb = x[before]
+            xa = x[after]
+            fire = x[tail] & (xb ^ xa)
+            if fire:
+                x[before] = xb | fire
+                x[after] = xa | fire
+                changed = True
 
 
 def _search_level(
-    table: StrandTable, pairs: list[tuple[int, int]], k: int, deadline: Optional[float]
+    n: int,
+    moves: list[tuple[int, int, int]],
+    comps: Iterable[list[int]],
+    k: int,
+    deadline: Optional[float],
 ):
-    """First size-k strand subset (lexicographic) that covers every
-    component and saturates to the full strand set.
+    """First size-k subset (lexicographic) of the n strands that covers
+    every component (``comps`` lists each one's strands) and saturates to
+    the full strand set.
 
-    Returns (combination or None, saturations examined, timed_out).
+    A batch takes consecutive prefixes (the first k-1 seeds, lexicographic)
+    until it holds _BATCH_BITS subsets: each prefix contributes one bit per
+    last seed after it, its own strands set on all of those bits.  The
+    deadline is checked before each batch.
+
+    Returns (combination or None, subsets examined, timed_out), where the
+    subsets examined are those covering every component, up to and
+    including the witness.
     """
-    n = table.n_strands
-    full = (1 << n) - 1
-    comp_masks: dict[int, int] = {}
-    for s in table.strands:
-        comp_masks[s.component] = comp_masks.get(s.component, 0) | (1 << s.id)
-    covers = list(comp_masks.values())
+    prefixes = itertools.combinations(range(n - 1), k - 1)
     examined = 0
-    for i, bits in enumerate(itertools.combinations([1 << s for s in range(n)], k)):
-        if deadline is not None and i % _CHECK_EVERY == 0 and time.monotonic() >= deadline:
+    while True:
+        if deadline is not None and time.monotonic() >= deadline:
             return None, examined, True
-        mask = sum(bits)
-        if not all([mask & c for c in covers]):
+        x = [0] * n
+        # last seed s of a prefix whose subsets start at bit b, last seeds
+        # at `start`, sits at bit b + s - start: last[start] marks bit
+        # b - start + n, and x[s] takes every mark at or below s, shifted
+        last = [0] * n
+        layout = []  # (first bit, prefix, first last seed)
+        width = 0
+        for prefix in prefixes:
+            start = prefix[-1] + 1 if prefix else 0
+            ones = ((1 << (n - start)) - 1) << width
+            for p in prefix:
+                x[p] |= ones
+            last[start] |= 1 << (width - start + n)
+            layout.append((width, prefix, start))
+            width += n - start
+            if width >= _BATCH_BITS:
+                break
+        if not width:
+            return None, examined, False
+        marks = 0
+        for s in range(n):
+            marks |= last[s]
+            x[s] |= (marks << s) >> n
+        valid = -1
+        for strands in comps:
+            colored = 0
+            for s in strands:
+                colored |= x[s]
+            valid &= colored
+        _saturate_batch(moves, x)
+        full = valid
+        for bits in x:
+            full &= bits
+        if not full:
+            examined += valid.bit_count()
             continue
-        examined += 1
-        if _saturate(pairs, mask) == full:
-            return tuple(b.bit_length() - 1 for b in bits), examined, False
-    return None, examined, False
+        bit = (full & -full).bit_length() - 1
+        examined += (valid & ((2 << bit) - 1)).bit_count()
+        first, prefix, start = next(e for e in reversed(layout) if e[0] <= bit)
+        return prefix + (start + bit - first,), examined, False
 
 
 def apply_coloring_moves(
@@ -208,16 +250,17 @@ def apply_coloring_moves(
 
 
 def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
-    """Colored strand set after saturation, via the bitmask closure."""
+    """Colored strand set after saturation, via the search's closure on a
+    batch of one subset."""
     table = strand_table(d)
     n = table.n_strands
-    mask = 0
+    x = [0] * n
     for s in map(int, seeds):
         if not 0 <= s < n:
             raise ValueError(f"seed strand out of range 0..{n - 1}")
-        mask |= 1 << s
-    out = _saturate(_move_pairs(table), mask)
-    return frozenset(s for s in range(n) if out >> s & 1)
+        x[s] = 1
+    _saturate_batch(_moves(table), x)
+    return frozenset(s for s in range(n) if x[s])
 
 
 def wirtinger_number(
@@ -234,14 +277,17 @@ def wirtinger_number(
     """
     table = strand_table(d)
     n = table.n_strands
-    pairs = _move_pairs(table)
+    moves = _moves(table)
+    comps: dict[int, list[int]] = {}
+    for s in table.strands:
+        comps.setdefault(s.component, []).append(s.id)
     n_comps = d.n_components
     k_hi = n if max_k is None else min(max_k, n)
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     examined = 0
     for k in range(n_comps, k_hi + 1):
-        comb, ex, timed_out = _search_level(table, pairs, k, deadline)
+        comb, ex, timed_out = _search_level(n, moves, comps.values(), k, deadline)
         examined += ex
         if timed_out:
             raise SearchTimeoutError(

@@ -58,6 +58,13 @@ class TestExitCodes:
     def test_timeout(self, capsys):
         assert run(capsys, "wirtinger", "--time-limit", "0.0", D3)[0] == 3
 
+    def test_alexander_timeout(self, capsys):
+        code, out, err = run(capsys, "alexander", "--time-limit", "0.0", D3)
+        assert code == 3 and out == "" and "timeout" in err
+        assert run_json(capsys, "alexander", "--time-limit", "60", D3) == run_json(
+            capsys, "alexander", D3
+        )
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -218,9 +225,9 @@ class TestFlags:
                 accepted.add((command, flag))
         expected = {("batch", flag) for flag in self.VALUES}
         expected |= {("wirtinger", f) for f in ("--max-k", "--time-limit", "--certificates")}
-        expected |= {("alexander", f) for f in ("--max-k", "--prime-bound")}
+        expected |= {("alexander", f) for f in ("--max-k", "--time-limit", "--prime-bound")}
         expected |= {("quandle", f) for f in ("--max-k", "--time-limit", "--quandle")}
-        assert accepted == expected and len(expected) == 15
+        assert accepted == expected and len(expected) == 16
 
     def test_unread_flags_are_usage_errors(self, capsys):
         code, out, err = run(

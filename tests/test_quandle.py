@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,9 +7,11 @@ from vbridge.errors import (
     NotDistributiveError,
     NotIdempotentError,
     NotRightInvertibleError,
+    SearchTimeoutError,
 )
 from vbridge.gauss import ensure_tail_per_component, parse_gauss_code
 from vbridge.quandle import (
+    _alexander_unit,
     count_colorings,
     dihedral_quandle,
     load_quandle_table,
@@ -17,7 +20,13 @@ from vbridge.quandle import (
     validate_quandle,
 )
 from vbridge.search import wirtinger_number
-from util import brute_force_colorings, random_diagram, random_knot
+from util import (
+    brute_force_colorings,
+    enumerate_knot_codes,
+    random_diagram,
+    random_knot,
+    with_signs,
+)
 
 
 class TestValidation:
@@ -146,3 +155,105 @@ class TestSandwich:
             d = random_knot(rng, max_chords=5, min_chords=1)
             for q in quandles:
                 assert sandwich_check(d, q)
+
+
+def alexander_quandle(p, u):
+    """x > y = u*x + (1-u)*y on Z/p."""
+    return validate_quandle(
+        [[(u * x + (1 - u) * y) % p for y in range(p)] for x in range(p)], name=f"Z{p}u{u}"
+    )
+
+
+def swap01(q):
+    """``q`` relabelled by the transposition of 0 and 1: an isomorphic
+    quandle, so the same counts, whose table is no longer affine for p > 3."""
+    sigma = [1, 0] + list(range(2, q.order))
+    rows = [[0] * q.order for _ in range(q.order)]
+    for x in range(q.order):
+        for y in range(q.order):
+            rows[sigma[x]][sigma[y]] = sigma[q.table[x][y]]
+    return validate_quandle(rows, name=q.name + "s")
+
+
+def small_knots_with_signs(max_chords=4):
+    rng = random.Random(5)
+    for n_chords in range(max_chords + 1):
+        for code in enumerate_knot_codes(n_chords):
+            signs = [rng.choice("+-") for _ in range(n_chords)]
+            yield parse_gauss_code(with_signs(code, signs))
+
+
+class TestLinearCount:
+    """Alexander quandles take the linear count; every other table the
+    enumeration.  Relabelling a table by a non-affine permutation keeps
+    its counts and moves it to the enumeration, which is the oracle."""
+
+    QUANDLES = [
+        dihedral_quandle(5),
+        dihedral_quandle(7),
+        alexander_quandle(5, 2),
+        alexander_quandle(7, 3),
+    ]
+
+    def test_paths(self):
+        for q, relabelled in zip(self.QUANDLES, self.RELABELLED):
+            assert _alexander_unit(q) is not None, q.name
+            assert _alexander_unit(relabelled) is None, q.name
+        assert _alexander_unit(alexander_quandle(7, 3)) == 3
+        assert _alexander_unit(dihedral_quandle(5)) == 4
+        assert _alexander_unit(trivial_quandle(5)) == 1
+        assert _alexander_unit(dihedral_quandle(3)) == 2
+        # order not prime, or not affine: enumerated
+        assert _alexander_unit(dihedral_quandle(4)) is None
+        assert _alexander_unit(dihedral_quandle(6)) is None
+        # 2 swaps 0 and 1, which act trivially: a quandle but not Alexander
+        assert _alexander_unit(validate_quandle([[0, 0, 1], [1, 1, 0], [2, 2, 2]])) is None
+
+    RELABELLED = [swap01(q) for q in QUANDLES]
+
+    def check(self, d):
+        result = wirtinger_number(d)
+        for q, relabelled in zip(self.QUANDLES, self.RELABELLED):
+            assert count_colorings(d, q, result=result) == count_colorings(
+                d, relabelled, result=result
+            ), q.name
+        # every relabelling of a trivial quandle is the same table
+        assert count_colorings(d, trivial_quandle(5), result=result) == 5 ** d.n_components
+
+    def test_every_small_knot(self):
+        checked = 0
+        for d in small_knots_with_signs():
+            self.check(d)
+            checked += 1
+        assert checked == 1 + 2 + 12 + 120 + 1680
+
+    def test_random_links(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 30:
+            d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
+            if d.n_components < 2:
+                continue
+            self.check(ensure_tail_per_component(d))
+            checked += 1
+
+    def test_order_three_against_brute_force(self):
+        # every permutation of Z/3 is affine, so no relabelling leaves the
+        # linear path: R3 is checked against all strand assignments
+        q = dihedral_quandle(3)
+        for d in small_knots_with_signs():
+            assert count_colorings(d, q) == brute_force_colorings(d, q)
+        rng = random.Random(37)
+        for _ in range(40):
+            d = ensure_tail_per_component(random_diagram(rng, max_chords=6, max_components=3))
+            assert count_colorings(d, q) == brute_force_colorings(d, q)
+
+
+class TestDeadline:
+    def test_enumeration_stops_past_the_deadline(self, d3):
+        with pytest.raises(SearchTimeoutError):
+            count_colorings(d3, dihedral_quandle(4), deadline=time.perf_counter() - 1)
+        assert count_colorings(d3, dihedral_quandle(4), deadline=time.perf_counter() + 60) == 4
+
+    def test_linear_count_needs_no_check(self, d3):
+        assert count_colorings(d3, dihedral_quandle(3), deadline=time.perf_counter() - 1) == 9

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -145,6 +146,30 @@ class TestNumpySearchOracle:
             d = parse_gauss_code(f"O99+{first}|U99+{second}")
             assert strand_table(d).n_strands > 62
             assert _search_triple(d) == numpy_search(d)
+
+
+# a two-component link with omega 3 whose third level examines 1199 subsets
+# before its witness, more than one batch of the search
+MULTI_BATCH_LINK = (
+    "U8-U6+O6+U13-U5+U7-O19+O21+U9-O17+O4+O12+O23-O27+O14-U26-U24+U18-O3-O10-U19+"
+    "U11-O2-O24+O8-O18-U4+U15+O7-|O9-O15+O1+U22-U10-O26-O16+O20+O22-O11-U16+U25-"
+    "U3-U23-O5+O25-U27+U21+U17+U12+U20+O13-U1+U14-U2-"
+)
+
+
+class TestBatches:
+    def test_witness_level_spans_batches(self):
+        d = parse_gauss_code(MULTI_BATCH_LINK)
+        omega, _, examined = triple = _search_triple(d)
+        assert triple == numpy_search(d)
+        # every covering pair fails first, so the rest is the witness level
+        comps = [s.component for s in strand_table(d).strands]
+        pairs = sum(1 for a, b in itertools.combinations(comps, 2) if a != b)
+        assert omega == 3 and examined - pairs > 1024
+
+    def test_timeout_on_a_link(self):
+        with pytest.raises(SearchTimeoutError):
+            wirtinger_number(parse_gauss_code(MULTI_BATCH_LINK), time_limit=0.0)
 
 
 class TestConfluence:
