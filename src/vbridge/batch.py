@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError
@@ -75,6 +77,8 @@ class PipelineConfig:
     certificates: bool = False
 
     def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         keys = [_quandle_key(q) for q in self.quandles]
         for key in keys:
             if keys.count(key) > 1:
@@ -218,13 +222,25 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 def run_pipeline(
     entries: Sequence[TableEntry], config: Optional[PipelineConfig] = None
 ) -> list[ResultRecord]:
-    """Analyze entries with a worker pool; records come back in input order
-    whatever the worker count, so writers emit identical output."""
+    """Analyze entries in up to ``config.jobs`` worker processes, never more
+    than the CPU count or the entries; records come back in input order
+    whatever the worker count, so writers emit identical output.
+
+    Workers take the entries in chunks, about four per worker, so the pool
+    pays for pickling and scheduling per chunk rather than per entry.
+    """
     config = config or PipelineConfig()
-    if config.jobs <= 1 or len(entries) <= 1:
+    workers = min(config.jobs, len(entries))
+    if workers > 1:  # os.cpu_count() reads a file, which serial calls skip
+        workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
         return [_process_entry(e, config) for e in entries]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(lambda e: _process_entry(e, config), entries))
+    # imported here: multiprocessing is not worth loading for serial runs
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = math.ceil(len(entries) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_process_entry, entries, repeat(config), chunksize=chunksize))
 
 
 def _record_json_dict(rec: ResultRecord) -> dict:

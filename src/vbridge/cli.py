@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "--max-k": dict(type=int, default=None, help="cap on seed-set / ideal index search"),
     "--time-limit": dict(type=float, default=None, help="per-diagram wall-clock limit in seconds"),
-    "--jobs": dict(type=int, default=1, help="worker count for batch processing"),
+    "--jobs": dict(type=int, default=1, help="worker processes for batch processing (at least 1)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
     "--certificates": dict(action="store_true", help="embed certificates in JSON output"),
     "--quandle": dict(action="append", default=[], metavar="FILE", help="quandle table file (repeatable)"),

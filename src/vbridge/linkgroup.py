@@ -27,8 +27,6 @@ from .errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from .gauss import GaussDiagram, strand_table
 from .laurent import ONE, ZERO, LaurentPolynomial
 
-_CHECK_EVERY = 32  # minors between deadline checks
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -141,7 +139,9 @@ def _minor_determinants(
     """All size x size minors, by cofactor expansion memoized on the
     (rows, cols) index pair so shared subminors are computed once.
     Raises SearchTimeoutError once ``time.perf_counter()`` passes
-    ``deadline``, checked every few dozen minors."""
+    ``deadline``, checked on entry and before each subminor of size two or
+    more that is not in the memo."""
+    _check_deadline(deadline)
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPolynomial] = {}
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPolynomial:
@@ -151,6 +151,7 @@ def _minor_determinants(
         cached = memo.get(key)
         if cached is not None:
             return cached
+        _check_deadline(deadline)
         total = LaurentPolynomial()
         rest = rows[1:]
         for j, col in enumerate(cols):
@@ -166,8 +167,6 @@ def _minor_determinants(
     out = []
     for rows in combinations(range(a.n_rows), size):
         for cols in combinations(range(a.n_cols), size):
-            if len(out) % _CHECK_EVERY == 0:
-                _check_deadline(deadline)
             out.append(det(rows, cols))
     return out
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import gc
 import json
 import os
@@ -22,7 +24,7 @@ from vbridge.errors import SearchExhaustedError
 from vbridge.gauss import parse_gauss_code, to_gauss_code
 from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
 from vbridge.search import wirtinger_number
-from util import random_knot
+from util import random_diagram, random_knot
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 
@@ -249,6 +251,76 @@ class TestPipeline:
         for jobs in (1, 4):
             recs = run_pipeline(entries, PipelineConfig(jobs=jobs))
             assert [r.name for r in recs] == [e.name for e in entries]
+
+
+class TestWorkerPool:
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                PipelineConfig(jobs=jobs)
+
+    def test_workers_capped_at_cpus_and_entries(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Runs the map in this process and records how it was asked."""
+
+            def __init__(self, max_workers):
+                pools.append({"max_workers": max_workers})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                pools[-1]["chunksize"] = chunksize
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        entries = [TableEntry(f"k{i}", "O1+U1+", i) for i in range(40)]
+        huge = PipelineConfig(jobs=10**6)
+        assert len(run_pipeline(entries, huge)) == 40
+        assert len(run_pipeline(entries[:2], huge)) == 2
+        assert pools == [{"max_workers": 3, "chunksize": 4}, {"max_workers": 2, "chunksize": 1}]
+        # one entry, one CPU or an unknown CPU count: the serial path, no pool
+        assert len(run_pipeline(entries[:1], huge)) == 1
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert len(run_pipeline(entries, huge)) == 40
+        assert len(pools) == 2
+
+    def test_records_equal_across_processes(self):
+        """Every field a worker process sends back survives pickling: the
+        JSON records, timing aside, match the serial ones."""
+        rng = random.Random(77)
+        links = []
+        while len(links) < 20:
+            d = random_diagram(rng, max_chords=7, max_components=3, min_chords=2)
+            if d.n_components > 1:
+                links.append(d)
+        entries, _ = ingest_table(DATA)
+        entries += [TableEntry(f"link{i}", to_gauss_code(d), 100 + i) for i, d in enumerate(links)]
+        entries.append(TableEntry("oops", "O1+", 200))
+        quandles = (dihedral_quandle(3), dihedral_quandle(5))
+        runs = [
+            (entries, PipelineConfig(quandles=quandles, certificates=True)),
+            (entries[2:4], PipelineConfig(quandles=quandles, certificates=True, time_limit=0)),
+        ]
+        statuses = set()
+        for part, cfg in runs:
+            by_jobs = []
+            for jobs in (1, 2):
+                recs = run_pipeline(part, dataclasses.replace(cfg, jobs=jobs))
+                dicts = [batch._record_json_dict(r) for r in recs]
+                for d in dicts:
+                    assert d.pop("elapsed_ms") >= 0.0
+                by_jobs.append(dicts)
+            assert by_jobs[0] == by_jobs[1]
+            statuses |= {d["status"] for d in by_jobs[0]}
+        assert statuses == {"ok", "error(parse)", "timeout"}
 
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"

@@ -279,6 +279,12 @@ class TestBatchCommand:
         assert code == 2
         assert "error(parse)" in out
 
+    def test_jobs_below_one_is_a_usage_error(self, capsys):
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, "batch", "--jobs", jobs, DATA)
+            assert code == 1 and out == ""
+            assert "usage error" in err and "jobs" in err
+
     def test_timeout_exit_3(self, capsys, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text(f"slow\t{D3}\n")

@@ -230,3 +230,14 @@ class TestAlexanderCore:
             _minor_determinants(core, 1, deadline=past)
         future = time.perf_counter() + 60.0
         assert ideal_lower_bound(d3, deadline=future).bound == 2
+
+    def test_deadline_stops_wide_core_minors(self):
+        # the 100-chord knot of this draw has an 11x11 core, and a few dozen
+        # of its 10x10 minors take seconds
+        rng = random.Random(3)
+        for n in (20, 40, 60, 100):
+            d = random_knot(rng, max_chords=n, min_chords=n)
+        start = time.perf_counter()
+        with pytest.raises(SearchTimeoutError):
+            ideal_lower_bound(d, deadline=start + 0.2)
+        assert time.perf_counter() - start < 1.0
