@@ -13,7 +13,10 @@ k, hence the lower bound 1 + max qualifying k.
 Every row has a unit -1 in its ``after`` column, so the bound first
 eliminates unit pivots +-t^m (``alexander_core``) and takes minors of the
 small matrix left over: the elementary ideals are invariants of the module
-the matrix presents, which the elimination keeps.
+the matrix presents, which the elimination keeps.  The core is built
+straight from the relations as sparse rows of plain integers, and only its
+few entries become ``LaurentPolynomial``; the dense n x n matrix
+(``alexander_matrix``) is built only for ``vbridge alexander``'s output.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from .gauss import GaussDiagram, strand_table
@@ -83,48 +86,86 @@ def alexander_matrix(p: Presentation) -> AlexanderMatrix:
     return AlexanderMatrix(tuple(rows))
 
 
-def alexander_core(a: AlexanderMatrix) -> AlexanderMatrix:
+def alexander_core(p: Presentation) -> AlexanderMatrix:
     """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
 
-    Each pivot's row clears the rest of its column, then the pivot's row and
+    Works on the relations' sparse rows, never the dense matrix: each row
+    maps a column to an entry {exponent: coefficient} of plain ints.  Each
+    pivot's row clears the rest of its column, then the pivot's row and
     column go.  The result presents the same module, so for k below its
     width E_k is the ideal of its (width - k)-minors, and E_k = (1) above.
-    Pivots are chosen by least fill-in (Markowitz), ties by position.
+    Pivots are chosen by least fill-in (Markowitz), ties by position; the
+    column counts follow every fill-in and cancellation.
     """
-    rows = [{j: p for j, p in enumerate(row) if not p.is_zero} for row in a.rows]
-    cols = list(range(a.n_cols))
-    while (pivot := _unit_pivot(rows)) is not None:
+    rows = []
+    for r in p.relations:
+        row: dict[int, dict[int, int]] = {}
+        _accumulate(row, r.tail, ((0, 1), (r.sign, -1)))  # 1 - t^e
+        _accumulate(row, r.before, ((r.sign, 1),))  # t^e
+        _accumulate(row, r.after, ((0, -1),))
+        rows.append(row)
+    counts = dict.fromkeys(p.generators, 0)
+    for row in rows:
+        for j in row:
+            counts[j] += 1
+    while (pivot := _unit_pivot(rows, counts)) is not None:
         r, c = pivot
         prow = rows.pop(r)
+        for j in prow:
+            counts[j] -= 1
         [(m, sign)] = prow.pop(c).items()
-        scale = LaurentPolynomial({-m: -sign})  # -1 / pivot
         for row in rows:
             f = row.pop(c, None)
             if f is None:
                 continue
-            f = f * scale
-            for j, p in prow.items():
-                v = row.get(j, ZERO) + f * p
-                if v.is_zero:
-                    row.pop(j, None)
-                else:
-                    row[j] = v
-        cols.remove(c)
-    return AlexanderMatrix(tuple(tuple(row.get(j, ZERO) for j in cols) for row in rows))
+            # row += f * (-1 / pivot) * prow, with -1 / pivot = -sign t^-m
+            for j, q in prow.items():
+                had = j in row
+                terms = [
+                    (e1 + e2 - m, -sign * c1 * c2) for e1, c1 in f.items() for e2, c2 in q.items()
+                ]
+                _accumulate(row, j, terms)
+                counts[j] += (j in row) - had
+        del counts[c]
+    cols = sorted(counts)
+    return AlexanderMatrix(
+        tuple(
+            tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
+            for row in rows
+        )
+    )
 
 
-def _unit_pivot(rows: list[dict[int, LaurentPolynomial]]) -> Optional[tuple[int, int]]:
-    counts: dict[int, int] = {}
-    for row in rows:
-        for j in row:
-            counts[j] = counts.get(j, 0) + 1
+def _accumulate(
+    row: dict[int, dict[int, int]], j: int, terms: Iterable[tuple[int, int]]
+) -> None:
+    """Add the terms (exponent, nonzero coefficient) to row[j], dropping
+    zero coefficients and a zero entry."""
+    entry = row.setdefault(j, {})
+    for e, c in terms:
+        v = entry.get(e, 0) + c
+        if v:
+            entry[e] = v
+        else:
+            del entry[e]
+    if not entry:
+        del row[j]
+
+
+def _unit_pivot(
+    rows: list[dict[int, dict[int, int]]], counts: dict[int, int]
+) -> Optional[tuple[int, int]]:
+    """Position (row, column) of the unit entry with the least key
+    ((row length - 1) * (column count - 1), row, column), or None."""
     best = None
     for i, row in enumerate(rows):
-        for j, p in row.items():
-            if p.is_unit:
+        for j, entry in row.items():
+            if len(entry) == 1 and abs(next(iter(entry.values()))) == 1:
                 key = ((len(row) - 1) * (counts[j] - 1), i, j)
                 if best is None or key < best:
                     best = key
+        if best is not None and best[0] == 0:
+            break  # a later row cannot beat cost 0
     return None if best is None else best[1:]
 
 
@@ -289,7 +330,7 @@ def ideal_lower_bound(
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     pres = wirtinger_presentation(d)
-    core = alexander_core(alexander_matrix(pres))
+    core = alexander_core(pres)
     n = len(pres.generators)
     k_hi = n - 1 if k_max is None else min(k_max, n - 1)
     certificates = []

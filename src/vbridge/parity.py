@@ -41,8 +41,11 @@ def gaussian_parity(d: GaussDiagram) -> dict[int, int]:
 
 def parity_projection(d: GaussDiagram) -> GaussDiagram:
     """Delete every odd chord, keeping cyclic order, labels and signs.
-    All-odd diagrams project to the chordless circle."""
+    All-odd diagrams project to the chordless circle, and a diagram with
+    no odd chord is returned itself."""
     parity = gaussian_parity(d)
+    if not any(parity.values()):
+        return d
     [tokens] = component_tokens(d)
     return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
 

@@ -19,6 +19,7 @@ from vbridge.linkgroup import (
 )
 from vbridge.parity import parity_lower_bound, parity_projection
 from util import (
+    dense_alexander_core,
     enumerate_knot_codes,
     full_matrix_ideal_lower_bound,
     full_matrix_properness_certificate,
@@ -179,12 +180,19 @@ def _assert_core_matches_full_matrix(d):
     assert ideal_summary(parity_lower_bound(d)) == expected, d
 
 
+def _assert_sparse_core_matches_dense(d):
+    pres = wirtinger_presentation(d)
+    assert alexander_core(pres).rows == dense_alexander_core(alexander_matrix(pres)).rows, d
+
+
 class TestAlexanderCore:
     """The bound on the core certifies what the full-matrix bound, kept in
-    tests/util.py, certifies: same bound, witnesses and nontrivial flags."""
+    tests/util.py, certifies: same bound, witnesses and nontrivial flags.
+    The core built from sparse rows is the former dense elimination's core,
+    also kept there, entry for entry."""
 
     def test_trefoil_core(self, d3):
-        core = alexander_core(alexander_matrix(wirtinger_presentation(d3)))
+        core = alexander_core(wirtinger_presentation(d3))
         assert (core.n_rows, core.n_cols) == (2, 2)
         assert not any(p.is_unit for row in core.rows for p in row)
         # E_1 of the core is the Alexander polynomial's ideal, as before
@@ -192,7 +200,7 @@ class TestAlexanderCore:
 
     def test_virtual_trefoil_core_is_one_zero(self, dv):
         # the columns sum to zero, so a one-column core is zero
-        core = alexander_core(alexander_matrix(wirtinger_presentation(dv)))
+        core = alexander_core(wirtinger_presentation(dv))
         assert core.rows == ((LaurentPolynomial(),),)
         [cert] = ideal_lower_bound(dv).certificates
         assert cert.generators == (LaurentPolynomial({0: 1}),)
@@ -218,8 +226,39 @@ class TestAlexanderCore:
         for _ in range(40):
             _assert_core_matches_full_matrix(random_knot(rng, max_chords=7, min_chords=6))
 
+    def test_sparse_core_matches_dense(self):
+        for n_chords in range(4):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    _assert_sparse_core_matches_dense(parse_gauss_code(with_signs(code, signs)))
+        rng = random.Random(404)
+        codes = list(enumerate_knot_codes(4)) + list(enumerate_knot_codes(5))
+        for code in rng.sample(codes, 300):
+            signs = [rng.choice("+-") for _ in range(5)]
+            _assert_sparse_core_matches_dense(parse_gauss_code(with_signs(code, signs)))
+        rng = random.Random(612)
+        for _ in range(200):
+            _assert_sparse_core_matches_dense(random_knot(rng, max_chords=12, min_chords=6))
+        rng = random.Random(3)
+        widths = []
+        for n in (20, 40, 60, 100):
+            d = random_knot(rng, max_chords=n, min_chords=n)
+            _assert_sparse_core_matches_dense(d)
+            widths.append(alexander_core(wirtinger_presentation(d)).n_cols)
+        assert widths == [3, 4, 7, 11]
+
+    def test_bounds_never_build_the_dense_matrix(self, d3, monkeypatch):
+        import vbridge.linkgroup
+
+        def dense(*args):
+            raise AssertionError("the bounds must not build the dense Alexander matrix")
+
+        monkeypatch.setattr(vbridge.linkgroup, "alexander_matrix", dense)
+        assert ideal_lower_bound(d3).bound == 2
+        assert parity_lower_bound(d3).bound == 2
+
     def test_deadline_stops_the_bounds(self, d3):
-        core = alexander_core(alexander_matrix(wirtinger_presentation(d3)))
+        core = alexander_core(wirtinger_presentation(d3))
         assert core.n_cols > 0
         past = time.perf_counter() - 1.0
         with pytest.raises(SearchTimeoutError):

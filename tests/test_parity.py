@@ -47,6 +47,10 @@ class TestParityProjection:
     def test_even_diagram_fixed(self, d3):
         assert to_gauss_code(parity_projection(d3)) == to_gauss_code(d3)
 
+    def test_even_diagram_is_its_own_projection(self, d3):
+        # no chord to delete, so no diagram or strand table is rebuilt
+        assert parity_projection(d3) is d3
+
     def test_all_odd_projects_to_circle(self, dv):
         p = parity_projection(dv)
         assert to_gauss_code(p) == "."

@@ -7,7 +7,10 @@ numpy seed-subset search is the former library backend, kept verbatim to
 check that the bitmask search reproduces its witnesses and work counters.
 The full-matrix ideal bound is the former library bound, kept verbatim to
 check that the bound on the Alexander core gives the same bound, witnesses
-and nontriviality flags.
+and nontriviality flags.  The dense Alexander core is the former library
+elimination on the full ``LaurentPolynomial`` matrix, kept verbatim to
+check that the core built from sparse integer rows is the same entry for
+entry.
 """
 
 from __future__ import annotations
@@ -17,12 +20,15 @@ import random
 import re
 import time
 from collections import deque
+from typing import Optional
 
 import numpy as np
 
 from vbridge.errors import NotAKnotError
 from vbridge.gauss import GaussDiagram, parse_gauss_code, strand_table
+from vbridge.laurent import ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
+    AlexanderMatrix,
     IdealBoundResult,
     IdealCertificate,
     _primes_upto,
@@ -185,6 +191,51 @@ def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int 
         if cert.qualifies:
             best = max(best, k)
     return IdealBoundResult(1 + best, tuple(certificates))
+
+
+def dense_alexander_core(a: AlexanderMatrix) -> AlexanderMatrix:
+    """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
+
+    Each pivot's row clears the rest of its column, then the pivot's row and
+    column go.  The result presents the same module, so for k below its
+    width E_k is the ideal of its (width - k)-minors, and E_k = (1) above.
+    Pivots are chosen by least fill-in (Markowitz), ties by position.
+    """
+    rows = [{j: p for j, p in enumerate(row) if not p.is_zero} for row in a.rows]
+    cols = list(range(a.n_cols))
+    while (pivot := _unit_pivot(rows)) is not None:
+        r, c = pivot
+        prow = rows.pop(r)
+        [(m, sign)] = prow.pop(c).items()
+        scale = LaurentPolynomial({-m: -sign})  # -1 / pivot
+        for row in rows:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            f = f * scale
+            for j, p in prow.items():
+                v = row.get(j, ZERO) + f * p
+                if v.is_zero:
+                    row.pop(j, None)
+                else:
+                    row[j] = v
+        cols.remove(c)
+    return AlexanderMatrix(tuple(tuple(row.get(j, ZERO) for j in cols) for row in rows))
+
+
+def _unit_pivot(rows: list[dict[int, LaurentPolynomial]]) -> Optional[tuple[int, int]]:
+    counts: dict[int, int] = {}
+    for row in rows:
+        for j in row:
+            counts[j] = counts.get(j, 0) + 1
+    best = None
+    for i, row in enumerate(rows):
+        for j, p in row.items():
+            if p.is_unit:
+                key = ((len(row) - 1) * (counts[j] - 1), i, j)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else best[1:]
 
 
 def ideal_summary(result: IdealBoundResult):
