@@ -248,12 +248,10 @@ class TestAlexanderCore:
         assert widths == [3, 4, 7, 11]
 
     def test_bounds_never_build_the_dense_matrix(self, d3, monkeypatch):
-        import vbridge.linkgroup
-
         def dense(*args):
             raise AssertionError("the bounds must not build the dense Alexander matrix")
 
-        monkeypatch.setattr(vbridge.linkgroup, "alexander_matrix", dense)
+        monkeypatch.setattr("vbridge.linkgroup.alexander_matrix", dense)
         assert ideal_lower_bound(d3).bound == 2
         assert parity_lower_bound(d3).bound == 2
 
