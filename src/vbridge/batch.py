@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
 
-from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError
+from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError, check_deadline
 from .gauss import GaussDiagram, bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
 from .linkgroup import ideal_lower_bound
 from .parity import parity_lower_bound
@@ -161,10 +161,11 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     each enabled analysis that applies, in a fixed order.
 
     Failures are exceptions, and the fields filled before one stay:
-    SearchTimeoutError past ``config.time_limit`` (the search gets the time
-    left, the ideal and parity bounds and enumerated quandle counts check
-    the deadline as they go, and each later analysis and each quandle count
-    checks it before it starts),
+    SearchTimeoutError past ``config.time_limit``, which sets one
+    ``time.perf_counter()`` deadline for the record (the search, the ideal
+    and parity bounds and enumerated quandle counts get it and check it as
+    they go, and each later analysis and each quandle count checks it
+    before it starts),
     SearchExhaustedError at ``config.max_k``,
     InvariantError when ideal_lb <= omega <= vb fails.
     """
@@ -173,10 +174,7 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     def due(analysis: str, applies: bool) -> bool:
         if analysis not in config.analyses or not applies:
             return False
-        if deadline is not None and time.perf_counter() >= deadline:
-            raise SearchTimeoutError(
-                f"time limit of {config.time_limit}s reached before the {analysis} analysis"
-            )
+        check_deadline(deadline, f"before the {analysis} analysis")
         return True
 
     rec.components = diagram.n_components
@@ -184,8 +182,7 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     rec.strands = strand_table(diagram).n_strands
     rec.vb_d = bridge_count(diagram)
 
-    remaining = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-    result = wirtinger_number(diagram, max_k=config.max_k, time_limit=remaining)
+    result = wirtinger_number(diagram, max_k=config.max_k, deadline=deadline)
     rec.omega_d = result.omega
     rec.seed_set = result.seed_set
     rec.stats = result.stats

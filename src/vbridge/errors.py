@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one deadline check."""
+
+import time
+from typing import Optional
 
 
 class VbridgeError(Exception):
@@ -38,7 +41,15 @@ class SearchExhaustedError(VbridgeError, RuntimeError):
 
 
 class SearchTimeoutError(VbridgeError, RuntimeError):
-    """Seed-set search hit its wall-clock limit."""
+    """An analysis passed its deadline; raised by check_deadline only."""
+
+
+def check_deadline(deadline: Optional[float], where: str) -> None:
+    """Raise SearchTimeoutError once ``time.perf_counter()`` reaches
+    ``deadline``, an absolute ``perf_counter`` value; None means no limit.
+    ``where`` ends the message, e.g. "during the elementary-ideal bound"."""
+    if deadline is not None and time.perf_counter() >= deadline:
+        raise SearchTimeoutError(f"time limit reached {where}")
 
 
 class InvariantError(VbridgeError, RuntimeError):

@@ -21,12 +21,12 @@ few entries become ``LaurentPolynomial``; the dense n x n matrix
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
+from .errors import BadIdealIndexError, NotAKnotError, check_deadline
 from .gauss import GaussDiagram, strand_table
 from .laurent import ONE, ZERO, LaurentPolynomial
 
@@ -169,9 +169,7 @@ def _unit_pivot(
     return None if best is None else best[1:]
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.perf_counter() >= deadline:
-        raise SearchTimeoutError("time limit reached during the elementary-ideal bound")
+_IDEAL = "during the elementary-ideal bound"  # the end of its timeout message
 
 
 def _minor_determinants(
@@ -182,7 +180,7 @@ def _minor_determinants(
     Raises SearchTimeoutError once ``time.perf_counter()`` passes
     ``deadline``, checked on entry and before each subminor of size two or
     more that is not in the memo."""
-    _check_deadline(deadline)
+    check_deadline(deadline, _IDEAL)
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPolynomial] = {}
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPolynomial:
@@ -192,7 +190,7 @@ def _minor_determinants(
         cached = memo.get(key)
         if cached is not None:
             return cached
-        _check_deadline(deadline)
+        check_deadline(deadline, _IDEAL)
         total = LaurentPolynomial()
         rest = rows[1:]
         for j, col in enumerate(cols):
@@ -231,7 +229,8 @@ def elementary_ideal_generators(
     return [seen[key] for key in sorted(seen)]
 
 
-def _primes_upto(bound: int) -> list[int]:
+@cache  # every properness certificate scans the same primes
+def _primes_upto(bound: int) -> tuple[int, ...]:
     sieve = [True] * (bound + 1)
     primes = []
     for p in range(2, bound + 1):
@@ -239,7 +238,7 @@ def _primes_upto(bound: int) -> list[int]:
             primes.append(p)
             for q in range(p * p, bound + 1, p):
                 sieve[q] = False
-    return primes
+    return tuple(primes)
 
 
 def _poly_mod(g: LaurentPolynomial, p: int) -> list[int]:
@@ -336,7 +335,7 @@ def ideal_lower_bound(
     certificates = []
     best = 0
     for k in range(1, k_hi + 1):
-        _check_deadline(deadline)
+        check_deadline(deadline, _IDEAL)
         gens = elementary_ideal_generators(core, k, deadline) if k < core.n_cols else [ONE]
         nontrivial = any(not g.is_zero for g in gens)
         witness = properness_certificate(gens, prime_bound) if gens else None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     NotDistributiveError,
     NotIdempotentError,
     NotRightInvertibleError,
-    SearchTimeoutError,
+    check_deadline,
 )
 from .gauss import GaussDiagram, strand_table
 from .search import WirtingerResult, apply_coloring_moves, wirtinger_number
@@ -218,10 +217,8 @@ def count_colorings(
 
     count = 0
     for i, assign in enumerate(itertools.product(range(q.order), repeat=seq.k)):
-        if deadline is not None and i % _CHECK_EVERY == 0 and time.perf_counter() >= deadline:
-            raise SearchTimeoutError(
-                f"quandle count stopped at the time limit ({i} assignments enumerated)"
-            )
+        if i % _CHECK_EVERY == 0:
+            check_deadline(deadline, f"during the quandle count ({i} assignments enumerated)")
         values = [-1] * n
         for s, v in zip(seeds, assign):
             values[s] = v

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import CutSplitError, SearchExhaustedError, SearchTimeoutError
+from .errors import CutSplitError, SearchExhaustedError, check_deadline
 from .gauss import GaussDiagram, HeadIncidence, StrandTable, cut_split_witness, strand_table
 
 
@@ -150,15 +149,14 @@ def _search_level(
     last seed after it, its own strands set on all of those bits.  The
     deadline is checked before each batch.
 
-    Returns (combination or None, subsets examined, timed_out), where the
-    subsets examined are those covering every component, up to and
-    including the witness.
+    Returns (combination or None, subsets examined), where the subsets
+    examined are those covering every component, up to and including the
+    witness.
     """
     prefixes = itertools.combinations(range(n - 1), k - 1)
     examined = 0
     while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            return None, examined, True
+        check_deadline(deadline, f"during the seed-set search at level k={k} (omega >= {k})")
         x = [0] * n
         # last seed s of a prefix whose subsets start at bit b, last seeds
         # at `start`, sits at bit b + s - start: last[start] marks bit
@@ -177,7 +175,7 @@ def _search_level(
             if width >= _BATCH_BITS:
                 break
         if not width:
-            return None, examined, False
+            return None, examined
         marks = 0
         for s in range(n):
             marks |= last[s]
@@ -198,7 +196,7 @@ def _search_level(
         bit = (full & -full).bit_length() - 1
         examined += (valid & ((2 << bit) - 1)).bit_count()
         first, prefix, start = next(e for e in reversed(layout) if e[0] <= bit)
-        return prefix + (start + bit - first,), examined, False
+        return prefix + (start + bit - first,), examined
 
 
 def apply_coloring_moves(
@@ -266,14 +264,15 @@ def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
 def wirtinger_number(
     d: GaussDiagram,
     max_k: Optional[int] = None,
-    time_limit: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> WirtingerResult:
     """Least k with a size-k seed set whose saturation colors every strand.
 
     Seed subsets are enumerated lexicographically for each k starting at the
     component count, so the witness is the lexicographically least seed set
     of minimal size.  Raises SearchExhaustedError if max_k is hit without
-    success and SearchTimeoutError past the wall-clock limit.
+    success and SearchTimeoutError once ``time.perf_counter()`` reaches
+    ``deadline``, checked before each batch of subsets.
     """
     table = strand_table(d)
     n = table.n_strands
@@ -283,16 +282,11 @@ def wirtinger_number(
         comps.setdefault(s.component, []).append(s.id)
     n_comps = d.n_components
     k_hi = n if max_k is None else min(max_k, n)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
 
     examined = 0
     for k in range(n_comps, k_hi + 1):
-        comb, ex, timed_out = _search_level(n, moves, comps.values(), k, deadline)
+        comb, ex = _search_level(n, moves, comps.values(), k, deadline)
         examined += ex
-        if timed_out:
-            raise SearchTimeoutError(
-                f"no seed set found within the time limit ({examined} subsets examined)"
-            )
         if comb is not None:
             state, seq = apply_coloring_moves(d, comb)
             assert state.is_complete
@@ -407,8 +401,6 @@ def verify_height_certificate(d: GaussDiagram, seq: ColoringSequence) -> VerifyR
             if whole:
                 left, right = hs[(i - 1) % m], hs[(i + 1) % m]
                 is_max = m == 1 or (hs[i] > left and hs[i] > right)
-                if m == 2:
-                    is_max = hs[i] > hs[1 - i]
             else:
                 is_max = (i == 0 or hs[i] > hs[i - 1]) and (
                     i == len(arc) - 1 or hs[i] > hs[i + 1]

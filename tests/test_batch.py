@@ -152,21 +152,23 @@ class TestPipeline:
         deadlines = {}
 
         def recorder(name, real):
-            def bound(*args, deadline=None):
+            def stage(*args, deadline=None, **kwargs):
                 deadlines[name] = deadline
-                return real(*args, deadline=deadline)
+                return real(*args, deadline=deadline, **kwargs)
 
-            return bound
+            return stage
 
+        monkeypatch.setattr(batch, "wirtinger_number", recorder("search", batch.wirtinger_number))
         monkeypatch.setattr(batch, "ideal_lower_bound", recorder("ideal", batch.ideal_lower_bound))
         monkeypatch.setattr(batch, "parity_lower_bound", recorder("parity", batch.parity_lower_bound))
         before = time.perf_counter()
         [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)], PipelineConfig(time_limit=60))
         assert r.status == "ok"
-        assert deadlines["ideal"] == deadlines["parity"]
-        assert before + 60 <= deadlines["ideal"] <= time.perf_counter() + 60
+        # one absolute deadline for every stage, not the time left
+        assert deadlines["search"] == deadlines["ideal"] == deadlines["parity"]
+        assert before + 60 <= deadlines["search"] <= time.perf_counter() + 60
         [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)])
-        assert deadlines == {"ideal": None, "parity": None}
+        assert deadlines == {"search": None, "ideal": None, "parity": None}
 
     def test_no_quandle_count_starts_past_the_deadline(self, monkeypatch):
         real = batch.count_colorings

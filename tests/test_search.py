@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
 import re
+import time
+import types
 
 import pytest
 
+from vbridge import errors
 from vbridge.errors import CutSplitError, SearchExhaustedError, SearchTimeoutError
 from vbridge.gauss import bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
 from vbridge.search import (
@@ -77,7 +81,7 @@ class TestWirtingerNumber:
 
     def test_timeout(self, d3):
         with pytest.raises(SearchTimeoutError):
-            wirtinger_number(d3, time_limit=0.0)
+            wirtinger_number(d3, deadline=time.perf_counter())
 
     def test_matches_oracle_small(self):
         checked = 0
@@ -167,9 +171,19 @@ class TestBatches:
         pairs = sum(1 for a, b in itertools.combinations(comps, 2) if a != b)
         assert omega == 3 and examined - pairs > 1024
 
-    def test_timeout_on_a_link(self):
-        with pytest.raises(SearchTimeoutError):
-            wirtinger_number(parse_gauss_code(MULTI_BATCH_LINK), time_limit=0.0)
+    def test_timeout_on_a_link(self, monkeypatch):
+        # a clock that ticks once per deadline check: a deadline at the last
+        # check of the full search stops it before the batch holding the
+        # witness, after the witness level's earlier batches
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(errors, "time", clock)
+        d = parse_gauss_code(MULTI_BATCH_LINK)
+        wirtinger_number(d, deadline=math.inf)
+        last_check = next(ticks) - 1
+        ticks = itertools.count()
+        with pytest.raises(SearchTimeoutError, match=r"seed-set search at level k=3 \(omega >= 3\)"):
+            wirtinger_number(d, deadline=last_check)
 
 
 class TestConfluence:
