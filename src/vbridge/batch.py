@@ -46,6 +46,7 @@ CSV_COLUMNS = [
 ]
 
 ALL_ANALYSES = frozenset({"ideal", "parity", "quandle", "welded"})
+_BEFORE = {analysis: f"before the {analysis} analysis" for analysis in ALL_ANALYSES}
 
 
 @dataclass(frozen=True)
@@ -168,13 +169,15 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     before it starts),
     SearchExhaustedError at ``config.max_k``,
     InvariantError when ideal_lb <= omega <= vb fails.
+    The parity stage gets the ideal stage's result, which is its own on a
+    knot with no odd chord.
     """
     deadline = None if config.time_limit is None else time.perf_counter() + config.time_limit
 
     def due(analysis: str, applies: bool) -> bool:
         if analysis not in config.analyses or not applies:
             return False
-        check_deadline(deadline, f"before the {analysis} analysis")
+        check_deadline(deadline, _BEFORE[analysis])
         return True
 
     rec.components = diagram.n_components
@@ -190,13 +193,13 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
         rec.certificates = {"sequence": result.sequence.to_json_dict()}
 
     is_knot = diagram.n_components == 1
+    ideal = None
     if due("ideal", is_knot):
-        rec.ideal_lb = ideal_lower_bound(
-            diagram, config.max_k, config.prime_bound, deadline=deadline
-        ).bound
+        ideal = ideal_lower_bound(diagram, config.max_k, config.prime_bound, deadline=deadline)
+        rec.ideal_lb = ideal.bound
     if due("parity", is_knot):
         rec.parity_lb = parity_lower_bound(
-            diagram, config.max_k, config.prime_bound, deadline=deadline
+            diagram, config.max_k, config.prime_bound, deadline=deadline, ideal=ideal
         ).bound
     for q in config.quandles:
         if due("quandle", True):

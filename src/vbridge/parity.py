@@ -55,10 +55,16 @@ def parity_lower_bound(
     k_max: int | None = None,
     prime_bound: int = 97,
     deadline: float | None = None,
+    ideal: IdealBoundResult | None = None,
 ) -> IdealBoundResult:
     """Elementary-ideal bound of the parity projection; since the projection
     never raises the bridge count, this bounds the original knot too.
     ``deadline`` is a ``time.perf_counter()`` value, as for
-    ``ideal_lower_bound``."""
+    ``ideal_lower_bound``.  ``ideal``, when given, is ``ideal_lower_bound``
+    of ``d`` with the same ``k_max`` and ``prime_bound``; a knot with no odd
+    chord is its own projection, so it is returned unchanged."""
     _require_knot(d)
-    return ideal_lower_bound(parity_projection(d), k_max, prime_bound, deadline)
+    projection = parity_projection(d)
+    if projection is d and ideal is not None:
+        return ideal
+    return ideal_lower_bound(projection, k_max, prime_bound, deadline)

@@ -16,11 +16,23 @@ arrowheads in head order repeat until one fires nothing.  Ints have no
 width limit, so any number of strands and subsets is handled the same
 way.  ``apply_coloring_moves`` computes the same closure strand by strand
 to build certificates.
+
+A batch lays out the size-k subsets in lexicographic order as consecutive
+(k-j)-prefixes, each followed by every choice of its last j seeds among
+the strands after it.  For j >= 2 the bits of those choices come from a
+cached pattern per count of free strands, so a prefix costs one shift and
+OR per strand, however many subsets it owns; a single last seed is one
+bit per strand, laid out for the whole batch by one running shift.  j is
+at most 3, and less when the n-strand block, C(n, j) subsets, would be
+wider than a few batches; that bounds the batch width, the time between
+deadline checks and the cache.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +122,7 @@ class WirtingerResult:
 
 
 _BATCH_BITS = 1024  # a batch grows by whole prefixes until it holds this many subsets
+_BLOCK_BATCHES = 4  # the last seeds of one prefix span at most this many batches
 
 
 def _moves(table: StrandTable) -> list[tuple[int, int, int]]:
@@ -133,53 +146,102 @@ def _saturate_batch(moves: list[tuple[int, int, int]], x: list[int]) -> None:
                 changed = True
 
 
+@functools.cache
+def _tail_pattern(m: int, j: int) -> tuple[tuple[int, ...], int]:
+    """The j-subsets of range(m) in lexicographic order as bit patterns:
+    entry s has bit i set when s is in the i-th subset.  Returns the m
+    entries and the subset count C(m, j).
+
+    The subsets holding 0 come first, then those of the strands after it,
+    so entry 0 is C(m-1, j-1) ones and entry s is entry s-1 of P(m-1, j-1)
+    with entry s-1 of P(m-1, j) shifted past those ones.  j = 0 and j = 1
+    are built directly, so only j >= 2 recurses, m - j + 1 deep."""
+    if j == 0:
+        return (0,) * m, 1
+    if j == 1:
+        return tuple(1 << s for s in range(m)), m
+    if m < j:
+        return (0,) * m, 0
+    head, w = _tail_pattern(m - 1, j - 1)
+    rest, w_rest = _tail_pattern(m - 1, j)
+    return ((1 << w) - 1,) + tuple(a | b << w for a, b in zip(head, rest)), w + w_rest
+
+
+def _tail_seeds(n: int) -> int:
+    """The most last seeds a block lays out on n strands: the largest
+    j <= 3 whose full block, C(n, j) subsets, spans at most _BLOCK_BATCHES
+    batches; level k lays out min(k, j).  That bounds a batch's width, the
+    time between deadline checks and the pattern cache, which the search
+    fills only for j >= 2, so only while C(n, 2) is small."""
+    j = 3
+    while math.comb(n, j) > _BLOCK_BATCHES * _BATCH_BITS:
+        j -= 1
+    return j
+
+
 def _search_level(
     n: int,
     moves: list[tuple[int, int, int]],
     comps: Iterable[list[int]],
     k: int,
+    j: int,
     deadline: Optional[float],
 ):
     """First size-k subset (lexicographic) of the n strands that covers
     every component (``comps`` lists each one's strands) and saturates to
     the full strand set.
 
-    A batch takes consecutive prefixes (the first k-1 seeds, lexicographic)
-    until it holds _BATCH_BITS subsets: each prefix contributes one bit per
-    last seed after it, its own strands set on all of those bits.  The
-    deadline is checked before each batch.
+    A batch takes consecutive (k-j)-prefixes until it holds _BATCH_BITS
+    subsets; any 0 <= j <= k gives the same result.  A prefix ending
+    before strand ``start`` owns one block of bits, one per j-subset of the
+    m = n - start strands after it in lexicographic order: its own strands
+    get the block's ones, and the strands after it the cached pattern
+    _tail_pattern(m, j) shifted to the block.  With j = 1 the pattern is
+    1 << s for strand start + s, so one running shift over the strands
+    lays out every block of the batch; with j = 0 a prefix is one bit.
+    The deadline is checked before each batch.
 
     Returns (combination or None, subsets examined), where the subsets
     examined are those covering every component, up to and including the
     witness.
     """
-    prefixes = itertools.combinations(range(n - 1), k - 1)
+    prefixes = itertools.combinations(range(n - j), k - j)
+    where = f"during the seed-set search at level k={k} (omega >= {k})"
     examined = 0
     while True:
-        check_deadline(deadline, f"during the seed-set search at level k={k} (omega >= {k})")
+        check_deadline(deadline, where)
         x = [0] * n
-        # last seed s of a prefix whose subsets start at bit b, last seeds
-        # at `start`, sits at bit b + s - start: last[start] marks bit
-        # b - start + n, and x[s] takes every mark at or below s, shifted
-        last = [0] * n
-        layout = []  # (first bit, prefix, first last seed)
+        layout = []  # (first bit, prefix, first strand after it)
         width = 0
+        # j = 1: last seed s of a prefix whose block starts at bit b sits at
+        # bit b + s - start; last[start] marks bit b - start + n, and x[s]
+        # takes every mark at or below s, shifted
+        last = [0] * n
         for prefix in prefixes:
             start = prefix[-1] + 1 if prefix else 0
-            ones = ((1 << (n - start)) - 1) << width
+            if j >= 2:
+                pattern, w = _tail_pattern(n - start, j)
+                for s, bits in enumerate(pattern, start):
+                    x[s] |= bits << width
+            elif j:
+                w = n - start
+                last[start] |= 1 << (width - start + n)
+            else:
+                w = 1
+            ones = ((1 << w) - 1) << width
             for p in prefix:
                 x[p] |= ones
-            last[start] |= 1 << (width - start + n)
             layout.append((width, prefix, start))
-            width += n - start
+            width += w
             if width >= _BATCH_BITS:
                 break
         if not width:
             return None, examined
-        marks = 0
-        for s in range(n):
-            marks |= last[s]
-            x[s] |= (marks << s) >> n
+        if j == 1:
+            marks = 0
+            for s in range(n):
+                marks |= last[s]
+                x[s] |= (marks << s) >> n
         valid = -1
         for strands in comps:
             colored = 0
@@ -196,7 +258,13 @@ def _search_level(
         bit = (full & -full).bit_length() - 1
         examined += (valid & ((2 << bit) - 1)).bit_count()
         first, prefix, start = next(e for e in reversed(layout) if e[0] <= bit)
-        return prefix + (start + bit - first,), examined
+        offset = bit - first
+        if j >= 2:
+            pattern = _tail_pattern(n - start, j)[0]
+            tail = tuple([s for s, bits in enumerate(pattern, start) if bits >> offset & 1])
+        else:
+            tail = (start + offset,) if j else ()
+        return prefix + tail, examined
 
 
 def apply_coloring_moves(
@@ -282,10 +350,11 @@ def wirtinger_number(
         comps.setdefault(s.component, []).append(s.id)
     n_comps = d.n_components
     k_hi = n if max_k is None else min(max_k, n)
+    tail_seeds = _tail_seeds(n)
 
     examined = 0
     for k in range(n_comps, k_hi + 1):
-        comb, ex = _search_level(n, moves, comps.values(), k, deadline)
+        comb, ex = _search_level(n, moves, comps.values(), k, min(k, tail_seeds), deadline)
         examined += ex
         if comb is not None:
             state, seq = apply_coloring_moves(d, comb)

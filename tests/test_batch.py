@@ -170,6 +170,35 @@ class TestPipeline:
         [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)])
         assert deadlines == {"search": None, "ideal": None, "parity": None}
 
+    def test_parity_reuses_the_ideal_bound_of_an_even_knot(self, monkeypatch):
+        from vbridge import parity
+
+        real = batch.ideal_lower_bound
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "ideal_lower_bound", counted)
+        monkeypatch.setattr(parity, "ideal_lower_bound", counted)
+        # classical trefoil: every chord even, so the knot is its own projection
+        [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)])
+        assert len(calls) == 1
+        assert r.parity_lb == r.ideal_lb == 2
+        assert r.parity_lb == parity.parity_lower_bound(calls[0]).bound
+        # an odd chord: the projection gets its own bound
+        calls.clear()
+        [r] = run_pipeline([TableEntry("v", "O1+O2+U1+U2+", 1)])
+        assert len(calls) == 2 and r.parity_lb == 1
+        # without the ideal stage the parity stage computes the bound itself
+        calls.clear()
+        [r] = run_pipeline(
+            [TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)],
+            PipelineConfig(analyses=frozenset({"parity"})),
+        )
+        assert len(calls) == 1 and (r.ideal_lb, r.parity_lb) == (None, 2)
+
     def test_no_quandle_count_starts_past_the_deadline(self, monkeypatch):
         real = batch.count_colorings
         calls = []

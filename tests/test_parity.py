@@ -4,6 +4,7 @@ import pytest
 
 from vbridge.errors import NotAKnotError
 from vbridge.gauss import parse_gauss_code, to_gauss_code
+from vbridge.linkgroup import ideal_lower_bound
 from vbridge.parity import gaussian_parity, parity_lower_bound, parity_projection
 from util import random_knot
 
@@ -100,6 +101,17 @@ class TestParityLowerBound:
 
     def test_chordless(self):
         assert parity_lower_bound(parse_gauss_code(".")).bound == 1
+
+    def test_reuses_the_ideal_bound_of_an_even_knot(self, d3, dv):
+        ideal = ideal_lower_bound(d3)
+        assert parity_lower_bound(d3, ideal=ideal) is ideal
+        # with an odd chord the given result goes unused: the virtual
+        # trefoil projects to the circle, bound 1, not the trefoil's 2
+        assert parity_lower_bound(dv, ideal=ideal).bound == 1
+        rng = random.Random(16)
+        for _ in range(60):
+            d = random_knot(rng, 7)
+            assert parity_lower_bound(d, ideal=ideal_lower_bound(d)) == parity_lower_bound(d)
 
     def test_links_rejected(self):
         with pytest.raises(NotAKnotError):

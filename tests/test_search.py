@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from vbridge import errors
+from vbridge import errors, search
 from vbridge.errors import CutSplitError, SearchExhaustedError, SearchTimeoutError
 from vbridge.gauss import bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
 from vbridge.search import (
@@ -24,6 +24,7 @@ from util import (
     brute_force_omega,
     enumerate_knot_codes,
     numpy_search,
+    prefix_layout_search,
     random_diagram,
     random_one_overbridge_code,
 )
@@ -112,6 +113,17 @@ def _relabel(code, offset):
     return re.sub(r"([OU])(\d+)", lambda m: f"{m[1]}{int(m[2]) + offset}", code)
 
 
+def _random_links(seed, count):
+    """Seeded 2-3 component links of 20-32 chords, a tail on each component."""
+    rng = random.Random(seed)
+    links = []
+    while len(links) < count:
+        d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
+        if d.n_components >= 2:
+            links.append(ensure_tail_per_component(d))
+    return links
+
+
 class TestNumpySearchOracle:
     """The bitmask search reproduces the former numpy backend exactly:
     same Wirtinger number, same witness, same subsets examined."""
@@ -126,15 +138,8 @@ class TestNumpySearchOracle:
         assert checked == 32055
 
     def test_random_links(self):
-        rng = random.Random(23)
-        checked = 0
-        while checked < 20:
-            d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
-            if d.n_components < 2:
-                continue
-            d = ensure_tail_per_component(d)
+        for d in _random_links(23, 20):
             assert _search_triple(d) == numpy_search(d)
-            checked += 1
 
     def test_more_than_62_strands(self):
         # 62 strands was the width limit of the former int64 jit masks
@@ -152,8 +157,93 @@ class TestNumpySearchOracle:
             assert _search_triple(d) == numpy_search(d)
 
 
+class TestPrefixLayoutOracle:
+    """Batches built from cached last-seed patterns reproduce the former
+    prefix-by-prefix layout: same Wirtinger number, witness and subsets
+    examined.  Small batch sizes make blocks straddle batch boundaries and
+    change how many last seeds a block lays out."""
+
+    @pytest.mark.parametrize("batch_bits", [7, 64, 1024])
+    def test_random_links(self, monkeypatch, batch_bits):
+        monkeypatch.setattr(search, "_BATCH_BITS", batch_bits)
+        omegas = set()
+        for d in _random_links(31, 40):
+            triple = _search_triple(d)
+            assert triple == prefix_layout_search(d)
+            omegas.add(triple[0])
+        assert max(omegas) >= 4
+
+    @pytest.mark.parametrize("batch_bits", [7, 64])
+    def test_every_knot_up_to_four_chords(self, monkeypatch, batch_bits):
+        monkeypatch.setattr(search, "_BATCH_BITS", batch_bits)
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                d = parse_gauss_code(code)
+                assert _search_triple(d) == prefix_layout_search(d), code
+
+    def test_tail_patterns_match_combinations(self):
+        for m in range(13):
+            for j in range(5):
+                subsets = list(itertools.combinations(range(m), j))
+                pattern = tuple(
+                    sum(1 << i for i, subset in enumerate(subsets) if s in subset)
+                    for s in range(m)
+                )
+                assert search._tail_pattern(m, j) == (pattern, len(subsets))
+
+
+class TestBlockWidthBound:
+    def test_tail_seeds_bound_the_block(self):
+        cap = search._BLOCK_BATCHES * search._BATCH_BITS
+        for n in range(1, 5000):
+            top = search._tail_seeds(n)
+            # level k lays out min(k, top) last seeds: the most that fit
+            for k in range(1, min(n, 5) + 1):
+                fits = [j for j in range(min(k, 3) + 1) if math.comb(n, j) <= cap]
+                assert min(k, top) == max(fits)
+        assert search._tail_seeds(cap) == 1 and search._tail_seeds(cap + 1) == 0
+
+    def test_thousand_chord_knot_at_level_one(self):
+        d = parse_gauss_code(random_one_overbridge_code(random.Random(1000), 1100, min_chords=1001))
+        assert strand_table(d).n_strands > 1000
+        assert wirtinger_number(d).omega == 1
+
+    def test_wide_link_stops_at_its_deadline(self, monkeypatch):
+        rng = random.Random(150)
+        while True:
+            d = random_diagram(rng, max_chords=160, max_components=3, min_chords=150)
+            if d.n_components >= 2:
+                break
+        d = ensure_tail_per_component(d)
+        assert strand_table(d).n_strands >= 150
+        widths = []
+        saturate = search._saturate_batch
+
+        def recording(moves, x):
+            widths.append(max(bits.bit_length() for bits in x))
+            saturate(moves, x)
+        monkeypatch.setattr(search, "_saturate_batch", recording)
+        cached = search._tail_pattern.cache_info().currsize
+        start = time.perf_counter()
+        with pytest.raises(SearchTimeoutError, match=r"level k=[3-9]"):
+            wirtinger_number(d, deadline=start + 0.05)
+        assert time.perf_counter() - start < 1.0
+        # too many strands for two last seeds: one per block, no pattern cached
+        assert widths and max(widths) <= search._BATCH_BITS + strand_table(d).n_strands
+        assert search._tail_pattern.cache_info().currsize == cached
+
+    def test_pattern_cache_stays_bounded(self):
+        search._tail_pattern.cache_clear()
+        links = _random_links(32, 40)
+        for d in links:
+            wirtinger_number(d)
+        # one entry per strand count and number of last seeds, at most
+        n_max = max(strand_table(d).n_strands for d in links)
+        assert search._tail_pattern.cache_info().currsize <= 4 * (n_max + 1)
+
+
 # a two-component link with omega 3 whose third level examines 1199 subsets
-# before its witness, more than one batch of the search
+# before its witness, past the first _BATCH_BITS bits of the level
 MULTI_BATCH_LINK = (
     "U8-U6+O6+U13-U5+U7-O19+O21+U9-O17+O4+O12+O23-O27+O14-U26-U24+U18-O3-O10-U19+"
     "U11-O2-O24+O8-O18-U4+U15+O7-|O9-O15+O1+U22-U10-O26-O16+O20+O22-O11-U16+U25-"
