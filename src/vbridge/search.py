@@ -19,12 +19,11 @@ to build certificates.
 
 A batch lays out the size-k subsets in lexicographic order as consecutive
 (k-j)-prefixes, each followed by every choice of its last j seeds among
-the strands after it.  For j >= 2 the bits of those choices come from a
-cached pattern per count of free strands, so a prefix costs one shift and
-OR per strand, however many subsets it owns; a single last seed is one
-bit per strand, laid out for the whole batch by one running shift.  j is
-at most 3, and less when the n-strand block, C(n, j) subsets, would be
-wider than a few batches; that bounds the batch width, the time between
+the strands after it.  The bits of those choices come from a pattern per
+count of free strands, cached for j >= 2, so a prefix costs one shift
+and OR per strand after it, however many subsets it owns.  j is at most
+3, and less when the n-strand block, C(n, j) subsets, would be wider
+than a few batches; that bounds the batch width, the time between
 deadline checks and the cache.
 """
 
@@ -154,10 +153,8 @@ def _tail_pattern(m: int, j: int) -> tuple[tuple[int, ...], int]:
 
     The subsets holding 0 come first, then those of the strands after it,
     so entry 0 is C(m-1, j-1) ones and entry s is entry s-1 of P(m-1, j-1)
-    with entry s-1 of P(m-1, j) shifted past those ones.  j = 0 and j = 1
-    are built directly, so only j >= 2 recurses, m - j + 1 deep."""
-    if j == 0:
-        return (0,) * m, 1
+    with entry s-1 of P(m-1, j) shifted past those ones.  j = 1 is built
+    directly, so only j >= 2 recurses, m - j + 1 deep."""
     if j == 1:
         return tuple(1 << s for s in range(m)), m
     if m < j:
@@ -195,11 +192,10 @@ def _search_level(
     subsets; any 0 <= j <= k gives the same result.  A prefix ending
     before strand ``start`` owns one block of bits, one per j-subset of the
     m = n - start strands after it in lexicographic order: its own strands
-    get the block's ones, and the strands after it the cached pattern
+    get the block's ones, and the strands after it the pattern
     _tail_pattern(m, j) shifted to the block.  With j = 1 the pattern is
-    1 << s for strand start + s, so one running shift over the strands
-    lays out every block of the batch; with j = 0 a prefix is one bit.
-    The deadline is checked before each batch.
+    1 << s for strand start + s, set directly rather than cached; with
+    j = 0 a prefix is one bit.  The deadline is checked before each batch.
 
     Returns (combination or None, subsets examined), where the subsets
     examined are those covering every component, up to and including the
@@ -213,10 +209,6 @@ def _search_level(
         x = [0] * n
         layout = []  # (first bit, prefix, first strand after it)
         width = 0
-        # j = 1: last seed s of a prefix whose block starts at bit b sits at
-        # bit b + s - start; last[start] marks bit b - start + n, and x[s]
-        # takes every mark at or below s, shifted
-        last = [0] * n
         for prefix in prefixes:
             start = prefix[-1] + 1 if prefix else 0
             if j >= 2:
@@ -225,7 +217,8 @@ def _search_level(
                     x[s] |= bits << width
             elif j:
                 w = n - start
-                last[start] |= 1 << (width - start + n)
+                for s in range(start, n):
+                    x[s] |= 1 << (width + s - start)
             else:
                 w = 1
             ones = ((1 << w) - 1) << width
@@ -237,11 +230,6 @@ def _search_level(
                 break
         if not width:
             return None, examined
-        if j == 1:
-            marks = 0
-            for s in range(n):
-                marks |= last[s]
-                x[s] |= (marks << s) >> n
         valid = -1
         for strands in comps:
             colored = 0

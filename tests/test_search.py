@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -24,7 +25,6 @@ from util import (
     brute_force_omega,
     enumerate_knot_codes,
     numpy_search,
-    prefix_layout_search,
     random_diagram,
     random_one_overbridge_code,
 )
@@ -124,6 +124,12 @@ def _random_links(seed, count):
     return links
 
 
+@functools.cache
+def _oracle_links():
+    """Seeded links with their numpy-oracle triples, shared by the batch sizes."""
+    return [(d, numpy_search(d)) for d in _random_links(31, 40)]
+
+
 class TestNumpySearchOracle:
     """The bitmask search reproduces the former numpy backend exactly:
     same Wirtinger number, same witness, same subsets examined."""
@@ -156,34 +162,30 @@ class TestNumpySearchOracle:
             assert strand_table(d).n_strands > 62
             assert _search_triple(d) == numpy_search(d)
 
-
-class TestPrefixLayoutOracle:
-    """Batches built from cached last-seed patterns reproduce the former
-    prefix-by-prefix layout: same Wirtinger number, witness and subsets
-    examined.  Small batch sizes make blocks straddle batch boundaries and
-    change how many last seeds a block lays out."""
-
+    # small batches make blocks straddle batch boundaries and change how
+    # many last seeds a block lays out; the oracle has no batches
     @pytest.mark.parametrize("batch_bits", [7, 64, 1024])
-    def test_random_links(self, monkeypatch, batch_bits):
+    def test_links_at_batch_size(self, monkeypatch, batch_bits):
         monkeypatch.setattr(search, "_BATCH_BITS", batch_bits)
         omegas = set()
-        for d in _random_links(31, 40):
-            triple = _search_triple(d)
-            assert triple == prefix_layout_search(d)
-            omegas.add(triple[0])
+        for d, expected in _oracle_links():
+            assert _search_triple(d) == expected
+            omegas.add(expected[0])
         assert max(omegas) >= 4
 
     @pytest.mark.parametrize("batch_bits", [7, 64])
-    def test_every_knot_up_to_four_chords(self, monkeypatch, batch_bits):
+    def test_knots_up_to_four_chords_at_batch_size(self, monkeypatch, batch_bits):
         monkeypatch.setattr(search, "_BATCH_BITS", batch_bits)
         for n_chords in range(5):
             for code in enumerate_knot_codes(n_chords):
                 d = parse_gauss_code(code)
-                assert _search_triple(d) == prefix_layout_search(d), code
+                assert _search_triple(d) == numpy_search(d), code
 
+
+class TestTailPatterns:
     def test_tail_patterns_match_combinations(self):
         for m in range(13):
-            for j in range(5):
+            for j in range(1, 5):
                 subsets = list(itertools.combinations(range(m), j))
                 pattern = tuple(
                     sum(1 << i for i, subset in enumerate(subsets) if s in subset)
@@ -243,8 +245,8 @@ class TestBlockWidthBound:
         assert search._tail_pattern.cache_info().currsize <= 4 * (n_max + 1)
 
 
-# a two-component link with omega 3 whose third level examines 1199 subsets
-# before its witness, past the first _BATCH_BITS bits of the level
+# a two-component link of 27 strands with omega 3 whose third level
+# examines 1199 subsets before its witness
 MULTI_BATCH_LINK = (
     "U8-U6+O6+U13-U5+U7-O19+O21+U9-O17+O4+O12+O23-O27+O14-U26-U24+U18-O3-O10-U19+"
     "U11-O2-O24+O8-O18-U4+U15+O7-|O9-O15+O1+U22-U10-O26-O16+O20+O22-O11-U16+U25-"
@@ -252,17 +254,42 @@ MULTI_BATCH_LINK = (
 )
 
 
+@pytest.fixture
+def level_batches(monkeypatch):
+    """Batches of 256 bits, so that the link's third level spans several;
+    the returned list gets the level of every batch saturated."""
+    monkeypatch.setattr(search, "_BATCH_BITS", 256)
+    levels = []
+    search_level = search._search_level
+    saturate = search._saturate_batch
+
+    def recording_level(n, moves, comps, k, j, deadline):
+        levels.append(k)
+        return search_level(n, moves, comps, k, j, deadline)
+
+    batches = []
+
+    def recording_saturate(moves, x):
+        batches.append(levels[-1])
+        saturate(moves, x)
+
+    monkeypatch.setattr(search, "_search_level", recording_level)
+    monkeypatch.setattr(search, "_saturate_batch", recording_saturate)
+    return batches
+
+
 class TestBatches:
-    def test_witness_level_spans_batches(self):
+    def test_witness_level_spans_batches(self, level_batches):
         d = parse_gauss_code(MULTI_BATCH_LINK)
         omega, _, examined = triple = _search_triple(d)
         assert triple == numpy_search(d)
         # every covering pair fails first, so the rest is the witness level
         comps = [s.component for s in strand_table(d).strands]
         pairs = sum(1 for a, b in itertools.combinations(comps, 2) if a != b)
-        assert omega == 3 and examined - pairs > 1024
+        assert omega == 3 and examined - pairs > 4 * 256
+        assert level_batches.count(3) > 4
 
-    def test_timeout_on_a_link(self, monkeypatch):
+    def test_timeout_on_a_link(self, monkeypatch, level_batches):
         # a clock that ticks once per deadline check: a deadline at the last
         # check of the full search stops it before the batch holding the
         # witness, after the witness level's earlier batches
@@ -272,9 +299,12 @@ class TestBatches:
         d = parse_gauss_code(MULTI_BATCH_LINK)
         wirtinger_number(d, deadline=math.inf)
         last_check = next(ticks) - 1
+        witness_level = level_batches.count(3)
         ticks = itertools.count()
+        level_batches.clear()
         with pytest.raises(SearchTimeoutError, match=r"seed-set search at level k=3 \(omega >= 3\)"):
             wirtinger_number(d, deadline=last_check)
+        assert 1 <= level_batches.count(3) == witness_level - 1
 
 
 class TestConfluence:

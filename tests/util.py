@@ -5,10 +5,6 @@ oracle does a breadth-first walk over colored-set states for every seed
 subset, and the coloring oracle enumerates all strand assignments.  The
 numpy seed-subset search is the former library backend, kept verbatim to
 check that the bitmask search reproduces its witnesses and work counters.
-The prefix-layout level search is the former bit-sliced level, kept
-verbatim on the library's closure: it lays out each batch one
-(k-1)-prefix at a time, to check that the batches built from cached
-last-seed patterns give the same witnesses and counters.
 The full-matrix ideal bound is the former library bound, kept verbatim to
 check that the bound on the Alexander core gives the same bound, witnesses
 and nontriviality flags.  The dense Alexander core is the former library
@@ -24,11 +20,11 @@ import random
 import re
 import time
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from vbridge.errors import NotAKnotError, check_deadline
+from vbridge.errors import NotAKnotError
 from vbridge.gauss import GaussDiagram, parse_gauss_code, strand_table
 from vbridge.laurent import ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
@@ -40,7 +36,6 @@ from vbridge.linkgroup import (
     elementary_ideal_generators,
     wirtinger_presentation,
 )
-from vbridge.search import _BATCH_BITS, _moves, _saturate_batch
 
 _NP_CHECK_EVERY = 256
 
@@ -160,89 +155,6 @@ def numpy_search(d: GaussDiagram):
         comb, ex, _ = _search_level_np(
             before, after, tail, comp_of, n, d.n_components, k, None
         )
-        examined += ex
-        if comb is not None:
-            return k, tuple(comb), examined
-    raise AssertionError("seeding every strand always succeeds")
-
-
-def _search_level(
-    n: int,
-    moves: list[tuple[int, int, int]],
-    comps: Iterable[list[int]],
-    k: int,
-    deadline: Optional[float],
-):
-    """First size-k subset (lexicographic) of the n strands that covers
-    every component (``comps`` lists each one's strands) and saturates to
-    the full strand set.
-
-    A batch takes consecutive prefixes (the first k-1 seeds, lexicographic)
-    until it holds _BATCH_BITS subsets: each prefix contributes one bit per
-    last seed after it, its own strands set on all of those bits.  The
-    deadline is checked before each batch.
-
-    Returns (combination or None, subsets examined), where the subsets
-    examined are those covering every component, up to and including the
-    witness.
-    """
-    prefixes = itertools.combinations(range(n - 1), k - 1)
-    examined = 0
-    while True:
-        check_deadline(deadline, f"during the seed-set search at level k={k} (omega >= {k})")
-        x = [0] * n
-        # last seed s of a prefix whose subsets start at bit b, last seeds
-        # at `start`, sits at bit b + s - start: last[start] marks bit
-        # b - start + n, and x[s] takes every mark at or below s, shifted
-        last = [0] * n
-        layout = []  # (first bit, prefix, first last seed)
-        width = 0
-        for prefix in prefixes:
-            start = prefix[-1] + 1 if prefix else 0
-            ones = ((1 << (n - start)) - 1) << width
-            for p in prefix:
-                x[p] |= ones
-            last[start] |= 1 << (width - start + n)
-            layout.append((width, prefix, start))
-            width += n - start
-            if width >= _BATCH_BITS:
-                break
-        if not width:
-            return None, examined
-        marks = 0
-        for s in range(n):
-            marks |= last[s]
-            x[s] |= (marks << s) >> n
-        valid = -1
-        for strands in comps:
-            colored = 0
-            for s in strands:
-                colored |= x[s]
-            valid &= colored
-        _saturate_batch(moves, x)
-        full = valid
-        for bits in x:
-            full &= bits
-        if not full:
-            examined += valid.bit_count()
-            continue
-        bit = (full & -full).bit_length() - 1
-        examined += (valid & ((2 << bit) - 1)).bit_count()
-        first, prefix, start = next(e for e in reversed(layout) if e[0] <= bit)
-        return prefix + (start + bit - first,), examined
-
-def prefix_layout_search(d: GaussDiagram):
-    """(omega, seed_set, subsets_examined) from the prefix-layout level
-    search, levels walked as in ``wirtinger_number``."""
-    table = strand_table(d)
-    n = table.n_strands
-    moves = _moves(table)
-    comps: dict[int, list[int]] = {}
-    for s in table.strands:
-        comps.setdefault(s.component, []).append(s.id)
-    examined = 0
-    for k in range(d.n_components, n + 1):
-        comb, ex = _search_level(n, moves, comps.values(), k, None)
         examined += ex
         if comb is not None:
             return k, tuple(comb), examined
