@@ -17,6 +17,10 @@ per-component ``(kind, label, sign)`` tokens; ``component_tokens`` is its
 inverse and ``to_gauss_code`` the only formatter.  Other modules rewrite a
 diagram as tokens, never as text.  Each diagram builds its strand table
 once, on first use, and the table is freed with the diagram.
+
+The records a parse and a strand table build many of (``Endpoint``,
+``Chord``, ``Strand``, ``HeadIncidence``) are named tuples, which cost
+about a third of a frozen dataclass to build.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -41,8 +45,7 @@ _TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
 Token = tuple[str, int, int]  # (kind, chord label, sign)
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """One passage of a chord through a circle component."""
 
     kind: str  # TAIL ("O") or HEAD ("U")
@@ -51,8 +54,7 @@ class Endpoint:
     position: int
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     id: int
     sign: int
     tail: Endpoint
@@ -86,8 +88,7 @@ class GaussDiagram:
         return _build_strand_table(self)
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """Maximal arc between two consecutive arrowheads of one component.
 
     ``span`` is the half-open cyclic position interval [start, stop); for a
@@ -102,8 +103,7 @@ class Strand:
     tails: tuple[int, ...]  # chord ids of the arrowtails, in traversal order
 
 
-@dataclass(frozen=True)
-class HeadIncidence:
+class HeadIncidence(NamedTuple):
     """Local data at one arrowhead: the strand ending there, the strand
     starting there, and the strand carrying the chord's arrowtail."""
 

@@ -17,6 +17,11 @@ the matrix presents, which the elimination keeps.  The core is built
 straight from the relations as sparse rows of plain integers, and only its
 few entries become ``LaurentPolynomial``; the dense n x n matrix
 (``alexander_matrix``) is built only for ``vbridge alexander``'s output.
+
+A knot that one seed strand saturates skips the core altogether.  Each
+coloring move solves one relation for a strand whose coefficient is a
+unit (-1 at ``after``, t^e at ``before``), so the seed's generator alone
+generates the module: E_k = (1) for every k >= 1, and the bound is 1.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BadIdealIndexError, NotAKnotError, check_deadline
 from .gauss import GaussDiagram, strand_table
 from .laurent import ONE, ZERO, LaurentPolynomial
+from .search import one_strand_saturates
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """a_after = b^sign a_before b^-sign, recorded at chord ``chord_id``."""
 
     chord_id: int
@@ -324,14 +329,18 @@ def ideal_lower_bound(
     """Bridge-number lower bound 1 + max{k : E_k certified proper and
     nontrivial}, scanning k = 1..k_max; 1 when no index qualifies.
     Each E_k is generated by minors of ``alexander_core``, and is (1) from
-    the core's width on.  Raises SearchTimeoutError once
+    the core's width on; a knot that one strand saturates has every E_k
+    = (1) and builds no core.  Raises SearchTimeoutError once
     ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
-    pres = wirtinger_presentation(d)
-    core = alexander_core(pres)
-    n = len(pres.generators)
+    check_deadline(deadline, _IDEAL)
+    n = strand_table(d).n_strands
     k_hi = n - 1 if k_max is None else min(k_max, n - 1)
+    if one_strand_saturates(d):
+        units = tuple(IdealCertificate(k, (ONE,), None, True) for k in range(1, k_hi + 1))
+        return IdealBoundResult(1, units)
+    core = alexander_core(wirtinger_presentation(d))
     certificates = []
     best = 0
     for k in range(1, k_hi + 1):

@@ -317,6 +317,18 @@ def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
     return frozenset(s for s in range(n) if x[s])
 
 
+def one_strand_saturates(d: GaussDiagram) -> bool:
+    """Whether some single seed strand colors every strand: all n
+    one-strand seed sets saturate as one batch, bit s seeding strand s."""
+    table = strand_table(d)
+    x = [1 << s for s in range(table.n_strands)]
+    _saturate_batch(_moves(table), x)
+    full = -1
+    for bits in x:
+        full &= bits
+    return full != 0
+
+
 def wirtinger_number(
     d: GaussDiagram,
     max_k: Optional[int] = None,

@@ -96,6 +96,30 @@ class TestParser:
                 assert from_tokens(component_tokens(d)) == d
 
 
+class TestRecords:
+    """Endpoints, chords, strands and head incidences are named tuples."""
+
+    def test_equal_parses_are_equal_and_hash_equal(self):
+        a, b = parse_gauss_code(D6_CODE), parse_gauss_code(D6_CODE)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert strand_table(a) == strand_table(b)
+        assert hash(strand_table(a)) == hash(strand_table(b))
+
+    def test_fields_are_read_only(self, d6):
+        table = strand_table(d6)
+        chord = d6.chords[0]
+        records = (
+            (chord.tail, "position"),
+            (chord, "sign"),
+            (table.strands[0], "tails"),
+            (table.incidences[0], "after"),
+        )
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
 class TestStrands:
     def test_six_chord_decomposition(self, d6):
         table = strand_table(d6)

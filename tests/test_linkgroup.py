@@ -5,9 +5,10 @@ import time
 import pytest
 
 from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
-from vbridge.gauss import parse_gauss_code
-from vbridge.laurent import LaurentPolynomial
+from vbridge.gauss import parse_gauss_code, strand_table
+from vbridge.laurent import ONE, LaurentPolynomial
 from vbridge.linkgroup import (
+    IdealCertificate,
     Relation,
     _minor_determinants,
     alexander_core,
@@ -18,6 +19,7 @@ from vbridge.linkgroup import (
     wirtinger_presentation,
 )
 from vbridge.parity import parity_lower_bound, parity_projection
+from vbridge.search import one_strand_saturates
 from util import (
     dense_alexander_core,
     enumerate_knot_codes,
@@ -25,6 +27,7 @@ from util import (
     full_matrix_properness_certificate,
     ideal_summary,
     random_knot,
+    random_one_overbridge_code,
     with_signs,
 )
 
@@ -255,6 +258,52 @@ class TestAlexanderCore:
         assert ideal_lower_bound(d3).bound == 2
         assert parity_lower_bound(d3).bound == 2
 
+    def test_one_strand_knots_build_no_core(self, dv, d6, monkeypatch):
+        def core(*args):
+            raise AssertionError("a knot that one strand saturates needs no core")
+
+        monkeypatch.setattr("vbridge.linkgroup.alexander_core", core)
+        monkeypatch.setattr("vbridge.linkgroup.wirtinger_presentation", core)
+        for d in (dv, d6):
+            for result, bounded in (
+                (ideal_lower_bound(d), d),
+                (parity_lower_bound(d), parity_projection(d)),
+            ):
+                units = tuple(
+                    IdealCertificate(k, (ONE,), None, True)
+                    for k in range(1, strand_table(bounded).n_strands)
+                )
+                assert result.bound == 1
+                assert result.certificates == units
+
+    def test_one_strand_knots_have_cores_at_most_one_wide(self, monkeypatch):
+        # a core at most one wide has E_k = (1) for every k >= 1, so the
+        # shortcut's unit certificates are the ones the core gives
+        def diagrams():
+            for n_chords in range(4):
+                for code in enumerate_knot_codes(n_chords):
+                    for signs in itertools.product("+-", repeat=n_chords):
+                        yield parse_gauss_code(with_signs(code, signs))
+            rng = random.Random(1717)
+            for code in enumerate_knot_codes(4):
+                yield parse_gauss_code(with_signs(code, [rng.choice("+-") for _ in range(4)]))
+            for _ in range(300):
+                yield random_knot(rng, max_chords=40, min_chords=5)
+            for _ in range(100):
+                yield parse_gauss_code(random_one_overbridge_code(rng, 40, min_chords=5))
+
+        saturated = []
+        for d in diagrams():
+            for e in {d, parity_projection(d)}:
+                if one_strand_saturates(e):
+                    assert alexander_core(wirtinger_presentation(e)).n_cols <= 1, e
+                    saturated.append((e, ideal_lower_bound(e)))
+        assert len(saturated) > 4000
+        assert max(e.n_chords for e, _ in saturated) >= 30
+        monkeypatch.setattr("vbridge.linkgroup.one_strand_saturates", lambda d: False)
+        for e, result in saturated:
+            assert ideal_lower_bound(e) == result, e
+
     def test_deadline_stops_the_bounds(self, d3):
         core = alexander_core(wirtinger_presentation(d3))
         assert core.n_cols > 0
@@ -267,6 +316,14 @@ class TestAlexanderCore:
             _minor_determinants(core, 1, deadline=past)
         future = time.perf_counter() + 60.0
         assert ideal_lower_bound(d3, deadline=future).bound == 2
+
+    def test_deadline_stops_the_one_strand_shortcut(self, dv):
+        assert one_strand_saturates(dv)
+        past = time.perf_counter() - 1.0
+        with pytest.raises(SearchTimeoutError):
+            ideal_lower_bound(dv, deadline=past)
+        with pytest.raises(SearchTimeoutError):
+            parity_lower_bound(dv, deadline=past)
 
     def test_deadline_stops_wide_core_minors(self):
         # the 100-chord knot of this draw has an 11x11 core, and a few dozen
