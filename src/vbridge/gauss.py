@@ -15,8 +15,13 @@ This module owns the token codec and the strand table.  ``parse_gauss_code``
 tokenizes a code and ``from_tokens`` builds the validated diagram from
 per-component ``(kind, label, sign)`` tokens; ``component_tokens`` is its
 inverse and ``to_gauss_code`` the only formatter.  Other modules rewrite a
-diagram as tokens, never as text.  Each diagram builds its strand table
-once, on first use, and the table is freed with the diagram.
+diagram as tokens, never as text.  Each diagram builds its chord index and
+strand table once, on first use, and they are freed with the diagram.
+
+Each stage is one pass: a component is checked with one pattern match and
+read with one ``findall``; ``from_tokens`` collects each label's ends in
+the walk that builds the endpoints; the strand table slices each
+component's tails between consecutive heads.
 
 The records a parse and a strand table build many of (``Endpoint``,
 ``Chord``, ``Strand``, ``HeadIncidence``) are named tuples, which cost
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -41,6 +45,8 @@ TAIL = "O"
 HEAD = "U"
 
 _TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
+_COMPONENT = re.compile(r"(?:[OU][0-9]+[+-])+")
+_SIGN = {"+": 1, "-": -1}
 
 Token = tuple[str, int, int]  # (kind, chord label, sign)
 
@@ -68,6 +74,11 @@ class GaussDiagram:
     components: tuple[tuple[Endpoint, ...], ...]
     chords: tuple[Chord, ...]  # ascending by chord id
 
+    # Built on first use and kept on the instance.  Unannotated, so not
+    # fields: they take no part in construction, equality, hash or repr.
+    _chord_index = None
+    _strand_table = None
+
     @property
     def n_components(self) -> int:
         return len(self.components)
@@ -76,16 +87,12 @@ class GaussDiagram:
     def n_chords(self) -> int:
         return len(self.chords)
 
-    @cached_property
-    def _chord_index(self) -> dict:
-        return {c.id: c for c in self.chords}
-
     def chord(self, chord_id: int) -> Chord:
-        return self._chord_index[chord_id]
-
-    @cached_property
-    def _strand_table(self) -> StrandTable:
-        return _build_strand_table(self)
+        index = self._chord_index
+        if index is None:
+            index = {c.id: c for c in self.chords}
+            object.__setattr__(self, "_chord_index", index)
+        return index[chord_id]
 
 
 class Strand(NamedTuple):
@@ -142,7 +149,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
 
 def _tokenize(text: str) -> list[list[Token]]:
-    stripped = re.sub(r"\s+", "", text or "")
+    stripped = "".join((text or "").split())
     if not stripped:
         raise EmptyInputError("no components in Gauss code")
     out = []
@@ -152,47 +159,58 @@ def _tokenize(text: str) -> list[list[Token]]:
             continue
         if not comp_text:
             raise GaussSyntaxError(f"component {ci} is empty; use '.' for a chordless circle")
-        tokens = []
-        pos = 0
-        while pos < len(comp_text):
-            m = _TOKEN.match(comp_text, pos)
-            if m is None:
-                raise GaussSyntaxError(f"bad token at {comp_text[pos:pos + 8]!r} in component {ci}")
-            kind, label_text, sign_text = m.groups()
-            tokens.append((kind, int(label_text), 1 if sign_text == "+" else -1))
-            pos = m.end()
-        out.append(tokens)
+        if _COMPONENT.fullmatch(comp_text) is None:
+            raise GaussSyntaxError(f"bad token at {_bad_token(comp_text)!r} in component {ci}")
+        out.append(
+            [(kind, int(label), _SIGN[sign]) for kind, label, sign in _TOKEN.findall(comp_text)]
+        )
     return out
+
+
+def _bad_token(comp_text: str) -> str:
+    """Up to eight characters from the first position where no token
+    starts, in a component that fails the component pattern."""
+    pos = 0
+    while (m := _TOKEN.match(comp_text, pos)) is not None:
+        pos = m.end()
+    return comp_text[pos:pos + 8]
 
 
 def from_tokens(component_tokens: Sequence[Sequence[Token]]) -> GaussDiagram:
     """Build a validated diagram from per-component token lists; an empty
-    list is a chordless circle.  Raises the errors of parse_gauss_code."""
+    list is a chordless circle.  Raises the errors of parse_gauss_code:
+    a label below 1 first, in code order; then, by ascending label, an
+    unbalanced chord before a sign mismatch."""
     if not component_tokens:
         raise EmptyInputError("no components in Gauss code")
-    components = tuple(
-        tuple(Endpoint(kind, label, ci, pos) for pos, (kind, label, _) in enumerate(tokens))
-        for ci, tokens in enumerate(component_tokens)
-    )
-    occurrences: dict[int, list[tuple[Endpoint, int]]] = {}
-    for comp, tokens in zip(components, component_tokens):
-        for e, (_, label, sign) in zip(comp, tokens):
+    components = []
+    ends: dict[int, list] = {}  # label -> [endpoint, sign, ...] in code order
+    for ci, tokens in enumerate(component_tokens):
+        comp = []
+        for pos, (kind, label, sign) in enumerate(tokens):
             if label < 1:
                 raise GaussSyntaxError(f"chord label must be positive, got {label}")
-            occurrences.setdefault(label, []).append((e, sign))
+            e = Endpoint(kind, label, ci, pos)
+            comp.append(e)
+            seen = ends.get(label)
+            if seen is None:
+                ends[label] = [e, sign]
+            else:
+                seen += (e, sign)
+        components.append(tuple(comp))
 
     chords = []
-    for label, occ in sorted(occurrences.items()):
-        if sorted(e.kind for e, _ in occ) != [TAIL, HEAD]:
+    for label, seen in sorted(ends.items()):
+        if len(seen) != 4 or {seen[0].kind, seen[2].kind} != {TAIL, HEAD}:
             raise UnbalancedChordError(
                 f"chord {label} must appear exactly once as O and once as U"
             )
-        (first, sign), (second, other_sign) = occ
+        first, sign, second, other_sign = seen
         if sign != other_sign:
             raise SignMismatchError(f"chord {label} carries both signs")
         tail, head = (first, second) if first.kind == TAIL else (second, first)
         chords.append(Chord(label, sign, tail, head))
-    return GaussDiagram(components, tuple(chords))
+    return GaussDiagram(tuple(components), tuple(chords))
 
 
 def component_tokens(d: GaussDiagram) -> list[list[Token]]:
@@ -218,62 +236,50 @@ def strand_table(d: GaussDiagram) -> StrandTable:
     Strand ids are dense and deterministic: components in order, and within
     a component by the position of the terminating arrowhead.
     """
-    return d._strand_table
+    table = d._strand_table
+    if table is None:
+        table = _build_strand_table(d)
+        object.__setattr__(d, "_strand_table", table)
+    return table
 
 
 def _build_strand_table(d: GaussDiagram) -> StrandTable:
+    """One walk per component: the tails between consecutive heads form a
+    strand, and each chord id maps to the strand carrying its tail."""
     strands: list[Strand] = []
-    pos_to_strand: list[list[int]] = []
-    comp_base: list[int] = []
-    comp_heads: list[list[int]] = []
+    tail_strand: dict[int, int] = {}  # chord id -> strand carrying its arrowtail
+    heads: list[tuple[int, int, int, int, int]] = []  # (chord, before, after, component, position)
 
     for ci, comp in enumerate(d.components):
-        length = len(comp)
-        head_positions = [p for p in range(length) if comp[p].kind == HEAD]
-        comp_base.append(len(strands))
-        comp_heads.append(head_positions)
-        mapping = [-1] * length
+        ids = tuple([e.chord_id for e in comp])
+        head_positions = [e.position for e in comp if e.kind == HEAD]
+        base = len(strands)
         if not head_positions:
-            sid = len(strands)
-            tails = tuple(e.chord_id for e in comp)
-            strands.append(Strand(sid, ci, (0, length), None, tails))
-            for p in range(length):
-                mapping[p] = sid
-        else:
-            m = len(head_positions)
-            for j, hp in enumerate(head_positions):
-                prev = head_positions[(j - 1) % m]
-                start = (prev + 1) % length
-                sid = len(strands)
-                tails = []
-                p = start
-                while p != hp:
-                    mapping[p] = sid
-                    tails.append(comp[p].chord_id)
-                    p = (p + 1) % length
-                strands.append(Strand(sid, ci, (start, hp), hp, tuple(tails)))
-        pos_to_strand.append(mapping)
+            strands.append(Strand(base, ci, (0, len(comp)), None, ids))
+            for cid in ids:
+                tail_strand[cid] = base
+            continue
+        m = len(head_positions)
+        last = len(comp) - 1
+        prev = head_positions[-1]
+        for j, hp in enumerate(head_positions):
+            start = prev + 1 if prev < last else 0
+            tails = ids[start:hp] if start <= hp else ids[start:] + ids[:hp]
+            sid = base + j
+            for cid in tails:
+                tail_strand[cid] = sid
+            strands.append(Strand(sid, ci, (start, hp), hp, tails))
+            heads.append((ids[hp], sid, base + (j + 1) % m, ci, hp))
+            prev = hp
 
-    incidences: list[HeadIncidence] = []
-    for ci in range(len(d.components)):
-        heads = comp_heads[ci]
-        m = len(heads)
-        base = comp_base[ci]
-        for j, hp in enumerate(heads):
-            chord = d.chord(d.components[ci][hp].chord_id)
-            te = chord.tail
-            incidences.append(
-                HeadIncidence(
-                    chord_id=chord.id,
-                    before=base + j,
-                    after=base + (j + 1) % m,
-                    tail_strand=pos_to_strand[te.component][te.position],
-                    sign=chord.sign,
-                    component=ci,
-                    position=hp,
-                )
-            )
-    return StrandTable(tuple(strands), tuple(incidences))
+    chord = d.chord
+    incidences = tuple(
+        [
+            HeadIncidence(cid, before, after, tail_strand[cid], chord(cid).sign, ci, hp)
+            for cid, before, after, ci, hp in heads
+        ]
+    )
+    return StrandTable(tuple(strands), incidences)
 
 
 def bridge_count(d: GaussDiagram) -> int:

@@ -302,8 +302,7 @@ def properness_certificate(
     return None
 
 
-@dataclass(frozen=True)
-class IdealCertificate:
+class IdealCertificate(NamedTuple):
     k: int
     generators: tuple[LaurentPolynomial, ...]
     witness: Optional[tuple[int, int]]  # (prime, unit) or None

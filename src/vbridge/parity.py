@@ -1,9 +1,12 @@
 """Gaussian parity of chords and the parity projection of a knot diagram.
 
 The parity of a chord is the number of chords interleaving it, mod 2; the
-projection deletes every odd chord.  Bridge-type lower bounds computed on
-the projection are bounds for the original knot, and the projection of a
-classical (all-even) diagram is the diagram itself.
+projection deletes every odd chord.  The ends strictly inside a chord's
+span are two per chord nested in it and one per chord crossing it, so the
+parity is the span length, |head position - tail position| - 1, mod 2.
+Bridge-type lower bounds computed on the projection are bounds for the
+original knot, and the projection of a classical (all-even) diagram is the
+diagram itself.
 """
 
 from __future__ import annotations
@@ -19,24 +22,14 @@ def _require_knot(d: GaussDiagram):
 
 
 def gaussian_parity(d: GaussDiagram) -> dict[int, int]:
-    """Chord id -> parity bit; counts chords whose endpoints alternate with
-    the chord's own around the circle."""
+    """Chord id -> parity bit: the number of chords whose endpoints
+    alternate with the chord's own around the circle, mod 2.
+
+    The |head.position - tail.position| - 1 ends strictly inside a chord's
+    span are two per nested chord and one per crossing chord, so that
+    count mod 2 is the parity; no pair of chords is compared."""
     _require_knot(d)
-    spans = {}
-    for c in d.chords:
-        p, q = sorted((c.tail.position, c.head.position))
-        spans[c.id] = (p, q)
-    out = {}
-    for c in d.chords:
-        p, q = spans[c.id]
-        crossings = 0
-        for other in d.chords:
-            if other.id == c.id:
-                continue
-            a, b = spans[other.id]
-            crossings += (p < a < q) != (p < b < q)
-        out[c.id] = crossings % 2
-    return out
+    return {c.id: (abs(c.head.position - c.tail.position) - 1) % 2 for c in d.chords}
 
 
 def parity_projection(d: GaussDiagram) -> GaussDiagram:

@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CutSplitError, SearchExhaustedError, check_deadline
 from .gauss import GaussDiagram, HeadIncidence, StrandTable, cut_split_witness, strand_table
@@ -56,8 +56,7 @@ class ColoringState:
         return all(c is not None for c in self.assignment)
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     strand: int
     via: Optional[int]  # chord id of the justifying arrowhead; None for seeds
 
@@ -106,8 +105,7 @@ class VerifyResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     subsets_examined: int
     saturation_steps: int
 

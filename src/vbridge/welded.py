@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotAKnotError, NotOneOverbridgeError
 from .gauss import HEAD, TAIL, GaussDiagram, bridge_count, component_tokens, parse_gauss_code, to_gauss_code
 from .search import VerifyResult
 
 
-@dataclass(frozen=True)
-class WeldedMove:
+class WeldedMove(NamedTuple):
     kind: str  # "swap" (adjacent arrowtails) or "r1" (delete a kink chord)
     at: Optional[tuple[int, int]] = None  # swap: cyclically adjacent positions
     chord: Optional[int] = None  # r1: chord id
@@ -113,14 +112,14 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
             labels[j - 1], labels[j] = labels[j], labels[j - 1]
             a, b = run[j - 1], run[j]
             tokens[a], tokens[b] = tokens[b], tokens[a]
-            moves.append(WeldedMove("swap", at=(a, b)))
+            moves.append(WeldedMove("swap", (a, b)))
             j -= 1
 
     for label in head_order:
         pos = [p for p, t in enumerate(tokens) if t[1] == label]
         p, q = pos
         assert q == (p + 1) % len(tokens) or p == (q + 1) % len(tokens)
-        moves.append(WeldedMove("r1", chord=label))
+        moves.append(WeldedMove("r1", None, label))
         tokens = [t for t in tokens if t[1] != label]
 
     assert not tokens

@@ -1,16 +1,27 @@
+import dataclasses
 import gc
+import itertools
 import random
+import re
+import sys
 import weakref
 
 import pytest
 
 from vbridge.errors import (
     EmptyInputError,
+    GaussCodeError,
     GaussSyntaxError,
     SignMismatchError,
     UnbalancedChordError,
 )
 from vbridge.gauss import (
+    Endpoint,
+    GaussDiagram,
+    HeadIncidence,
+    Strand,
+    _build_strand_table,
+    _tokenize,
     bridge_count,
     cut_split_witness,
     component_tokens,
@@ -23,7 +34,16 @@ from vbridge.gauss import (
 )
 from vbridge.search import wirtinger_number
 from conftest import D6_CODE
-from util import enumerate_knot_codes, random_diagram
+from util import (
+    enumerate_knot_codes,
+    oracle_from_tokens,
+    oracle_parse,
+    oracle_strand_table,
+    oracle_tokenize,
+    random_diagram,
+    random_diagram_code,
+    with_signs,
+)
 
 
 class TestParser:
@@ -118,6 +138,147 @@ class TestRecords:
         for record, name in records:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
+
+
+    def test_lazy_caches_are_not_fields(self):
+        a, b = parse_gauss_code(D6_CODE), parse_gauss_code(D6_CODE)
+        strand_table(a)
+        a.chord(1)
+        assert [f.name for f in dataclasses.fields(GaussDiagram)] == ["components", "chords"]
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.chord(1) is a.chords[0]
+
+
+def assert_matches_oracle(code: str) -> GaussDiagram:
+    """Tokens, diagram and strand table of ``code`` equal the oracle's,
+    record types included; returns the diagram."""
+    tokens = _tokenize(code)
+    assert tokens == oracle_tokenize(code), code
+    d = from_tokens(tokens)
+    assert d == oracle_from_tokens(tokens), code
+    table = _build_strand_table(d)
+    assert table == oracle_strand_table(d), code
+    assert all(type(e) is Endpoint for comp in d.components for e in comp)
+    assert all(type(s) is Strand for s in table.strands)
+    assert all(type(i) is HeadIncidence for i in table.incidences)
+    return d
+
+
+class TestOnePassOracle:
+    """The one-pass tokenizer, diagram builder and strand table against the
+    former token-by-token, two-pass and position-walking code."""
+
+    def test_every_knot_code_up_to_four_chords_every_sign(self):
+        checked = 0
+        for n in range(5):
+            for code in enumerate_knot_codes(n):
+                for signs in itertools.product("+-", repeat=n):
+                    assert_matches_oracle(with_signs(code, signs))
+                    checked += 1
+        assert checked == 1 + 2 * 2 + 12 * 4 + 120 * 8 + 1680 * 16
+
+    def test_seeded_random_knots_up_to_forty_chords(self):
+        rng = random.Random(1801)
+        for _ in range(300):
+            assert_matches_oracle(random_diagram_code(rng, max_chords=40, max_components=1))
+
+    def test_seeded_random_links_up_to_thirty_two_chords(self):
+        rng = random.Random(1802)
+        sizes = set()
+        for _ in range(300):
+            code = random_diagram_code(rng, max_chords=32, max_components=3, min_components=2)
+            sizes.add(assert_matches_oracle(code).n_components)
+        assert sizes == {2, 3}
+
+    def test_every_whitespace_character_is_dropped_as_the_regex_did(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = [c for c in every if c.isspace()]
+        assert spaces == re.findall(r"\s", every)
+        code = "".join(spaces) + "O1+" + "".join(spaces) + "U1+|" + "".join(spaces) + "."
+        assert assert_matches_oracle(code) == parse_gauss_code("O1+U1+|.")
+
+
+def _failure(parse, code):
+    try:
+        parse(code)
+    except GaussCodeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMalformedInputOracle:
+    """Malformed codes raise the oracle's error class with its message; the
+    two-fault codes pin the order in which faults are reported."""
+
+    CASES = [
+        ("", EmptyInputError),
+        ("  \t\n", EmptyInputError),
+        ("|", GaussSyntaxError),
+        ("O1+U1+|", GaussSyntaxError),
+        ("O1+U1+||O2+U2+", GaussSyntaxError),
+        ("O1+X1+", GaussSyntaxError),
+        ("O1+U1+Z2+U2+O3+U3+", GaussSyntaxError),
+        ("O1*U1+", GaussSyntaxError),
+        ("O1+U1", GaussSyntaxError),
+        ("O1U1+", GaussSyntaxError),
+        ("OU+", GaussSyntaxError),
+        ("O0+U0+", GaussSyntaxError),
+        ("O00+U00+", GaussSyntaxError),
+        ("O1+U1+O1+", UnbalancedChordError),
+        ("O1+O1+", UnbalancedChordError),
+        ("O1-U2-", UnbalancedChordError),
+        ("O1+|O1+", UnbalancedChordError),
+        ("O1+U1-", SignMismatchError),
+        ("O1+|U1-", SignMismatchError),
+        # two faults: the tokenizer's come first, component by component
+        ("|O1+X1+", GaussSyntaxError),
+        ("O1+X1+|", GaussSyntaxError),
+        ("O0+X", GaussSyntaxError),
+        # a label below 1 before any chord fault, wherever it sits
+        ("O1+U1-O2+O2+O0+U0+", GaussSyntaxError),
+        # by ascending label: the lower label's fault is the one reported
+        ("O2+U2-O1+O1+", UnbalancedChordError),
+        ("O1+U1-O2+O2+", SignMismatchError),
+        # one label, both faults: unbalanced before the sign mismatch
+        ("O1+O1-", UnbalancedChordError),
+        ("O1+U1-O1+", UnbalancedChordError),
+    ]
+
+    @pytest.mark.parametrize("code,error", CASES)
+    def test_same_error_and_message_as_the_oracle(self, code, error):
+        expected = _failure(oracle_parse, code)
+        assert expected is not None and expected[0] is error
+        assert _failure(parse_gauss_code, code) == expected
+
+    def test_ascending_label_order_is_reported(self):
+        assert _failure(parse_gauss_code, "O2+U2-O1+O1+")[1] == (
+            "chord 1 must appear exactly once as O and once as U"
+        )
+        assert _failure(parse_gauss_code, "O1+U1-O2+O2+")[1] == "chord 1 carries both signs"
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            [[("O", 1, 1), ("O", 0, 1)], [("U", -5, 1)]],
+            [[("U", -5, 1)], [("O", 0, 1)]],
+            [[("O", 3, 1), ("U", 3, -1), ("O", -1, 1)]],
+            [[("O", 1, 1), ("U", 1, 1), ("X", 2, 1), ("U", 2, 1)]],
+            [[("O", 1, 1)], [("U", 1, 1)], [("O", 1, 1)]],
+        ],
+    )
+    def test_token_lists_fail_as_in_the_oracle(self, tokens):
+        expected = _failure(oracle_from_tokens, tokens)
+        assert expected is not None
+        assert _failure(from_tokens, tokens) == expected
+
+    def test_labels_below_one_are_reported_in_code_order(self):
+        assert _failure(from_tokens, [[("O", 1, 1), ("O", 0, 1)], [("U", -5, 1)]])[1] == (
+            "chord label must be positive, got 0"
+        )
+        assert _failure(from_tokens, [[("U", -5, 1)], [("O", 0, 1)]])[1] == (
+            "chord label must be positive, got -5"
+        )
 
 
 class TestStrands:

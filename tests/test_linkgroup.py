@@ -258,6 +258,15 @@ class TestAlexanderCore:
         assert ideal_lower_bound(d3).bound == 2
         assert parity_lower_bound(d3).bound == 2
 
+    def test_certificates_are_tuples(self, d3):
+        cert = ideal_lower_bound(d3).certificates[0]
+        assert type(cert) is IdealCertificate
+        assert cert == (cert.k, cert.generators, cert.witness, cert.nontrivial)
+        assert cert.qualifies
+        assert not cert._replace(witness=None).qualifies
+        with pytest.raises(AttributeError):
+            cert.k = 2
+
     def test_one_strand_knots_build_no_core(self, dv, d6, monkeypatch):
         def core(*args):
             raise AssertionError("a knot that one strand saturates needs no core")

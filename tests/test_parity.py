@@ -6,7 +6,7 @@ from vbridge.errors import NotAKnotError
 from vbridge.gauss import parse_gauss_code, to_gauss_code
 from vbridge.linkgroup import ideal_lower_bound
 from vbridge.parity import gaussian_parity, parity_lower_bound, parity_projection
-from util import random_knot
+from util import enumerate_knot_codes, quadratic_gaussian_parity, random_knot
 
 
 class TestGaussianParity:
@@ -25,6 +25,17 @@ class TestGaussianParity:
     def test_links_rejected(self):
         with pytest.raises(NotAKnotError):
             gaussian_parity(parse_gauss_code("O1+|U1+"))
+
+    def test_span_length_matches_the_pairwise_count(self):
+        # every code up to 4 chords, then seeded random knots up to 40 chords;
+        # signs do not enter the parity
+        diagrams = [parse_gauss_code(code) for n in range(5) for code in enumerate_knot_codes(n)]
+        rng = random.Random(1803)
+        diagrams += [random_knot(rng, max_chords=40) for _ in range(1000)]
+        for d in diagrams:
+            parity = gaussian_parity(d)
+            assert parity == quadratic_gaussian_parity(d)
+            assert list(parity) == [c.id for c in d.chords]
 
     def test_interleave_symmetry(self):
         # crossing counts are symmetric, so total interleavings come in pairs

@@ -445,3 +445,18 @@ class TestLowTailChords:
             r = wirtinger_number(d)
             assert low_tail_chords(d, r.sequence).consistent
             done += 1
+
+
+class TestTupleRecords:
+    """Sequence entries and search statistics are named tuples."""
+
+    def test_records_are_read_only_tuples(self, d6):
+        result = wirtinger_number(d6)
+        entry, stats = result.sequence.entries[0], result.stats
+        assert type(entry) is SequenceEntry and entry == (entry.strand, None)
+        assert stats == (stats.subsets_examined, stats.saturation_steps)
+        assert stats._fields == ("subsets_examined", "saturation_steps")
+        assert entry._replace(via=3) == SequenceEntry(entry.strand, 3)
+        for record, name in ((entry, "via"), (stats, "subsets_examined")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)

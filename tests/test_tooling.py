@@ -1,9 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import vbridge.batch
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACING = SRC.parent / "pipebench" / "tracing.py"
 
 
 def test_import_loads_no_numpy_or_numba():
@@ -32,3 +36,14 @@ def test_pytest_finds_the_package_without_pythonpath():
         check=True,
         capture_output=True,
     )
+
+
+def test_traced_benchmark_names_exist_in_batch():
+    # the traced benchmark run replaces each BOUNDARY name on vbridge.batch
+    # with a timing wrapper and checks rows against the wrapped calls, so a
+    # renamed or dropped import would break it
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for name in tracing.BOUNDARY if not hasattr(vbridge.batch, name)]
+    assert tracing.BOUNDARY and not missing

@@ -175,3 +175,19 @@ class TestJsonRoundtrip:
             UnknottingCertificate.from_json_dict(
                 {"initial": ".", "moves": [{"kind": "slide"}], "final": "."}
             )
+
+
+class TestMoveRecords:
+    def test_moves_are_tuples_with_defaults(self, dv):
+        swap, r1 = WeldedMove("swap", at=(0, 1)), WeldedMove("r1", chord=2)
+        assert swap == ("swap", (0, 1), None) and r1 == ("r1", None, 2)
+        assert swap._fields == ("kind", "at", "chord")
+        assert r1._replace(chord=1) == WeldedMove("r1", chord=1)
+        assert [m.to_json_dict() for m in (swap, r1)] == [
+            {"kind": "swap", "at": [0, 1]},
+            {"kind": "r1", "chord": 2},
+        ]
+        cert = welded_unknot_certificate(dv)
+        assert all(type(m) is WeldedMove for m in cert.moves)
+        with pytest.raises(AttributeError):
+            swap.at = (1, 2)

@@ -10,7 +10,11 @@ check that the bound on the Alexander core gives the same bound, witnesses
 and nontriviality flags.  The dense Alexander core is the former library
 elimination on the full ``LaurentPolynomial`` matrix, kept verbatim to
 check that the core built from sparse integer rows is the same entry for
-entry.
+entry.  The token-by-token tokenizer, the two-pass diagram builder, the
+position-walking strand table and the pairwise Gaussian parity are the
+former library code, kept verbatim to check that the one-pass
+replacements build equal diagrams, tables and parities and raise the same
+errors with the same messages.
 """
 
 from __future__ import annotations
@@ -24,8 +28,25 @@ from typing import Optional
 
 import numpy as np
 
-from vbridge.errors import NotAKnotError
-from vbridge.gauss import GaussDiagram, parse_gauss_code, strand_table
+from vbridge.errors import (
+    EmptyInputError,
+    GaussSyntaxError,
+    NotAKnotError,
+    SignMismatchError,
+    UnbalancedChordError,
+)
+from vbridge.gauss import (
+    HEAD,
+    TAIL,
+    Chord,
+    Endpoint,
+    GaussDiagram,
+    HeadIncidence,
+    Strand,
+    StrandTable,
+    parse_gauss_code,
+    strand_table,
+)
 from vbridge.laurent import ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
     AlexanderMatrix,
@@ -38,6 +59,145 @@ from vbridge.linkgroup import (
 )
 
 _NP_CHECK_EVERY = 256
+_ORACLE_TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
+
+
+def oracle_tokenize(text: str) -> list[list[tuple[str, int, int]]]:
+    """Per-component (kind, label, sign) tokens, matched one token at a
+    time."""
+    stripped = re.sub(r"\s+", "", text or "")
+    if not stripped:
+        raise EmptyInputError("no components in Gauss code")
+    out = []
+    for ci, comp_text in enumerate(stripped.split("|")):
+        if comp_text == ".":
+            out.append([])
+            continue
+        if not comp_text:
+            raise GaussSyntaxError(f"component {ci} is empty; use '.' for a chordless circle")
+        tokens = []
+        pos = 0
+        while pos < len(comp_text):
+            m = _ORACLE_TOKEN.match(comp_text, pos)
+            if m is None:
+                raise GaussSyntaxError(f"bad token at {comp_text[pos:pos + 8]!r} in component {ci}")
+            kind, label_text, sign_text = m.groups()
+            tokens.append((kind, int(label_text), 1 if sign_text == "+" else -1))
+            pos = m.end()
+        out.append(tokens)
+    return out
+
+
+def oracle_from_tokens(component_tokens) -> GaussDiagram:
+    """The diagram of per-component tokens: endpoints first, then every
+    label checked in a second pass by sorting the kinds of its ends."""
+    if not component_tokens:
+        raise EmptyInputError("no components in Gauss code")
+    components = tuple(
+        tuple(Endpoint(kind, label, ci, pos) for pos, (kind, label, _) in enumerate(tokens))
+        for ci, tokens in enumerate(component_tokens)
+    )
+    occurrences: dict[int, list[tuple[Endpoint, int]]] = {}
+    for comp, tokens in zip(components, component_tokens):
+        for e, (_, label, sign) in zip(comp, tokens):
+            if label < 1:
+                raise GaussSyntaxError(f"chord label must be positive, got {label}")
+            occurrences.setdefault(label, []).append((e, sign))
+
+    chords = []
+    for label, occ in sorted(occurrences.items()):
+        if sorted(e.kind for e, _ in occ) != [TAIL, HEAD]:
+            raise UnbalancedChordError(
+                f"chord {label} must appear exactly once as O and once as U"
+            )
+        (first, sign), (second, other_sign) = occ
+        if sign != other_sign:
+            raise SignMismatchError(f"chord {label} carries both signs")
+        tail, head = (first, second) if first.kind == TAIL else (second, first)
+        chords.append(Chord(label, sign, tail, head))
+    return GaussDiagram(components, tuple(chords))
+
+
+def oracle_parse(text: str) -> GaussDiagram:
+    return oracle_from_tokens(oracle_tokenize(text))
+
+
+def oracle_strand_table(d: GaussDiagram) -> StrandTable:
+    """Strand table from a walk over every position of every strand."""
+    strands: list[Strand] = []
+    pos_to_strand: list[list[int]] = []
+    comp_base: list[int] = []
+    comp_heads: list[list[int]] = []
+
+    for ci, comp in enumerate(d.components):
+        length = len(comp)
+        head_positions = [p for p in range(length) if comp[p].kind == HEAD]
+        comp_base.append(len(strands))
+        comp_heads.append(head_positions)
+        mapping = [-1] * length
+        if not head_positions:
+            sid = len(strands)
+            tails = tuple(e.chord_id for e in comp)
+            strands.append(Strand(sid, ci, (0, length), None, tails))
+            for p in range(length):
+                mapping[p] = sid
+        else:
+            m = len(head_positions)
+            for j, hp in enumerate(head_positions):
+                prev = head_positions[(j - 1) % m]
+                start = (prev + 1) % length
+                sid = len(strands)
+                tails = []
+                p = start
+                while p != hp:
+                    mapping[p] = sid
+                    tails.append(comp[p].chord_id)
+                    p = (p + 1) % length
+                strands.append(Strand(sid, ci, (start, hp), hp, tuple(tails)))
+        pos_to_strand.append(mapping)
+
+    incidences: list[HeadIncidence] = []
+    for ci in range(len(d.components)):
+        heads = comp_heads[ci]
+        m = len(heads)
+        base = comp_base[ci]
+        for j, hp in enumerate(heads):
+            chord = d.chord(d.components[ci][hp].chord_id)
+            te = chord.tail
+            incidences.append(
+                HeadIncidence(
+                    chord_id=chord.id,
+                    before=base + j,
+                    after=base + (j + 1) % m,
+                    tail_strand=pos_to_strand[te.component][te.position],
+                    sign=chord.sign,
+                    component=ci,
+                    position=hp,
+                )
+            )
+    return StrandTable(tuple(strands), tuple(incidences))
+
+
+def quadratic_gaussian_parity(d: GaussDiagram) -> dict[int, int]:
+    """Chord id -> parity bit, counting for every chord the chords whose
+    endpoints alternate with its own."""
+    if d.n_components != 1:
+        raise NotAKnotError("Gaussian parity is defined for knot diagrams")
+    spans = {}
+    for c in d.chords:
+        p, q = sorted((c.tail.position, c.head.position))
+        spans[c.id] = (p, q)
+    out = {}
+    for c in d.chords:
+        p, q = spans[c.id]
+        crossings = 0
+        for other in d.chords:
+            if other.id == c.id:
+                continue
+            a, b = spans[other.id]
+            crossings += (p < a < q) != (p < b < q)
+        out[c.id] = crossings % 2
+    return out
 
 
 def enumerate_knot_codes(n_chords: int):
@@ -271,7 +431,18 @@ def random_diagram(
 ) -> GaussDiagram:
     """Random valid diagram: chords placed on random components at random
     positions, random signs.  Components may come out chordless."""
-    n_comps = rng.randint(1, max_components)
+    return parse_gauss_code(random_diagram_code(rng, max_chords, max_components, min_chords))
+
+
+def random_diagram_code(
+    rng: random.Random,
+    max_chords: int = 8,
+    max_components: int = 2,
+    min_chords: int = 0,
+    min_components: int = 1,
+) -> str:
+    """The code of ``random_diagram``, drawn the same way."""
+    n_comps = rng.randint(min_components, max_components)
     n_chords = rng.randint(min_chords, max_chords)
     per_comp: list[list[str]] = [[] for _ in range(n_comps)]
     for label in range(1, n_chords + 1):
@@ -280,8 +451,7 @@ def random_diagram(
             comp = rng.randrange(n_comps)
             slot = rng.randint(0, len(per_comp[comp]))
             per_comp[comp].insert(slot, f"{kind}{label}{sign}")
-    code = "|".join("".join(tokens) if tokens else "." for tokens in per_comp)
-    return parse_gauss_code(code)
+    return "|".join("".join(tokens) if tokens else "." for tokens in per_comp)
 
 
 def random_knot(rng: random.Random, max_chords: int = 8, min_chords: int = 1) -> GaussDiagram:
