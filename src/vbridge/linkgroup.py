@@ -10,6 +10,16 @@ certified proper by a prime p and unit u with every generator vanishing at
 t = u over Z/p; such a certificate at index k puts the bridge number above
 k, hence the lower bound 1 + max qualifying k.
 
+The smallest witness is found without evaluating every generator at every
+(p, u).  For u != 0 the common roots of the generators mod p are exactly
+the roots of their gcd over Z/p, so u comes from Horner's rule on that gcd.
+A common root mod p of two generators f and g makes p divide their
+resultant, since Res(f, g) = A f + B g with A, B in Z[t]; so once one
+prime shows no common root, the integer resultant of the first two nonzero
+generators (by the subresultant remainder sequence) rules out every prime
+that does not divide it.  Both only pass over pairs with no common root,
+so the witness is the same.
+
 Every row has a unit -1 in its ``after`` column, so the bound first
 eliminates unit pivots +-t^m (``alexander_core``) and takes minors of the
 small matrix left over: the elementary ideals are invariants of the module
@@ -28,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BadIdealIndexError, NotAKnotError, check_deadline
@@ -246,16 +257,23 @@ def _primes_upto(bound: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _poly_mod(g: LaurentPolynomial, p: int) -> list[int]:
-    """Coefficients over Z/p of g times a power of t that makes it a
-    polynomial, lowest degree first, with no zero leading coefficient;
-    [] for zero.  The shift keeps the roots u != 0."""
+def _integer_poly(g: LaurentPolynomial) -> list[int]:
+    """Integer coefficients of g times the power of t that gives it a
+    nonzero constant term, lowest degree first; [] for zero.  The shift
+    keeps the roots u != 0 of g modulo any prime."""
     span = g.degree_range()
     if span is None:
         return []
     out = [0] * (span[1] - span[0] + 1)
     for e, c in g.items():
-        out[e - span[0]] = c % p
+        out[e - span[0]] = c
+    return out
+
+
+def _poly_mod(g: LaurentPolynomial, p: int) -> list[int]:
+    """``_integer_poly(g)`` over Z/p with no zero leading coefficient;
+    [] when g vanishes mod p."""
+    out = [c % p for c in _integer_poly(g)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -283,21 +301,100 @@ def _gcd_mod(gens: Sequence[LaurentPolynomial], p: int) -> list[int]:
     return a
 
 
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z, as ``_integer_poly``
+    lists with no zero leading coefficient; deg a >= deg b."""
+    lead, n = b[-1], len(b)
+    unused = len(a) - n + 1  # powers of lc(b) left to multiply in
+    while len(a) >= n:
+        f = a[-1]
+        a = [c * lead for c in a[:-1]]
+        shift = len(a) - n + 1
+        for i in range(n - 1):
+            a[shift + i] -= f * b[i]
+        unused -= 1
+        while a and not a[-1]:
+            a.pop()
+    scale = lead**unused
+    return [c * scale for c in a]
+
+
+def _resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of two integer polynomials, lowest degree first with
+    nonzero leading coefficients, not both constant: the subresultant
+    polynomial remainder sequence, whose every division is exact, in
+    O(deg f * deg g) operations on integers."""
+    a, b, sign = f, g, 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    lead = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        div = lead * h**delta
+        a, b = b, [c // div for c in r]
+        lead = a[-1]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+    deg = len(a) - 1
+    return sign * b[-1] ** deg // h ** (deg - 1)
+
+
+def _resultant_filter(gens: Sequence[LaurentPolynomial]) -> int:
+    """An integer N divisible by every prime over which the generators
+    share a root u != 0; 0 when no such N is at hand.
+
+    N is Res(f, g) of the first two nonzero generators as ``_integer_poly``
+    polynomials, or gcd(f, g) when both are constants (their resultant
+    would be 1).  Res(f, g) = A f + B g with A, B in Z[t], so a common root
+    u mod p gives p | N.  N = 0 when f and g share a factor over Q, or when
+    there are fewer than two."""
+    pair = [_integer_poly(h) for h in islice((h for h in gens if not h.is_zero), 2)]
+    if len(pair) < 2:
+        return 0
+    f, g = pair
+    if len(f) == len(g) == 1:
+        return gcd(f[0], g[0])
+    return _resultant(f, g)
+
+
 def properness_certificate(
     gens: Sequence[LaurentPolynomial], prime_bound: int = 97
 ) -> Optional[tuple[int, int]]:
     """Smallest (prime p, unit u) with every generator vanishing at t = u
     over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
-    proper; failure to find one proves nothing.  A unit generator +-t^m
-    vanishes nowhere, so it ends the scan at once, and a prime over which
-    the generators' gcd is a nonzero constant has no common root to scan."""
+    proper; failure to find one proves nothing.
+
+    A unit generator +-t^m vanishes nowhere, so it ends the scan at once.
+    For u != 0 the common roots of the generators mod p are exactly the
+    roots of their gcd over Z/p (``_gcd_mod``), so u is found by Horner's
+    rule on that gcd; the gcd [] (every generator vanishes mod p) gives
+    u = 1.  A prime over which the gcd is a nonzero constant has no
+    common root; the first such prime computes ``_resultant_filter``'s N,
+    and from then on every prime not dividing N is skipped unscanned,
+    since a common root mod p makes p divide N.  Both steps only skip
+    primes and units with no common root, so the witness is unchanged."""
     if any(g.is_unit for g in gens):
         return None
+    res = None  # N, once a prime has shown no common root
     for p in _primes_upto(prime_bound):
-        if len(_gcd_mod(gens, p)) == 1:
+        if res and res % p:
+            continue
+        h = _gcd_mod(gens, p)  # [] when every generator vanishes: u = 1
+        if len(h) == 1:
+            if res is None:
+                res = _resultant_filter(gens)
             continue
         for u in range(1, p):
-            if all(g.evaluate_mod(p, u) == 0 for g in gens):
+            v = 0
+            for c in reversed(h):
+                v = (v * u + c) % p
+            if not v:
                 return p, u
     return None
 
@@ -344,7 +441,10 @@ def ideal_lower_bound(
     best = 0
     for k in range(1, k_hi + 1):
         check_deadline(deadline, _IDEAL)
-        gens = elementary_ideal_generators(core, k, deadline) if k < core.n_cols else [ONE]
+        if k >= core.n_cols:  # E_k = (1)
+            certificates.append(IdealCertificate(k, (ONE,), None, True))
+            continue
+        gens = elementary_ideal_generators(core, k, deadline)
         nontrivial = any(not g.is_zero for g in gens)
         witness = properness_certificate(gens, prime_bound) if gens else None
         cert = IdealCertificate(k, tuple(gens), witness, nontrivial)

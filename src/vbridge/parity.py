@@ -6,13 +6,16 @@ span are two per chord nested in it and one per chord crossing it, so the
 parity is the span length, |head position - tail position| - 1, mod 2.
 Bridge-type lower bounds computed on the projection are bounds for the
 original knot, and the projection of a classical (all-even) diagram is the
-diagram itself.
+diagram itself.  The projection is built from the diagram's own endpoints:
+the kept ones are renumbered in order and their chords rebuilt, with no
+tokenizing or validation, since deleting chords of a valid knot diagram
+leaves a valid one.
 """
 
 from __future__ import annotations
 
 from .errors import NotAKnotError
-from .gauss import GaussDiagram, component_tokens, from_tokens
+from .gauss import Chord, Endpoint, GaussDiagram
 from .linkgroup import IdealBoundResult, ideal_lower_bound
 
 
@@ -39,8 +42,18 @@ def parity_projection(d: GaussDiagram) -> GaussDiagram:
     parity = gaussian_parity(d)
     if not any(parity.values()):
         return d
-    [tokens] = component_tokens(d)
-    return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
+    kept = {}  # old position -> endpoint renumbered in the projection
+    for e in d.components[0]:
+        if not parity[e.chord_id]:
+            kept[e.position] = Endpoint(e.kind, e.chord_id, 0, len(kept))
+    chords = tuple(
+        [
+            Chord(c.id, c.sign, kept[c.tail.position], kept[c.head.position])
+            for c in d.chords
+            if not parity[c.id]
+        ]
+    )
+    return GaussDiagram((tuple(kept.values()),), chords)
 
 
 def parity_lower_bound(

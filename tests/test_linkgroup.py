@@ -7,10 +7,14 @@ import pytest
 from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from vbridge.gauss import parse_gauss_code, strand_table
 from vbridge.laurent import ONE, LaurentPolynomial
+from vbridge import linkgroup
 from vbridge.linkgroup import (
     IdealCertificate,
     Relation,
     _minor_determinants,
+    _primes_upto,
+    _resultant,
+    _resultant_filter,
     alexander_core,
     alexander_matrix,
     elementary_ideal_generators,
@@ -25,9 +29,11 @@ from util import (
     enumerate_knot_codes,
     full_matrix_ideal_lower_bound,
     full_matrix_properness_certificate,
+    gcd_scan_properness_certificate,
     ideal_summary,
     random_knot,
     random_one_overbridge_code,
+    sylvester_resultant,
     with_signs,
 )
 
@@ -143,6 +149,126 @@ class TestPropernessCertificate:
             if case % 3 == 0:
                 gens = [g * factor for g in gens]
             assert properness_certificate(gens) == full_matrix_properness_certificate(gens), gens
+
+
+def _core_generator_sets(d, into):
+    """Add every elementary-ideal generator set of d's Alexander core."""
+    core = alexander_core(wirtinger_presentation(d))
+    for k in range(core.n_cols):
+        into.add(tuple(elementary_ideal_generators(core, k)))
+
+
+def _random_generators(rng):
+    def poly():
+        lo = rng.randint(-2, 2)
+        return LaurentPolynomial(
+            {lo + i: rng.choice((0, 0, 1, -1, 2, -3, 5, 6)) for i in range(rng.randint(1, 4))}
+        )
+
+    gens = [poly() for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.4:  # a shared root mod every prime but 2, 3 and 5
+        factor = LaurentPolynomial({1: 1, 0: rng.choice((-2, -3, 5))})
+        gens = [g * factor for g in gens]
+    return gens
+
+
+class TestResultantFilteredScan:
+    """The root scan of the gcd, skipping primes that do not divide the
+    resultant, finds the witness of the former gcd scan (kept in
+    tests/util.py) and of the scan over every (prime, unit) pair."""
+
+    T = LaurentPolynomial({1: 1})
+
+    def _assert_same_witness(self, gens):
+        witness = properness_certificate(gens)
+        assert witness == gcd_scan_properness_certificate(gens), gens
+        assert witness == full_matrix_properness_certificate(gens), gens
+        return witness
+
+    def test_core_generators_of_small_codes_and_projections(self):
+        sets = set()
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    d = parse_gauss_code(with_signs(code, signs))
+                    _core_generator_sets(d, sets)
+                    _core_generator_sets(parity_projection(d), sets)
+        witnesses = [self._assert_same_witness(list(gens)) for gens in sets]
+        assert None in witnesses and any(w is not None for w in witnesses)
+
+    def test_core_generators_of_random_knots(self):
+        rng = random.Random(1901)
+        sets = set()
+        for _ in range(300):
+            _core_generator_sets(random_knot(rng, max_chords=14, min_chords=5), sets)
+        for gens in sets:
+            self._assert_same_witness(list(gens))
+
+    def test_hand_cases(self):
+        t = self.T
+        cases = [
+            ([6, -3 * LaurentPolynomial({-1: 1})], (3, 1)),  # two constants: N = gcd = 3
+            ([35, t + 2], (5, 3)),  # N = 35: 3 is skipped
+            ([t * t + t + 1], (3, 1)),  # one generator: no filter
+            ([t - 5], (2, 1)),
+            # a common rational factor 2t + 1: N = 0, no prime may be skipped
+            ([(2 * t + 1) * (t * t + t + 1), (2 * t + 1) * t], (3, 1)),
+            ([0, t + 1, 0, 3], (3, 2)),  # zeros are passed over for N
+            ([0, 0, 5], (5, 1)),
+            ([0], (2, 1)),
+            ([t - 2, t - 3], None),
+        ]
+        cases = [([g + LaurentPolynomial() for g in gens], w) for gens, w in cases]
+        for gens, expected in cases:
+            assert self._assert_same_witness(gens) == expected, gens
+        assert _resultant_filter(cases[0][0]) == 3
+        assert _resultant_filter(cases[4][0]) == 0
+
+    def test_resultant_is_the_sylvester_determinant(self):
+        rng = random.Random(1913)
+        for _ in range(600):
+            f, g = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rng.randint(1, 9))]
+                    for _ in range(2)]
+            f[-1] = f[-1] or 2
+            g[-1] = g[-1] or -1
+            if len(f) == len(g) == 1:
+                continue
+            assert _resultant(f, g) == sylvester_resultant(f, g), (f, g)
+        t = self.T
+        assert _resultant_filter([2 * t + 1, t * t + 1]) == 5
+
+    def test_every_prime_with_a_common_root_divides_the_resultant(self):
+        rng = random.Random(1907)
+        primes = _primes_upto(97)
+        filtered = 0
+        for _ in range(300):
+            gens = _random_generators(rng)
+            n = _resultant_filter(gens)
+            for p in primes:
+                if any(all(g.evaluate_mod(p, u) == 0 for g in gens) for u in range(1, p)):
+                    assert n % p == 0, (gens, p, n)
+            filtered += n != 0
+            self._assert_same_witness(gens)
+        assert filtered > 100  # most sets have a filter to check
+
+    def test_the_filter_skips_the_gcd(self, monkeypatch):
+        primes = []
+        gcd_mod = linkgroup._gcd_mod
+
+        def counted(gens, p):
+            primes.append(p)
+            return gcd_mod(gens, p)
+
+        monkeypatch.setattr(linkgroup, "_gcd_mod", counted)
+        t = self.T
+        # Res(t - 2, t - 3) = +-1: after p = 2 shows no common root, no
+        # prime divides it
+        assert properness_certificate([t - 2, t - 3]) is None
+        assert primes == [2]
+        primes.clear()
+        # Res(t + 1, t^2 - t + 1) = +-3
+        assert properness_certificate([t + 1, t * t - t + 1]) == (3, 2)
+        assert primes == [2, 3]
 
 
 class TestIdealLowerBound:

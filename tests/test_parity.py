@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,13 @@ from vbridge.errors import NotAKnotError
 from vbridge.gauss import parse_gauss_code, to_gauss_code
 from vbridge.linkgroup import ideal_lower_bound
 from vbridge.parity import gaussian_parity, parity_lower_bound, parity_projection
-from util import enumerate_knot_codes, quadratic_gaussian_parity, random_knot
+from util import (
+    enumerate_knot_codes,
+    quadratic_gaussian_parity,
+    random_knot,
+    token_parity_projection,
+    with_signs,
+)
 
 
 class TestGaussianParity:
@@ -86,6 +93,34 @@ class TestParityProjection:
             if p.n_chords:
                 orig = [e.chord_id for e in d.components[0] if e.chord_id in kept]
                 assert [e.chord_id for e in p.components[0]] == orig
+
+    def test_matches_the_token_round_trip(self):
+        # every code up to 4 chords with every sign, then seeded random
+        # knots up to 40 chords
+        diagrams = [
+            parse_gauss_code(with_signs(code, signs))
+            for n in range(5)
+            for code in enumerate_knot_codes(n)
+            for signs in itertools.product("+-", repeat=n)
+        ]
+        rng = random.Random(1911)
+        diagrams += [random_knot(rng, max_chords=40) for _ in range(1000)]
+        circle = parse_gauss_code(".")
+        kinds = set()
+        for d in diagrams:
+            p = parity_projection(d)
+            assert p == token_parity_projection(d), d
+            odd = sum(gaussian_parity(d).values())
+            if not odd:
+                assert p is d
+            elif odd == d.n_chords:
+                assert p == circle
+            kinds.add((not odd, odd == d.n_chords))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_links_rejected(self):
+        with pytest.raises(NotAKnotError):
+            parity_projection(parse_gauss_code("O1+O2+|U1+U2+"))
 
     def test_projection_idempotent_on_fixpoint(self):
         # iterating the projection reaches a diagram it fixes

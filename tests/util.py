@@ -14,7 +14,12 @@ entry.  The token-by-token tokenizer, the two-pass diagram builder, the
 position-walking strand table and the pairwise Gaussian parity are the
 former library code, kept verbatim to check that the one-pass
 replacements build equal diagrams, tables and parities and raise the same
-errors with the same messages.
+errors with the same messages.  The Sylvester-determinant resultant
+checks the subresultant sequence.  The gcd-scan properness certificate and
+the token round-trip parity projection are the former library code, kept
+verbatim to check that the resultant-filtered root scan finds the same
+witnesses and that the projection built from endpoints is the same
+diagram.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import random
 import re
 import time
 from collections import deque
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +50,8 @@ from vbridge.gauss import (
     HeadIncidence,
     Strand,
     StrandTable,
+    component_tokens,
+    from_tokens,
     parse_gauss_code,
     strand_table,
 )
@@ -52,11 +60,13 @@ from vbridge.linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
     IdealCertificate,
+    _gcd_mod,
     _primes_upto,
     alexander_matrix,
     elementary_ideal_generators,
     wirtinger_presentation,
 )
+from vbridge.parity import gaussian_parity
 
 _NP_CHECK_EVERY = 256
 _ORACLE_TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
@@ -329,6 +339,60 @@ def full_matrix_properness_certificate(gens, prime_bound: int = 97):
             if all(g.evaluate_mod(p, u) == 0 for g in gens):
                 return p, u
     return None
+
+
+def gcd_scan_properness_certificate(
+    gens: Sequence[LaurentPolynomial], prime_bound: int = 97
+) -> Optional[tuple[int, int]]:
+    """Smallest (prime p, unit u) with every generator vanishing at t = u
+    over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
+    proper; failure to find one proves nothing.  A unit generator +-t^m
+    vanishes nowhere, so it ends the scan at once, and a prime over which
+    the generators' gcd is a nonzero constant has no common root to scan."""
+    if any(g.is_unit for g in gens):
+        return None
+    for p in _primes_upto(prime_bound):
+        if len(_gcd_mod(gens, p)) == 1:
+            continue
+        for u in range(1, p):
+            if all(g.evaluate_mod(p, u) == 0 for g in gens):
+                return p, u
+    return None
+
+
+def sylvester_resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of integer polynomials (lowest degree first, nonzero
+    leading coefficients, not both constant) as the determinant of their
+    Sylvester matrix, by Gaussian elimination over Q."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for k in range(m + n):
+        pivot = next((i for i in range(k, m + n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for row in rows[k + 1 :]:
+            factor = row[k] / rows[k][k]
+            for j in range(k, m + n):
+                row[j] -= factor * rows[k][j]
+    return int(det)
+
+
+def token_parity_projection(d: GaussDiagram) -> GaussDiagram:
+    """Delete every odd chord, keeping cyclic order, labels and signs.
+    All-odd diagrams project to the chordless circle, and a diagram with
+    no odd chord is returned itself."""
+    parity = gaussian_parity(d)
+    if not any(parity.values()):
+        return d
+    [tokens] = component_tokens(d)
+    return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
 
 
 def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97):
