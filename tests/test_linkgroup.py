@@ -4,10 +4,10 @@ import time
 
 import pytest
 
+from vbridge import linkgroup
 from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
 from vbridge.gauss import parse_gauss_code, strand_table
 from vbridge.laurent import ONE, LaurentPolynomial
-from vbridge import linkgroup
 from vbridge.linkgroup import (
     IdealCertificate,
     Relation,
@@ -166,7 +166,7 @@ def _random_generators(rng):
         )
 
     gens = [poly() for _ in range(rng.randint(1, 4))]
-    if rng.random() < 0.4:  # a shared root mod every prime but 2, 3 and 5
+    if rng.random() < 0.4:  # a common root mod every prime above 5
         factor = LaurentPolynomial({1: 1, 0: rng.choice((-2, -3, 5))})
         gens = [g * factor for g in gens]
     return gens
