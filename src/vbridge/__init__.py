@@ -47,13 +47,10 @@ from .linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
     IdealCertificate,
-    Presentation,
-    Relation,
     alexander_matrix,
     elementary_ideal_generators,
     ideal_lower_bound,
     properness_certificate,
-    wirtinger_presentation,
 )
 from .parity import gaussian_parity, parity_lower_bound, parity_projection
 from .quandle import (
@@ -133,13 +130,10 @@ __all__ = [
     "IdealBoundResult",
     "IdealCertificate",
     "LaurentPolynomial",
-    "Presentation",
-    "Relation",
     "alexander_matrix",
     "elementary_ideal_generators",
     "ideal_lower_bound",
     "properness_certificate",
-    "wirtinger_presentation",
     # parity
     "gaussian_parity",
     "parity_lower_bound",

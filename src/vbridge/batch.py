@@ -45,8 +45,10 @@ CSV_COLUMNS = [
     "elapsed_ms",
 ]
 
-ALL_ANALYSES = frozenset({"ideal", "parity", "quandle", "welded"})
-_BEFORE = {analysis: f"before the {analysis} analysis" for analysis in ALL_ANALYSES}
+# the analyses PipelineConfig.analyses may name; quandle counts run for
+# each table in PipelineConfig.quandles
+ALL_ANALYSES = frozenset({"ideal", "parity", "welded"})
+_BEFORE = {a: f"before the {a} analysis" for a in (*ALL_ANALYSES, "quandle")}
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if unknown := self.analyses - ALL_ANALYSES:
+            raise ValueError(f"unknown analyses {sorted(unknown)}")
         keys = [_quandle_key(q) for q in self.quandles]
         for key in keys:
             if keys.count(key) > 1:
@@ -202,10 +206,10 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
             diagram, config.max_k, config.prime_bound, deadline=deadline, ideal=ideal
         ).bound
     for q in config.quandles:
-        if due("quandle", True):
-            rec.quandle_counts[_quandle_key(q)] = count_colorings(
-                diagram, q, result=result, deadline=deadline
-            )
+        check_deadline(deadline, _BEFORE["quandle"])
+        rec.quandle_counts[_quandle_key(q)] = count_colorings(
+            diagram, q, result=result, deadline=deadline
+        )
     if due("welded", is_knot) and is_one_overbridge(diagram):
         cert = welded_unknot_certificate(diagram)
         rec.welded_unknot = bool(replay_certificate(cert))

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface (``vbridge``, or ``python -m vbridge``).
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 timeout-only
 failures.  Single-diagram commands print JSON; ``batch`` honors --format.
@@ -31,11 +31,7 @@ from .gauss import (
     strand_table,
     to_gauss_code,
 )
-from .linkgroup import (
-    alexander_matrix,
-    ideal_lower_bound,
-    wirtinger_presentation,
-)
+from .linkgroup import alexander_matrix, ideal_lower_bound
 from .parity import gaussian_parity, parity_projection
 from .quandle import load_quandle_table
 from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
@@ -55,14 +51,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(convert, low):
+    """An argparse type: ``convert(text)``, a usage error below ``low``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= low:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 _FLAGS = {
-    "--max-k": dict(type=int, default=None, help="cap on seed-set / ideal index search"),
-    "--time-limit": dict(type=float, default=None, help="per-diagram wall-clock limit in seconds"),
+    "--max-k": dict(type=_at_least(int, 1), default=None, help="cap on seed-set / ideal index search (at least 1)"),
+    "--time-limit": dict(type=_at_least(float, 0), default=None, help="per-diagram wall-clock limit in seconds (at least 0)"),
     "--jobs": dict(type=int, default=1, help="worker processes for batch processing (at least 1)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
     "--certificates": dict(action="store_true", help="embed certificates in JSON output"),
     "--quandle": dict(action="append", default=[], metavar="FILE", help="quandle table file (repeatable)"),
-    "--prime-bound": dict(type=int, default=97, help="largest prime tried for ideal certificates"),
+    "--prime-bound": dict(type=_at_least(int, 2), default=97, help="largest prime tried for ideal certificates (at least 2)"),
 }
 
 # command -> (help, the flags it reads)
@@ -188,15 +197,15 @@ def _dispatch(args) -> int:
 
     if cmd == "alexander":
         deadline = None if args.time_limit is None else time.perf_counter() + args.time_limit
-        pres = wirtinger_presentation(d)
-        matrix = alexander_matrix(pres)
+        table = strand_table(d)
+        matrix = alexander_matrix(d)
         result = ideal_lower_bound(
             d, k_max=args.max_k, prime_bound=args.prime_bound, deadline=deadline
         )
         _emit(
             {
-                "generators": len(pres.generators),
-                "relations": len(pres.relations),
+                "generators": table.n_strands,
+                "relations": len(table.incidences),
                 "matrix": [[str(entry) for entry in row] for row in matrix.rows],
                 "ideals": [
                     {
@@ -216,7 +225,7 @@ def _dispatch(args) -> int:
         if not args.quandle:
             raise _UsageError("quandle command needs at least one --quandle FILE")
         quandles = tuple(load_quandle_table(path) for path in args.quandle)
-        rec = _analyze(args, d, analyses=frozenset({"quandle"}), quandles=quandles)
+        rec = _analyze(args, d, analyses=frozenset(), quandles=quandles)
         # the sandwich |X| <= colorings <= |X|^omega; counts follow the table order
         sandwich = {
             key: q.order <= count <= q.order ** rec.omega_d
@@ -255,3 +264,7 @@ def _cmd_batch(args) -> int:
     if any(r.status == "timeout" for r in records):
         return EXIT_TIMEOUT
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,9 +14,11 @@ may join two different components.
 This module owns the token codec and the strand table.  ``parse_gauss_code``
 tokenizes a code and ``from_tokens`` builds the validated diagram from
 per-component ``(kind, label, sign)`` tokens; ``component_tokens`` is its
-inverse and ``to_gauss_code`` the only formatter.  Other modules rewrite a
-diagram as tokens, never as text.  Each diagram builds its chord index and
-strand table once, on first use, and they are freed with the diagram.
+inverse and ``to_gauss_code`` the only formatter.  ``welded`` walks a
+diagram's tokens and keeps its code as text in a certificate, and
+``parity_projection`` builds a diagram from endpoints.  Each diagram builds
+its chord index and strand table once, on first use, and they are freed
+with the diagram.
 
 Each stage is one pass: a component is checked with one pattern match and
 read with one ``findall``; ``from_tokens`` collects each label's ends in

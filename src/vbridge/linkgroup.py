@@ -1,9 +1,9 @@
 """Wirtinger presentation, Alexander matrix and elementary-ideal bounds.
 
-One generator per strand, one relation per chord: at an arrowhead the
-outgoing strand is the incoming one conjugated by the tail strand,
-a_after = b^e a_before b^-e with e the chord sign.  Fox derivatives of that
-relation, abelianized to Z[t, 1/t], give the Alexander matrix row
+The strand table is the Wirtinger presentation: a generator per strand, a
+relation per head incidence, a_after = b^e a_before b^-e with b the tail
+strand and e the chord sign.  Fox derivatives of that relation,
+abelianized to Z[t, 1/t], give the Alexander matrix row (``_fox_rows``)
   column a_after: -1,  column a_before: t^e,  column b: 1 - t^e,
 with coincident generators accumulating.  A size-(n-k) minor ideal is
 certified proper by a prime p and unit u with every generator vanishing at
@@ -23,10 +23,10 @@ so the witness is the same.
 Every row has a unit -1 in its ``after`` column, so the bound first
 eliminates unit pivots +-t^m (``alexander_core``) and takes minors of the
 small matrix left over: the elementary ideals are invariants of the module
-the matrix presents, which the elimination keeps.  The core is built
-straight from the relations as sparse rows of plain integers, and only its
-few entries become ``LaurentPolynomial``; the dense n x n matrix
-(``alexander_matrix``) is built only for ``vbridge alexander``'s output.
+the matrix presents, which the elimination keeps.  The core is eliminated
+on the sparse Fox rows of plain integers, and only its few entries become
+``LaurentPolynomial``; the dense n x n matrix (``alexander_matrix``) is
+filled from the same rows, only for ``vbridge alexander``'s output.
 
 A knot that one seed strand saturates skips the core altogether.  Each
 coloring move solves one relation for a strand whose coefficient is a
@@ -48,31 +48,6 @@ from .laurent import ONE, ZERO, LaurentPolynomial
 from .search import one_strand_saturates
 
 
-class Relation(NamedTuple):
-    """a_after = b^sign a_before b^-sign, recorded at chord ``chord_id``."""
-
-    chord_id: int
-    before: int
-    after: int
-    tail: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[int, ...]  # strand ids
-    relations: tuple[Relation, ...]  # in head order
-
-
-def wirtinger_presentation(d: GaussDiagram) -> Presentation:
-    table = strand_table(d)
-    relations = tuple(
-        Relation(i.chord_id, i.before, i.after, i.tail_strand, i.sign)
-        for i in table.incidences
-    )
-    return Presentation(tuple(range(table.n_strands)), relations)
-
-
 @dataclass(frozen=True)
 class AlexanderMatrix:
     rows: tuple[tuple[LaurentPolynomial, ...], ...]  # one row per relation
@@ -89,38 +64,46 @@ class AlexanderMatrix:
         return [sum(p.evaluate_unit(1) for p in row) for row in self.rows]
 
 
-def alexander_matrix(p: Presentation) -> AlexanderMatrix:
-    n = len(p.generators)
+def _fox_rows(d: GaussDiagram) -> list[dict[int, dict[int, int]]]:
+    """The Alexander matrix rows, one per head incidence in head order, as
+    sparse rows: strand -> entry {exponent: coefficient} of plain ints."""
     rows = []
-    for r in p.relations:
-        te = LaurentPolynomial.term(1, r.sign)  # t^e
-        row = [LaurentPolynomial() for _ in range(n)]
-        row[r.tail] = row[r.tail] + (ONE - te)
-        row[r.before] = row[r.before] + te
-        row[r.after] = row[r.after] - ONE
-        rows.append(tuple(row))
-    return AlexanderMatrix(tuple(rows))
+    for i in strand_table(d).incidences:
+        row: dict[int, dict[int, int]] = {}
+        _accumulate(row, i.tail_strand, ((0, 1), (i.sign, -1)))  # 1 - t^e
+        _accumulate(row, i.before, ((i.sign, 1),))  # t^e
+        _accumulate(row, i.after, ((0, -1),))
+        rows.append(row)
+    return rows
 
 
-def alexander_core(p: Presentation) -> AlexanderMatrix:
+def _dense(rows: list[dict[int, dict[int, int]]], cols: Sequence[int]) -> AlexanderMatrix:
+    """The sparse rows restricted to ``cols``, in that order, as a matrix."""
+    return AlexanderMatrix(
+        tuple(
+            tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
+            for row in rows
+        )
+    )
+
+
+def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
+    """The n x n Alexander matrix: a row per relation, a column per strand."""
+    return _dense(_fox_rows(d), range(strand_table(d).n_strands))
+
+
+def alexander_core(d: GaussDiagram) -> AlexanderMatrix:
     """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
 
-    Works on the relations' sparse rows, never the dense matrix: each row
-    maps a column to an entry {exponent: coefficient} of plain ints.  Each
-    pivot's row clears the rest of its column, then the pivot's row and
-    column go.  The result presents the same module, so for k below its
-    width E_k is the ideal of its (width - k)-minors, and E_k = (1) above.
-    Pivots are chosen by least fill-in (Markowitz), ties by position; the
-    column counts follow every fill-in and cancellation.
+    Works on the sparse Fox rows, never the dense matrix.  Each pivot's row
+    clears the rest of its column, then the pivot's row and column go.  The
+    result presents the same module, so for k below its width E_k is the
+    ideal of its (width - k)-minors, and E_k = (1) above.  Pivots are
+    chosen by least fill-in (Markowitz), ties by position; the column
+    counts follow every fill-in and cancellation.
     """
-    rows = []
-    for r in p.relations:
-        row: dict[int, dict[int, int]] = {}
-        _accumulate(row, r.tail, ((0, 1), (r.sign, -1)))  # 1 - t^e
-        _accumulate(row, r.before, ((r.sign, 1),))  # t^e
-        _accumulate(row, r.after, ((0, -1),))
-        rows.append(row)
-    counts = dict.fromkeys(p.generators, 0)
+    rows = _fox_rows(d)
+    counts = dict.fromkeys(range(strand_table(d).n_strands), 0)
     for row in rows:
         for j in row:
             counts[j] += 1
@@ -143,13 +126,7 @@ def alexander_core(p: Presentation) -> AlexanderMatrix:
                 _accumulate(row, j, terms)
                 counts[j] += (j in row) - had
         del counts[c]
-    cols = sorted(counts)
-    return AlexanderMatrix(
-        tuple(
-            tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
-            for row in rows
-        )
-    )
+    return _dense(rows, sorted(counts))
 
 
 def _accumulate(
@@ -433,17 +410,15 @@ def ideal_lower_bound(
     check_deadline(deadline, _IDEAL)
     n = strand_table(d).n_strands
     k_hi = n - 1 if k_max is None else min(k_max, n - 1)
-    if one_strand_saturates(d):
-        units = tuple(IdealCertificate(k, (ONE,), None, True) for k in range(1, k_hi + 1))
-        return IdealBoundResult(1, units)
-    core = alexander_core(wirtinger_presentation(d))
+    core = None if one_strand_saturates(d) else alexander_core(d)
+    width = 1 if core is None else core.n_cols
     certificates = []
     best = 0
     for k in range(1, k_hi + 1):
-        check_deadline(deadline, _IDEAL)
-        if k >= core.n_cols:  # E_k = (1)
+        if k >= width:  # E_k = (1)
             certificates.append(IdealCertificate(k, (ONE,), None, True))
             continue
+        check_deadline(deadline, _IDEAL)
         gens = elementary_ideal_generators(core, k, deadline)
         nontrivial = any(not g.is_zero for g in gens)
         witness = properness_certificate(gens, prime_bound) if gens else None

@@ -25,7 +25,6 @@ from vbridge.linkgroup import (
     alexander_matrix,
     ideal_lower_bound,
     properness_certificate,
-    wirtinger_presentation,
 )
 from vbridge.parity import parity_projection
 from vbridge.quandle import count_colorings, dihedral_quandle, trivial_quandle
@@ -176,14 +175,12 @@ def test_fox_calculus_matrix_and_bounds(corpus):
     for d in [parse_gauss_code(D3_CODE), parse_gauss_code(DV_CODE)] + [
         c for c in corpus if c.n_components == 1
     ]:
-        matrix = alexander_matrix(wirtinger_presentation(d))
+        matrix = alexander_matrix(d)
         for s in matrix.row_sums_at_one():
             checked_rows += 1
             if s != 0:
                 bad_rows += 1
-    trefoil_matrix = alexander_matrix(
-        wirtinger_presentation(parse_gauss_code(D3_CODE))
-    )
+    trefoil_matrix = alexander_matrix(parse_gauss_code(D3_CODE))
     minors = _minor_determinants(trefoil_matrix, 2)
     minor_values = sorted({abs(m.evaluate_unit(-1)) for m in minors})
     witness = properness_certificate(

@@ -211,7 +211,7 @@ class TestPipeline:
         monkeypatch.setattr(batch, "count_colorings", slow_count)
         cfg = PipelineConfig(
             time_limit=0.1,
-            analyses=frozenset({"quandle"}),
+            analyses=frozenset(),
             quandles=(dihedral_quandle(3), trivial_quandle(3)),
         )
         rec = batch.ResultRecord("t")
@@ -259,6 +259,13 @@ class TestPipeline:
             PipelineConfig(quandles=(unnamed, trivial_quandle(3))),
         )
         assert rec.quandle_counts == {"Q3": 9, "T3": 3}
+
+    def test_unknown_analyses_rejected(self):
+        # a misspelt or retired name would otherwise skip its analysis silently
+        for names in ({"ideals"}, {"quandle"}, {"ideal", "welded", "colorings"}):
+            with pytest.raises(ValueError, match="unknown analyses"):
+                PipelineConfig(analyses=frozenset(names))
+        assert PipelineConfig(analyses=frozenset({"ideal", "welded"})).analyses == {"ideal", "welded"}
 
     def test_exhausted_record(self):
         recs = run_pipeline(

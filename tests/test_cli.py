@@ -115,6 +115,10 @@ class TestSingleDiagramCommands:
         assert first["k"] == 1
         assert first["generators"] == ["1*t^2-1*t^1+1*t^0"]
         assert first["witness"] == [3, 2]
+        assert (data["generators"], data["relations"]) == (3, 3)
+        # the chordless circle: one strand, no arrowhead, so no relation
+        data = run_json(capsys, "alexander", ".")
+        assert (data["generators"], data["relations"], data["matrix"]) == (1, 0, [])
 
     def test_quandle(self, capsys, tmp_path):
         path = tmp_path / "r3.txt"
@@ -228,6 +232,27 @@ class TestFlags:
         expected |= {("alexander", f) for f in ("--max-k", "--time-limit", "--prime-bound")}
         expected |= {("quandle", f) for f in ("--max-k", "--time-limit", "--quandle")}
         assert accepted == expected and len(expected) == 16
+
+    def test_out_of_range_values_are_usage_errors(self, capsys):
+        for argv in (
+            ["wirtinger", "--max-k", "0", D3],
+            ["alexander", "--max-k", "-2", D3],
+            ["wirtinger", "--time-limit", "-1", D3],
+            ["quandle", "--time-limit", "nan", "--quandle", "r3.txt", D3],
+            ["alexander", "--time-limit", "-0.5", D3],
+            ["alexander", "--prime-bound", "0", D3],
+            ["alexander", "--prime-bound", "1", D3],
+            ["batch", "--prime-bound", "1", DATA],
+            ["batch", "--max-k", "0", DATA],
+            ["batch", "--time-limit", "NaN", DATA],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert "usage error" in err and argv[1] in err and "at least" in err, argv
+        # the smallest values in range still run
+        assert run_json(capsys, "wirtinger", "--max-k", "1", "O1+U1+")["omega"] == 1
+        assert run_json(capsys, "alexander", "--prime-bound", "2", "--max-k", "1", D3)["lower_bound"] == 1
+        assert run(capsys, "wirtinger", "--time-limit", "0", D3)[0] == 3
 
     def test_unread_flags_are_usage_errors(self, capsys):
         code, out, err = run(

@@ -6,11 +6,10 @@ import pytest
 
 from vbridge import linkgroup
 from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
-from vbridge.gauss import parse_gauss_code, strand_table
+from vbridge.gauss import HeadIncidence, ensure_tail_per_component, parse_gauss_code, strand_table
 from vbridge.laurent import ONE, LaurentPolynomial
 from vbridge.linkgroup import (
     IdealCertificate,
-    Relation,
     _minor_determinants,
     _primes_upto,
     _resultant,
@@ -20,7 +19,6 @@ from vbridge.linkgroup import (
     elementary_ideal_generators,
     ideal_lower_bound,
     properness_certificate,
-    wirtinger_presentation,
 )
 from vbridge.parity import parity_lower_bound, parity_projection
 from vbridge.search import one_strand_saturates
@@ -31,6 +29,8 @@ from util import (
     full_matrix_properness_certificate,
     gcd_scan_properness_certificate,
     ideal_summary,
+    laurent_alexander_matrix,
+    random_diagram,
     random_knot,
     random_one_overbridge_code,
     sylvester_resultant,
@@ -39,48 +39,68 @@ from util import (
 
 
 class TestPresentation:
+    """The strand table is the Wirtinger presentation: a generator per
+    strand, a relation per head incidence."""
+
     def test_virtual_trefoil(self, dv):
-        pres = wirtinger_presentation(dv)
-        assert pres.generators == (0, 1)
-        assert pres.relations == (
-            Relation(chord_id=1, before=0, after=1, tail=0, sign=1),
-            Relation(chord_id=2, before=1, after=0, tail=0, sign=1),
+        table = strand_table(dv)
+        assert table.n_strands == 2
+        assert table.incidences == (
+            HeadIncidence(chord_id=1, before=0, after=1, tail_strand=0, sign=1, component=0, position=2),
+            HeadIncidence(chord_id=2, before=1, after=0, tail_strand=0, sign=1, component=0, position=3),
         )
 
     def test_normalized_circle(self):
-        from vbridge.gauss import ensure_tail_per_component
-
         d = ensure_tail_per_component(parse_gauss_code("."))
-        pres = wirtinger_presentation(d)
-        assert pres.generators == (0,)
-        [r] = pres.relations
-        assert r.before == r.after == r.tail == 0
+        table = strand_table(d)
+        assert table.n_strands == 1
+        [r] = table.incidences
+        assert r.before == r.after == r.tail_strand == 0
 
     def test_one_relation_per_chord(self, d6):
-        pres = wirtinger_presentation(d6)
-        assert len(pres.relations) == 6
+        assert len(strand_table(d6).incidences) == 6
 
 
 class TestAlexanderMatrix:
+    def test_matches_the_laurent_arithmetic_builder(self):
+        # the former builder, kept in tests/util.py, on every code up to 4
+        # chords with every sign and on seeded random knots and links
+        def diagrams():
+            for n_chords in range(5):
+                for code in enumerate_knot_codes(n_chords):
+                    for signs in itertools.product("+-", repeat=n_chords):
+                        yield parse_gauss_code(with_signs(code, signs))
+            rng = random.Random(2003)
+            for _ in range(300):
+                yield random_knot(rng, max_chords=30)
+            for _ in range(300):
+                yield random_diagram(rng, max_chords=20, max_components=3)
+
+        checked = 0
+        for d in diagrams():
+            assert alexander_matrix(d).rows == laurent_alexander_matrix(d).rows, d
+            checked += 1
+        assert checked > 27_000
+
     def test_virtual_trefoil_rows(self, dv):
-        a = alexander_matrix(wirtinger_presentation(dv))
+        a = alexander_matrix(dv)
         # tail coincides with the incoming strand in row 0 and the outgoing
         # strand in row 1, so the Fox terms collapse
         assert a.rows[0] == (LaurentPolynomial({0: 1}), LaurentPolynomial({0: -1}))
         assert a.rows[1] == (LaurentPolynomial({1: -1}), LaurentPolynomial({1: 1}))
 
     def test_kink_row_collapses_to_zero(self):
-        a = alexander_matrix(wirtinger_presentation(parse_gauss_code("O1+U1+")))
+        a = alexander_matrix(parse_gauss_code("O1+U1+"))
         assert a.rows == ((LaurentPolynomial(),),)
 
     def test_row_sums_vanish_at_one(self):
         rng = random.Random(5)
         for _ in range(60):
-            a = alexander_matrix(wirtinger_presentation(random_knot(rng, max_chords=7)))
+            a = alexander_matrix(random_knot(rng, max_chords=7))
             assert all(s == 0 for s in a.row_sums_at_one())
 
     def test_negative_sign_entries(self, d3):
-        a = alexander_matrix(wirtinger_presentation(d3))
+        a = alexander_matrix(d3)
         # row 0: relation at chord 2, tail strand 2, sign -1
         assert a.rows[0] == (
             LaurentPolynomial({-1: 1}),
@@ -91,28 +111,28 @@ class TestAlexanderMatrix:
 
 class TestElementaryIdeals:
     def test_trefoil_first_ideal(self, d3):
-        a = alexander_matrix(wirtinger_presentation(d3))
+        a = alexander_matrix(d3)
         gens = elementary_ideal_generators(a, 1)
         assert [str(g) for g in gens] == ["1*t^2-1*t^1+1*t^0"]
 
     def test_trefoil_zeroth_ideal_vanishes(self, d3):
-        a = alexander_matrix(wirtinger_presentation(d3))
+        a = alexander_matrix(d3)
         gens = elementary_ideal_generators(a, 0)
         assert [g.is_zero for g in gens] == [True]
 
     def test_trefoil_minors_at_minus_one(self, d3):
-        a = alexander_matrix(wirtinger_presentation(d3))
+        a = alexander_matrix(d3)
         minors = _minor_determinants(a, 2)
         assert len(minors) == 9
         assert all(abs(m.evaluate_unit(-1)) == 3 for m in minors)
 
     def test_virtual_trefoil_units(self, dv):
-        a = alexander_matrix(wirtinger_presentation(dv))
+        a = alexander_matrix(dv)
         gens = elementary_ideal_generators(a, 1)
         assert gens == [LaurentPolynomial({0: 1})]
 
     def test_bad_index(self, d3):
-        a = alexander_matrix(wirtinger_presentation(d3))
+        a = alexander_matrix(d3)
         with pytest.raises(BadIdealIndexError):
             elementary_ideal_generators(a, -1)
         with pytest.raises(BadIdealIndexError):
@@ -153,7 +173,7 @@ class TestPropernessCertificate:
 
 def _core_generator_sets(d, into):
     """Add every elementary-ideal generator set of d's Alexander core."""
-    core = alexander_core(wirtinger_presentation(d))
+    core = alexander_core(d)
     for k in range(core.n_cols):
         into.add(tuple(elementary_ideal_generators(core, k)))
 
@@ -310,8 +330,7 @@ def _assert_core_matches_full_matrix(d):
 
 
 def _assert_sparse_core_matches_dense(d):
-    pres = wirtinger_presentation(d)
-    assert alexander_core(pres).rows == dense_alexander_core(alexander_matrix(pres)).rows, d
+    assert alexander_core(d).rows == dense_alexander_core(laurent_alexander_matrix(d)).rows, d
 
 
 class TestAlexanderCore:
@@ -321,7 +340,7 @@ class TestAlexanderCore:
     also kept there, entry for entry."""
 
     def test_trefoil_core(self, d3):
-        core = alexander_core(wirtinger_presentation(d3))
+        core = alexander_core(d3)
         assert (core.n_rows, core.n_cols) == (2, 2)
         assert not any(p.is_unit for row in core.rows for p in row)
         # E_1 of the core is the Alexander polynomial's ideal, as before
@@ -329,7 +348,7 @@ class TestAlexanderCore:
 
     def test_virtual_trefoil_core_is_one_zero(self, dv):
         # the columns sum to zero, so a one-column core is zero
-        core = alexander_core(wirtinger_presentation(dv))
+        core = alexander_core(dv)
         assert core.rows == ((LaurentPolynomial(),),)
         [cert] = ideal_lower_bound(dv).certificates
         assert cert.generators == (LaurentPolynomial({0: 1}),)
@@ -373,7 +392,7 @@ class TestAlexanderCore:
         for n in (20, 40, 60, 100):
             d = random_knot(rng, max_chords=n, min_chords=n)
             _assert_sparse_core_matches_dense(d)
-            widths.append(alexander_core(wirtinger_presentation(d)).n_cols)
+            widths.append(alexander_core(d).n_cols)
         assert widths == [3, 4, 7, 11]
 
     def test_bounds_never_build_the_dense_matrix(self, d3, monkeypatch):
@@ -398,7 +417,7 @@ class TestAlexanderCore:
             raise AssertionError("a knot that one strand saturates needs no core")
 
         monkeypatch.setattr("vbridge.linkgroup.alexander_core", core)
-        monkeypatch.setattr("vbridge.linkgroup.wirtinger_presentation", core)
+        monkeypatch.setattr("vbridge.linkgroup._fox_rows", core)
         for d in (dv, d6):
             for result, bounded in (
                 (ideal_lower_bound(d), d),
@@ -431,7 +450,7 @@ class TestAlexanderCore:
         for d in diagrams():
             for e in {d, parity_projection(d)}:
                 if one_strand_saturates(e):
-                    assert alexander_core(wirtinger_presentation(e)).n_cols <= 1, e
+                    assert alexander_core(e).n_cols <= 1, e
                     saturated.append((e, ideal_lower_bound(e)))
         assert len(saturated) > 4000
         assert max(e.n_chords for e, _ in saturated) >= 30
@@ -440,7 +459,7 @@ class TestAlexanderCore:
             assert ideal_lower_bound(e) == result, e
 
     def test_deadline_stops_the_bounds(self, d3):
-        core = alexander_core(wirtinger_presentation(d3))
+        core = alexander_core(d3)
         assert core.n_cols > 0
         past = time.perf_counter() - 1.0
         with pytest.raises(SearchTimeoutError):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import vbridge
 import vbridge.batch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,3 +48,22 @@ def test_traced_benchmark_names_exist_in_batch():
     spec.loader.exec_module(tracing)
     missing = [name for name in tracing.BOUNDARY if not hasattr(vbridge.batch, name)]
     assert tracing.BOUNDARY and not missing
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for module in ("vbridge", "vbridge.cli"):
+        out = subprocess.run(
+            [sys.executable, "-m", module, "bridge", "O1+U1+"],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        assert '"bridge_count": 1' in out, module
+
+
+def test_every_exported_name_exists():
+    # a stale __all__ entry breaks ``from vbridge import *``
+    missing = [name for name in vbridge.__all__ if not hasattr(vbridge, name)]
+    assert not missing and len(set(vbridge.__all__)) == len(vbridge.__all__)

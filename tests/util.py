@@ -19,7 +19,10 @@ checks the subresultant sequence.  The gcd-scan properness certificate and
 the token round-trip parity projection are the former library code, kept
 verbatim to check that the resultant-filtered root scan finds the same
 witnesses and that the projection built from endpoints is the same
-diagram.
+diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
+is the former library builder, reading each head incidence where it read
+that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
+kept to check that the matrix filled from the sparse Fox rows is the same.
 """
 
 from __future__ import annotations
@@ -55,16 +58,14 @@ from vbridge.gauss import (
     parse_gauss_code,
     strand_table,
 )
-from vbridge.laurent import ZERO, LaurentPolynomial
+from vbridge.laurent import ONE, ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
     IdealCertificate,
     _gcd_mod,
     _primes_upto,
-    alexander_matrix,
     elementary_ideal_generators,
-    wirtinger_presentation,
 )
 from vbridge.parity import gaussian_parity
 
@@ -395,14 +396,28 @@ def token_parity_projection(d: GaussDiagram) -> GaussDiagram:
     return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
 
 
+def laurent_alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
+    """The n x n Alexander matrix, each row built with ``LaurentPolynomial``
+    arithmetic from one head incidence of the strand table."""
+    n = strand_table(d).n_strands
+    rows = []
+    for r in strand_table(d).incidences:
+        te = LaurentPolynomial.term(1, r.sign)  # t^e
+        row = [LaurentPolynomial() for _ in range(n)]
+        row[r.tail_strand] = row[r.tail_strand] + (ONE - te)
+        row[r.before] = row[r.before] + te
+        row[r.after] = row[r.after] - ONE
+        rows.append(tuple(row))
+    return AlexanderMatrix(tuple(rows))
+
+
 def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97):
     """The ideal bound from every minor of the full n x n Alexander
     matrix, as the library computed it before the Alexander core."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
-    pres = wirtinger_presentation(d)
-    a = alexander_matrix(pres)
-    n = len(pres.generators)
+    a = laurent_alexander_matrix(d)
+    n = strand_table(d).n_strands
     k_hi = n - 1 if k_max is None else min(k_max, n - 1)
     certificates = []
     best = 0
