@@ -8,7 +8,6 @@ diagrams.
 """
 
 from .errors import (
-    BadIdealIndexError,
     CutSplitError,
     EmptyInputError,
     GaussCodeError,
@@ -46,11 +45,8 @@ from .laurent import LaurentPolynomial
 from .linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
-    IdealCertificate,
     alexander_matrix,
-    elementary_ideal_generators,
     ideal_lower_bound,
-    properness_certificate,
 )
 from .parity import gaussian_parity, parity_lower_bound, parity_projection
 from .quandle import (
@@ -128,12 +124,9 @@ __all__ = [
     # link group
     "AlexanderMatrix",
     "IdealBoundResult",
-    "IdealCertificate",
     "LaurentPolynomial",
     "alexander_matrix",
-    "elementary_ideal_generators",
     "ideal_lower_bound",
-    "properness_certificate",
     # parity
     "gaussian_parity",
     "parity_lower_bound",
@@ -172,7 +165,6 @@ __all__ = [
     "SearchExhaustedError",
     "SearchTimeoutError",
     "InvariantError",
-    "BadIdealIndexError",
     "QuandleAxiomError",
     "NotIdempotentError",
     "NotRightInvertibleError",

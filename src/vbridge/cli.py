@@ -23,7 +23,7 @@ from .batch import (
     run_pipeline,
     write_results,
 )
-from .errors import SearchTimeoutError, VbridgeError
+from .errors import SearchTimeoutError, VbridgeError, check_deadline
 from .gauss import (
     bridge_count,
     cut_split_witness,
@@ -31,7 +31,7 @@ from .gauss import (
     strand_table,
     to_gauss_code,
 )
-from .linkgroup import alexander_matrix, ideal_lower_bound
+from .linkgroup import alexander_core, alexander_matrix, ideal_lower_bound
 from .parity import gaussian_parity, parity_projection
 from .quandle import load_quandle_table
 from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
+
+_MATRIX = "before printing the Alexander matrix"  # the end of its timeout message
 
 
 class _UsageError(Exception):
@@ -71,7 +73,7 @@ _FLAGS = {
     "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
     "--certificates": dict(action="store_true", help="embed certificates in JSON output"),
     "--quandle": dict(action="append", default=[], metavar="FILE", help="quandle table file (repeatable)"),
-    "--prime-bound": dict(type=_at_least(int, 2), default=97, help="largest prime tried for ideal certificates (at least 2)"),
+    "--prime-bound": dict(type=_at_least(int, 2), default=97, help="largest prime tried for the ideal bound's witness (at least 2)"),
 }
 
 # command -> (help, the flags it reads)
@@ -196,29 +198,24 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "alexander":
+        # the bound first: the dense matrix is quadratic in the strands, so
+        # it is built and printed only while the deadline allows
         deadline = None if args.time_limit is None else time.perf_counter() + args.time_limit
-        table = strand_table(d)
-        matrix = alexander_matrix(d)
         result = ideal_lower_bound(
             d, k_max=args.max_k, prime_bound=args.prime_bound, deadline=deadline
         )
-        _emit(
-            {
-                "generators": table.n_strands,
-                "relations": len(table.incidences),
-                "matrix": [[str(entry) for entry in row] for row in matrix.rows],
-                "ideals": [
-                    {
-                        "k": c.k,
-                        "generators": [str(g) for g in c.generators],
-                        "witness": list(c.witness) if c.witness else None,
-                        "nontrivial": c.nontrivial,
-                    }
-                    for c in result.certificates
-                ],
-                "lower_bound": result.bound,
-            }
-        )
+        check_deadline(deadline, _MATRIX)
+        table = strand_table(d)
+        out = {
+            "generators": table.n_strands,
+            "relations": len(table.incidences),
+            "matrix": [[str(entry) for entry in row] for row in alexander_matrix(d).rows],
+            "core_width": alexander_core(d).n_cols,
+            "witness": None if result.witness is None else dict(zip(("p", "u", "nullity"), result.witness)),
+            "lower_bound": result.bound,
+        }
+        check_deadline(deadline, _MATRIX)
+        _emit(out)
         return EXIT_OK
 
     if cmd == "quandle":

@@ -56,10 +56,6 @@ class InvariantError(VbridgeError, RuntimeError):
     """A record's bounds break ideal_lb <= omega <= vb."""
 
 
-class BadIdealIndexError(VbridgeError, ValueError):
-    """Elementary-ideal index outside 0 <= k < number of generators."""
-
-
 class QuandleAxiomError(VbridgeError, ValueError):
     """Operation table fails a quandle axiom; ``witness`` pins the failure."""
 

@@ -1,32 +1,34 @@
-"""Wirtinger presentation, Alexander matrix and elementary-ideal bounds.
+"""Wirtinger presentation, Alexander matrix and the elementary-ideal bound.
 
 The strand table is the Wirtinger presentation: a generator per strand, a
 relation per head incidence, a_after = b^e a_before b^-e with b the tail
 strand and e the chord sign.  Fox derivatives of that relation,
 abelianized to Z[t, 1/t], give the Alexander matrix row (``_fox_rows``)
   column a_after: -1,  column a_before: t^e,  column b: 1 - t^e,
-with coincident generators accumulating.  A size-(n-k) minor ideal is
-certified proper by a prime p and unit u with every generator vanishing at
-t = u over Z/p; such a certificate at index k puts the bridge number above
-k, hence the lower bound 1 + max qualifying k.
-
-The smallest witness is found without evaluating every generator at every
-(p, u).  For u != 0 the common roots of the generators mod p are exactly
-the roots of their gcd over Z/p, so u comes from Horner's rule on that gcd.
-A common root mod p of two generators f and g makes p divide their
-resultant, since Res(f, g) = A f + B g with A, B in Z[t]; so once one
-prime shows no common root, the integer resultant of the first two nonzero
-generators (by the subresultant remainder sequence) rules out every prime
-that does not divide it.  Both only pass over pairs with no common root,
-so the witness is the same.
+with coincident generators accumulating.  The elementary ideal E_k is
+proper when some prime p and unit u make every generator vanish at t = u
+over Z/p, which puts the bridge number above k.
 
 Every row has a unit -1 in its ``after`` column, so the bound first
-eliminates unit pivots +-t^m (``alexander_core``) and takes minors of the
-small matrix left over: the elementary ideals are invariants of the module
-the matrix presents, which the elimination keeps.  The core is eliminated
-on the sparse Fox rows of plain integers, and only its few entries become
+eliminates unit pivots +-t^m (``alexander_core``): the elementary ideals
+are invariants of the module the matrix presents, which the elimination
+keeps, and the pivots stay units at every u != 0 mod p, so the core's
+nullity at (p, u) is the full matrix's.  On a w-wide core, E_k vanishes
+at (p, u) exactly when every (w - k)-minor does, that is when the core at
+t = u has rank below w - k over Z/p.  So one rank per (p, u) gives every
+k at once: the bound is the largest nullity.  The core is eliminated on
+the sparse Fox rows of plain integers, and only its few entries become
 ``LaurentPolynomial``; the dense n x n matrix (``alexander_matrix``) is
 filled from the same rows, only for ``vbridge alexander``'s output.
+
+Nullity 2 or more needs every (w - 1)-minor to vanish, and only those
+(p, u) are ranked.  For u != 0 the common roots of the minors mod p are
+exactly the roots of their gcd over Z/p, so u comes from Horner's rule on
+that gcd.  A common root mod p of two minors f and g makes p divide their
+resultant, since Res(f, g) = A f + B g with A, B in Z[t]; so once one
+prime shows no common root, the integer resultant of the first two
+nonzero minors (by the subresultant remainder sequence) rules out every
+prime that does not divide it.
 
 A knot that one seed strand saturates skips the core altogether.  Each
 coloring move solves one relation for a strand whose coefficient is a
@@ -42,9 +44,10 @@ from itertools import combinations, islice
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BadIdealIndexError, NotAKnotError, check_deadline
+from .errors import NotAKnotError, check_deadline
 from .gauss import GaussDiagram, strand_table
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import ZERO, LaurentPolynomial
+from .quandle import _rank_mod
 from .search import one_strand_saturates
 
 
@@ -203,26 +206,7 @@ def _minor_determinants(
     return out
 
 
-def elementary_ideal_generators(
-    a: AlexanderMatrix, k: int, deadline: Optional[float] = None
-) -> list[LaurentPolynomial]:
-    """Generators of the k-th elementary ideal: the (n-k) x (n-k) minors,
-    deduplicated up to sign and powers of t.  Empty when the matrix has too
-    few rows for minors of that size."""
-    n = a.n_cols
-    if not 0 <= k < n:
-        raise BadIdealIndexError(f"need 0 <= k < {n}, got {k}")
-    size = n - k
-    if size > a.n_rows:
-        return []
-    seen = {}
-    for minor in _minor_determinants(a, size, deadline):
-        canon = minor.unit_canonical()
-        seen.setdefault(str(canon), canon)
-    return [seen[key] for key in sorted(seen)]
-
-
-@cache  # every properness certificate scans the same primes
+@cache  # every ideal bound scans the same primes
 def _primes_upto(bound: int) -> tuple[int, ...]:
     sieve = [True] * (bound + 1)
     primes = []
@@ -340,57 +324,9 @@ def _resultant_filter(gens: Sequence[LaurentPolynomial]) -> int:
     return _resultant(f, g)
 
 
-def properness_certificate(
-    gens: Sequence[LaurentPolynomial], prime_bound: int = 97
-) -> Optional[tuple[int, int]]:
-    """Smallest (prime p, unit u) with every generator vanishing at t = u
-    over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
-    proper; failure to find one proves nothing.
-
-    A unit generator +-t^m vanishes nowhere, so it ends the scan at once.
-    For u != 0 the common roots of the generators mod p are exactly the
-    roots of their gcd over Z/p (``_gcd_mod``), so u is found by Horner's
-    rule on that gcd; the gcd [] (every generator vanishes mod p) gives
-    u = 1.  A prime over which the gcd is a nonzero constant has no
-    common root; the first such prime computes ``_resultant_filter``'s N,
-    and from then on every prime not dividing N is skipped unscanned,
-    since a common root mod p makes p divide N.  Both steps only skip
-    primes and units with no common root, so the witness is unchanged."""
-    if any(g.is_unit for g in gens):
-        return None
-    res = None  # N, once a prime has shown no common root
-    for p in _primes_upto(prime_bound):
-        if res and res % p:
-            continue
-        h = _gcd_mod(gens, p)  # [] when every generator vanishes: u = 1
-        if len(h) == 1:
-            if res is None:
-                res = _resultant_filter(gens)
-            continue
-        for u in range(1, p):
-            v = 0
-            for c in reversed(h):
-                v = (v * u + c) % p
-            if not v:
-                return p, u
-    return None
-
-
-class IdealCertificate(NamedTuple):
-    k: int
-    generators: tuple[LaurentPolynomial, ...]
-    witness: Optional[tuple[int, int]]  # (prime, unit) or None
-    nontrivial: bool  # some generator is a nonzero polynomial
-
-    @property
-    def qualifies(self) -> bool:
-        return self.witness is not None and self.nontrivial
-
-
-@dataclass(frozen=True)
-class IdealBoundResult:
+class IdealBoundResult(NamedTuple):
     bound: int
-    certificates: tuple[IdealCertificate, ...]
+    witness: Optional[tuple[int, int, int]]  # (prime, unit, nullity) or None
 
 
 def ideal_lower_bound(
@@ -399,31 +335,51 @@ def ideal_lower_bound(
     prime_bound: int = 97,
     deadline: Optional[float] = None,
 ) -> IdealBoundResult:
-    """Bridge-number lower bound 1 + max{k : E_k certified proper and
-    nontrivial}, scanning k = 1..k_max; 1 when no index qualifies.
-    Each E_k is generated by minors of ``alexander_core``, and is (1) from
-    the core's width on; a knot that one strand saturates has every E_k
-    = (1) and builds no core.  Raises SearchTimeoutError once
+    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
+    largest nullity of ``alexander_core`` at t = u over Z/p, for primes
+    p <= ``prime_bound`` and units u, capped at k_max + 1 and at the strand
+    count; 1, with no witness, when no nullity reaches 2.
+
+    Only the common roots of the (width - 1)-minors are ranked.  At u = 1
+    the relations chain the strands into one cycle, so a knot's nullity is
+    1 there and p = 2 has no unit to try.  The witness is the first (p, u)
+    of largest nullity; the scan stops once the nullity reaches the cap.
+    A core at most one wide, or a knot that one strand saturates (which
+    builds no core), gives 1.  Raises SearchTimeoutError once
     ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     check_deadline(deadline, _IDEAL)
     n = strand_table(d).n_strands
-    k_hi = n - 1 if k_max is None else min(k_max, n - 1)
-    core = None if one_strand_saturates(d) else alexander_core(d)
-    width = 1 if core is None else core.n_cols
-    certificates = []
-    best = 0
-    for k in range(1, k_hi + 1):
-        if k >= width:  # E_k = (1)
-            certificates.append(IdealCertificate(k, (ONE,), None, True))
+    cap = n if k_max is None else min(k_max + 1, n)
+    core = None if cap < 2 or one_strand_saturates(d) else alexander_core(d)
+    width = 0 if core is None else core.n_cols
+    cap = min(cap, width)
+    if cap < 2:
+        return IdealBoundResult(1, None)
+    minors = _minor_determinants(core, width - 1, deadline)
+    minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
+    best = None
+    res = None  # N, once a prime has shown no common root
+    for p in _primes_upto(prime_bound)[1:]:
+        if res and res % p:
             continue
         check_deadline(deadline, _IDEAL)
-        gens = elementary_ideal_generators(core, k, deadline)
-        nontrivial = any(not g.is_zero for g in gens)
-        witness = properness_certificate(gens, prime_bound) if gens else None
-        cert = IdealCertificate(k, tuple(gens), witness, nontrivial)
-        certificates.append(cert)
-        if cert.qualifies:
-            best = max(best, k)
-    return IdealBoundResult(1 + best, tuple(certificates))
+        h = _gcd_mod(minors, p)  # [] when every minor vanishes mod p
+        if len(h) == 1:
+            if res is None:
+                res = _resultant_filter(minors)
+            continue
+        for u in range(2, p):
+            v = 0
+            for c in reversed(h):
+                v = (v * u + c) % p
+            if v:
+                continue
+            rows = [[g.evaluate_mod(p, u) for g in row] for row in core.rows]
+            nullity = width - _rank_mod(rows, p)
+            if best is None or nullity > best[2]:
+                best = (p, u, nullity)
+                if nullity >= cap:
+                    return IdealBoundResult(cap, best)
+    return IdealBoundResult(1 if best is None else best[2], best)

@@ -20,12 +20,7 @@ from vbridge.gauss import (
     to_gauss_code,
 )
 from vbridge.laurent import LaurentPolynomial
-from vbridge.linkgroup import (
-    _minor_determinants,
-    alexander_matrix,
-    ideal_lower_bound,
-    properness_certificate,
-)
+from vbridge.linkgroup import _minor_determinants, alexander_matrix, ideal_lower_bound
 from vbridge.parity import parity_projection
 from vbridge.quandle import count_colorings, dihedral_quandle, trivial_quandle
 from vbridge.search import (
@@ -40,6 +35,7 @@ from test_batch import DATA
 from util import (
     brute_force_omega,
     enumerate_knot_codes,
+    properness_certificate,
     random_diagram,
     random_one_overbridge_code,
 )
@@ -186,16 +182,16 @@ def test_fox_calculus_matrix_and_bounds(corpus):
     witness = properness_certificate(
         [LaurentPolynomial({1: 1, 0: 1}), LaurentPolynomial({0: 3})]
     )
-    bound = ideal_lower_bound(parse_gauss_code(D3_CODE)).bound
+    bound = ideal_lower_bound(parse_gauss_code(D3_CODE))
     report(
         f"fox calculus: {checked_rows} row sums vanish at t=1 ({bad_rows} bad), "
         f"trefoil 2x2 minors at t=-1 have |value|={minor_values} (want [3]), "
         f"certificate for (t+1, 3)={witness} (want (3, 2)), "
-        f"trefoil ideal bound={bound} (want 2)",
+        f"trefoil ideal bound and witness={tuple(bound)} (want (2, (3, 2, 2)))",
         bad_rows == 0
         and minor_values == [3]
         and witness == (3, 2)
-        and bound == 2,
+        and bound == (2, (3, 2, 2)),
     )
 
 

@@ -378,7 +378,7 @@ class TestConnectedSums:
     and the bounds reach it: omega, ideal and parity bounds all equal m + 1,
     and the dihedral quandle of the determinant p counts p^(m+1)."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize(
         "code, p", [(TREFOIL, 3), (FIGURE_EIGHT, 5)], ids=["trefoil", "figure-eight"]
     )

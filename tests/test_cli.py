@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from vbridge import batch, quandle
+from vbridge import batch, cli, quandle
 from vbridge.batch import PipelineConfig, ingest_table, run_pipeline
 from vbridge.gauss import ensure_tail_per_component, parse_gauss_code
 from vbridge.quandle import load_quandle_table
@@ -65,6 +65,35 @@ class TestExitCodes:
             capsys, "alexander", D3
         )
 
+    def test_alexander_time_limit_covers_the_matrix(self, capsys, monkeypatch):
+        # the clock passes the deadline while the dense matrix is built:
+        # nothing is printed, and the exit is a timeout
+        clock = time.perf_counter
+        late = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: clock() + late[0])
+        build = cli.alexander_matrix
+
+        def slow_matrix(d):
+            late[0] = 3600.0
+            return build(d)
+
+        monkeypatch.setattr(cli, "alexander_matrix", slow_matrix)
+        code, out, err = run(capsys, "alexander", "--time-limit", "60", D3)
+        assert code == 3 and out == "" and "Alexander matrix" in err
+        # past the deadline once the bound is done: no matrix is built
+        late[0] = 0.0
+        real_bound = cli.ideal_lower_bound
+
+        def slow_bound(*args, **kwargs):
+            result = real_bound(*args, **kwargs)
+            late[0] = 3600.0
+            return result
+
+        monkeypatch.setattr(cli, "ideal_lower_bound", slow_bound)
+        monkeypatch.setattr(cli, "alexander_matrix", None)
+        code, out, err = run(capsys, "alexander", "--time-limit", "60", D3)
+        assert code == 3 and out == "" and "Alexander matrix" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -111,14 +140,15 @@ class TestSingleDiagramCommands:
         data = run_json(capsys, "alexander", D3)
         assert data["lower_bound"] == 2
         assert len(data["matrix"]) == 3 and len(data["matrix"][0]) == 3
-        first = data["ideals"][0]
-        assert first["k"] == 1
-        assert first["generators"] == ["1*t^2-1*t^1+1*t^0"]
-        assert first["witness"] == [3, 2]
+        assert data["core_width"] == 2
+        assert data["witness"] == {"p": 3, "u": 2, "nullity": 2}
+        assert "ideals" not in data
         assert (data["generators"], data["relations"]) == (3, 3)
         # the chordless circle: one strand, no arrowhead, so no relation
         data = run_json(capsys, "alexander", ".")
         assert (data["generators"], data["relations"], data["matrix"]) == (1, 0, [])
+        # a matrix with no rows has no columns either, the core as the matrix
+        assert (data["core_width"], data["witness"], data["lower_bound"]) == (0, None, 1)
 
     def test_quandle(self, capsys, tmp_path):
         path = tmp_path / "r3.txt"

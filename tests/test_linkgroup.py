@@ -4,32 +4,35 @@ import time
 
 import pytest
 
-from vbridge import linkgroup
-from vbridge.errors import BadIdealIndexError, NotAKnotError, SearchTimeoutError
+import util
+from vbridge.errors import NotAKnotError, SearchTimeoutError
 from vbridge.gauss import HeadIncidence, ensure_tail_per_component, parse_gauss_code, strand_table
-from vbridge.laurent import ONE, LaurentPolynomial
+from vbridge.laurent import LaurentPolynomial
 from vbridge.linkgroup import (
-    IdealCertificate,
+    IdealBoundResult,
     _minor_determinants,
     _primes_upto,
     _resultant,
     _resultant_filter,
     alexander_core,
     alexander_matrix,
-    elementary_ideal_generators,
     ideal_lower_bound,
-    properness_certificate,
 )
 from vbridge.parity import parity_lower_bound, parity_projection
+from vbridge.quandle import _rank_mod
 from vbridge.search import one_strand_saturates
+from test_batch import FIGURE_EIGHT, TREFOIL, _connected_sum
 from util import (
     dense_alexander_core,
+    elementary_ideal_generators,
     enumerate_knot_codes,
     full_matrix_ideal_lower_bound,
     full_matrix_properness_certificate,
     gcd_scan_properness_certificate,
     ideal_summary,
     laurent_alexander_matrix,
+    minor_scan_ideal_lower_bound,
+    properness_certificate,
     random_diagram,
     random_knot,
     random_one_overbridge_code,
@@ -110,6 +113,8 @@ class TestAlexanderMatrix:
 
 
 class TestElementaryIdeals:
+    """The per-k generators of the minor-scan oracle in tests/util.py."""
+
     def test_trefoil_first_ideal(self, d3):
         a = alexander_matrix(d3)
         gens = elementary_ideal_generators(a, 1)
@@ -133,13 +138,15 @@ class TestElementaryIdeals:
 
     def test_bad_index(self, d3):
         a = alexander_matrix(d3)
-        with pytest.raises(BadIdealIndexError):
+        with pytest.raises(ValueError):
             elementary_ideal_generators(a, -1)
-        with pytest.raises(BadIdealIndexError):
+        with pytest.raises(ValueError):
             elementary_ideal_generators(a, 3)
 
 
 class TestPropernessCertificate:
+    """The per-ideal witness scan of the minor-scan oracle."""
+
     def test_examples(self):
         t_plus_1 = LaurentPolynomial({1: 1, 0: 1})
         three = LaurentPolynomial({0: 3})
@@ -273,13 +280,13 @@ class TestResultantFilteredScan:
 
     def test_the_filter_skips_the_gcd(self, monkeypatch):
         primes = []
-        gcd_mod = linkgroup._gcd_mod
+        gcd_mod = util._gcd_mod
 
         def counted(gens, p):
             primes.append(p)
             return gcd_mod(gens, p)
 
-        monkeypatch.setattr(linkgroup, "_gcd_mod", counted)
+        monkeypatch.setattr(util, "_gcd_mod", counted)
         t = self.T
         # Res(t - 2, t - 3) = +-1: after p = 2 shows no common root, no
         # prime divides it
@@ -293,7 +300,9 @@ class TestResultantFilteredScan:
 
 class TestIdealLowerBound:
     def test_trefoil(self, d3):
-        result = ideal_lower_bound(d3)
+        # the core is 2 x 2 and vanishes at t = 2 over Z/3
+        assert ideal_lower_bound(d3) == (2, (3, 2, 2))
+        result = minor_scan_ideal_lower_bound(d3)
         assert result.bound == 2
         [cert1, cert2] = result.certificates
         assert cert1.k == 1 and cert1.qualifies
@@ -302,10 +311,10 @@ class TestIdealLowerBound:
         assert cert2.k == 2 and cert2.witness is None
 
     def test_virtual_trefoil(self, dv):
-        assert ideal_lower_bound(dv).bound == 1
+        assert ideal_lower_bound(dv) == (1, None)
 
     def test_chordless_circle(self):
-        assert ideal_lower_bound(parse_gauss_code(".")).bound == 1
+        assert ideal_lower_bound(parse_gauss_code(".")) == (1, None)
 
     def test_links_rejected(self):
         with pytest.raises(NotAKnotError):
@@ -320,13 +329,85 @@ class TestIdealLowerBound:
             assert ideal_lower_bound(d).bound <= wirtinger_number(d).omega
 
 
+def _census_knots():
+    """Every knot code of at most 4 chords in two seeded sign variants, as
+    the benchmark's census draws them."""
+    rng = random.Random(2104)
+    for n_chords in range(5):
+        for code in enumerate_knot_codes(n_chords):
+            for _ in range(2):
+                signs = [rng.choice("+-") for _ in range(n_chords)]
+                yield parse_gauss_code(with_signs(code, signs))
+
+
+def _assert_witness_replays(d, result):
+    """A witness (p, u, nullity) is the nullity of the full n x n Alexander
+    matrix at t = u over Z/p, so the core's unit pivots stayed units."""
+    if result.witness is None:
+        return
+    p, u, nullity = result.witness
+    rows = [[g.evaluate_mod(p, u) for g in row] for row in alexander_matrix(d).rows]
+    assert strand_table(d).n_strands - _rank_mod(rows, p) == nullity, d
+    assert nullity >= result.bound >= 2, d
+
+
+class TestNullityBound:
+    """The largest nullity of the evaluated core is the bound of the minor
+    scan, kept in tests/util.py, with and without k_max, and each witness
+    replays on the full matrix."""
+
+    @staticmethod
+    def _check(d, k_max=None):
+        result = ideal_lower_bound(d, k_max)
+        assert result.bound == minor_scan_ideal_lower_bound(d, k_max).bound, (d, k_max)
+        _assert_witness_replays(d, result)
+        projection = parity_projection(d)
+        parity = parity_lower_bound(d, k_max)
+        assert parity.bound == minor_scan_ideal_lower_bound(projection, k_max).bound, (d, k_max)
+        _assert_witness_replays(projection, parity)
+        return result
+
+    def test_census_knots(self):
+        bounds = [self._check(d).bound for d in _census_knots()]
+        assert len(bounds) == 2 * (1 + 2 + 12 + 120 + 1680)
+        assert bounds.count(2) > 100 and max(bounds) == 2
+
+    def test_random_knots_with_and_without_k_max(self):
+        rng = random.Random(2105)
+        witnesses = 0
+        for _ in range(150):
+            d = random_knot(rng, max_chords=14, min_chords=5)
+            for k_max in (None, 1, 2):
+                witnesses += self._check(d, k_max).witness is not None
+        assert witnesses > 30
+
+    def test_trefoil_witness_replays(self, d3):
+        result = ideal_lower_bound(d3)
+        assert result.witness == (3, 2, 2)
+        _assert_witness_replays(d3, result)
+
+    def test_wide_connected_sums(self):
+        # six summands: a 7-wide core, the nullity 7 needing every entry of
+        # the evaluated core to vanish
+        for code in (TREFOIL, FIGURE_EIGHT):
+            d = parse_gauss_code(_connected_sum(code, 6))
+            result = ideal_lower_bound(d)
+            assert result.bound == minor_scan_ideal_lower_bound(d).bound == 7
+            assert alexander_core(d).n_cols == 7
+            _assert_witness_replays(d, result)
+            capped = ideal_lower_bound(d, k_max=3)  # stops at nullity 4
+            assert capped.bound == 4
+            _assert_witness_replays(d, capped)
+
 def _assert_core_matches_full_matrix(d):
     expected = ideal_summary(full_matrix_ideal_lower_bound(d))
-    assert ideal_summary(ideal_lower_bound(d)) == expected, d
+    assert ideal_summary(minor_scan_ideal_lower_bound(d)) == expected, d
+    assert ideal_lower_bound(d).bound == expected[0], d
     projection = parity_projection(d)
     if projection != d:  # an all-even diagram is its own projection
         expected = ideal_summary(full_matrix_ideal_lower_bound(projection))
-    assert ideal_summary(parity_lower_bound(d)) == expected, d
+        assert ideal_summary(minor_scan_ideal_lower_bound(projection)) == expected, d
+    assert parity_lower_bound(d).bound == expected[0], d
 
 
 def _assert_sparse_core_matches_dense(d):
@@ -334,10 +415,11 @@ def _assert_sparse_core_matches_dense(d):
 
 
 class TestAlexanderCore:
-    """The bound on the core certifies what the full-matrix bound, kept in
-    tests/util.py, certifies: same bound, witnesses and nontrivial flags.
-    The core built from sparse rows is the former dense elimination's core,
-    also kept there, entry for entry."""
+    """The minor scan on the core certifies what the full-matrix bound,
+    both kept in tests/util.py, certifies: same bound, witnesses and
+    nontrivial flags; the nullity bound gives the same bound.  The core
+    built from sparse rows is the former dense elimination's core, also
+    kept there, entry for entry."""
 
     def test_trefoil_core(self, d3):
         core = alexander_core(d3)
@@ -350,8 +432,9 @@ class TestAlexanderCore:
         # the columns sum to zero, so a one-column core is zero
         core = alexander_core(dv)
         assert core.rows == ((LaurentPolynomial(),),)
-        [cert] = ideal_lower_bound(dv).certificates
+        [cert] = minor_scan_ideal_lower_bound(dv).certificates
         assert cert.generators == (LaurentPolynomial({0: 1}),)
+        assert ideal_lower_bound(dv) == (1, None)
 
     def test_every_code_up_to_three_chords_every_sign(self):
         checked = 0
@@ -404,13 +487,12 @@ class TestAlexanderCore:
         assert parity_lower_bound(d3).bound == 2
 
     def test_certificates_are_tuples(self, d3):
-        cert = ideal_lower_bound(d3).certificates[0]
-        assert type(cert) is IdealCertificate
-        assert cert == (cert.k, cert.generators, cert.witness, cert.nontrivial)
-        assert cert.qualifies
-        assert not cert._replace(witness=None).qualifies
+        result = ideal_lower_bound(d3)
+        assert type(result) is IdealBoundResult
+        assert result == (result.bound, result.witness) == (2, (3, 2, 2))
+        assert result._replace(witness=None) == (2, None)
         with pytest.raises(AttributeError):
-            cert.k = 2
+            result.bound = 3
 
     def test_one_strand_knots_build_no_core(self, dv, d6, monkeypatch):
         def core(*args):
@@ -419,20 +501,11 @@ class TestAlexanderCore:
         monkeypatch.setattr("vbridge.linkgroup.alexander_core", core)
         monkeypatch.setattr("vbridge.linkgroup._fox_rows", core)
         for d in (dv, d6):
-            for result, bounded in (
-                (ideal_lower_bound(d), d),
-                (parity_lower_bound(d), parity_projection(d)),
-            ):
-                units = tuple(
-                    IdealCertificate(k, (ONE,), None, True)
-                    for k in range(1, strand_table(bounded).n_strands)
-                )
-                assert result.bound == 1
-                assert result.certificates == units
+            assert ideal_lower_bound(d) == parity_lower_bound(d) == (1, None)
 
     def test_one_strand_knots_have_cores_at_most_one_wide(self, monkeypatch):
         # a core at most one wide has E_k = (1) for every k >= 1, so the
-        # shortcut's unit certificates are the ones the core gives
+        # shortcut's bound and witness are the ones the core gives
         def diagrams():
             for n_chords in range(4):
                 for code in enumerate_knot_codes(n_chords):

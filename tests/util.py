@@ -5,10 +5,15 @@ oracle does a breadth-first walk over colored-set states for every seed
 subset, and the coloring oracle enumerates all strand assignments.  The
 numpy seed-subset search is the former library backend, kept verbatim to
 check that the bitmask search reproduces its witnesses and work counters.
-The full-matrix ideal bound is the former library bound, kept verbatim to
-check that the bound on the Alexander core gives the same bound, witnesses
-and nontriviality flags.  The dense Alexander core is the former library
-elimination on the full ``LaurentPolynomial`` matrix, kept verbatim to
+The minor-scan ideal bound, with its per-k elementary-ideal generators,
+properness certificates and ``IdealCertificate`` records, is the former
+library bound, kept verbatim (its bad-index error now a plain
+``ValueError``) to check that the largest nullity of the evaluated
+Alexander core gives the same bound.  The full-matrix ideal bound is the
+bound before the Alexander core, kept to check that the minor scan on the
+core gives the same bound, witnesses and nontriviality flags.  The dense
+Alexander core is the former library elimination on the full
+``LaurentPolynomial`` matrix, kept verbatim to
 check that the core built from sparse integer rows is the same entry for
 entry.  The token-by-token tokenizer, the two-pass diagram builder, the
 position-walking strand table and the pairwise Gaussian parity are the
@@ -33,7 +38,8 @@ import re
 import time
 from collections import deque
 from fractions import Fraction
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from vbridge.errors import (
     NotAKnotError,
     SignMismatchError,
     UnbalancedChordError,
+    check_deadline,
 )
 from vbridge.gauss import (
     HEAD,
@@ -60,14 +67,16 @@ from vbridge.gauss import (
 )
 from vbridge.laurent import ONE, ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
+    _IDEAL,
     AlexanderMatrix,
-    IdealBoundResult,
-    IdealCertificate,
     _gcd_mod,
+    _minor_determinants,
     _primes_upto,
-    elementary_ideal_generators,
+    _resultant_filter,
+    alexander_core,
 )
 from vbridge.parity import gaussian_parity
+from vbridge.search import one_strand_saturates
 
 _NP_CHECK_EVERY = 256
 _ORACLE_TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
@@ -332,6 +341,114 @@ def numpy_search(d: GaussDiagram):
     raise AssertionError("seeding every strand always succeeds")
 
 
+def elementary_ideal_generators(
+    a: AlexanderMatrix, k: int, deadline: Optional[float] = None
+) -> list[LaurentPolynomial]:
+    """Generators of the k-th elementary ideal: the (n-k) x (n-k) minors,
+    deduplicated up to sign and powers of t.  Empty when the matrix has too
+    few rows for minors of that size."""
+    n = a.n_cols
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < {n}, got {k}")
+    size = n - k
+    if size > a.n_rows:
+        return []
+    seen = {}
+    for minor in _minor_determinants(a, size, deadline):
+        canon = minor.unit_canonical()
+        seen.setdefault(str(canon), canon)
+    return [seen[key] for key in sorted(seen)]
+
+
+def properness_certificate(
+    gens: Sequence[LaurentPolynomial], prime_bound: int = 97
+) -> Optional[tuple[int, int]]:
+    """Smallest (prime p, unit u) with every generator vanishing at t = u
+    over Z/p, or None.  Such a witness shows the ideal misses 1, hence is
+    proper; failure to find one proves nothing.
+
+    A unit generator +-t^m vanishes nowhere, so it ends the scan at once.
+    For u != 0 the common roots of the generators mod p are exactly the
+    roots of their gcd over Z/p (``_gcd_mod``), so u is found by Horner's
+    rule on that gcd; the gcd [] (every generator vanishes mod p) gives
+    u = 1.  A prime over which the gcd is a nonzero constant has no
+    common root; the first such prime computes ``_resultant_filter``'s N,
+    and from then on every prime not dividing N is skipped unscanned,
+    since a common root mod p makes p divide N.  Both steps only skip
+    primes and units with no common root, so the witness is unchanged."""
+    if any(g.is_unit for g in gens):
+        return None
+    res = None  # N, once a prime has shown no common root
+    for p in _primes_upto(prime_bound):
+        if res and res % p:
+            continue
+        h = _gcd_mod(gens, p)  # [] when every generator vanishes: u = 1
+        if len(h) == 1:
+            if res is None:
+                res = _resultant_filter(gens)
+            continue
+        for u in range(1, p):
+            v = 0
+            for c in reversed(h):
+                v = (v * u + c) % p
+            if not v:
+                return p, u
+    return None
+
+
+class IdealCertificate(NamedTuple):
+    k: int
+    generators: tuple[LaurentPolynomial, ...]
+    witness: Optional[tuple[int, int]]  # (prime, unit) or None
+    nontrivial: bool  # some generator is a nonzero polynomial
+
+    @property
+    def qualifies(self) -> bool:
+        return self.witness is not None and self.nontrivial
+
+
+@dataclass(frozen=True)
+class MinorScanResult:
+    bound: int
+    certificates: tuple[IdealCertificate, ...]
+
+
+def minor_scan_ideal_lower_bound(
+    d: GaussDiagram,
+    k_max: Optional[int] = None,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+) -> MinorScanResult:
+    """Bridge-number lower bound 1 + max{k : E_k certified proper and
+    nontrivial}, scanning k = 1..k_max; 1 when no index qualifies.
+    Each E_k is generated by minors of ``alexander_core``, and is (1) from
+    the core's width on; a knot that one strand saturates has every E_k
+    = (1) and builds no core.  Raises SearchTimeoutError once
+    ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
+    if d.n_components != 1:
+        raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
+    check_deadline(deadline, _IDEAL)
+    n = strand_table(d).n_strands
+    k_hi = n - 1 if k_max is None else min(k_max, n - 1)
+    core = None if one_strand_saturates(d) else alexander_core(d)
+    width = 1 if core is None else core.n_cols
+    certificates = []
+    best = 0
+    for k in range(1, k_hi + 1):
+        if k >= width:  # E_k = (1)
+            certificates.append(IdealCertificate(k, (ONE,), None, True))
+            continue
+        check_deadline(deadline, _IDEAL)
+        gens = elementary_ideal_generators(core, k, deadline)
+        nontrivial = any(not g.is_zero for g in gens)
+        witness = properness_certificate(gens, prime_bound) if gens else None
+        cert = IdealCertificate(k, tuple(gens), witness, nontrivial)
+        certificates.append(cert)
+        if cert.qualifies:
+            best = max(best, k)
+    return MinorScanResult(1 + best, tuple(certificates))
+
+
 def full_matrix_properness_certificate(gens, prime_bound: int = 97):
     """Smallest (prime p, unit u) with every generator vanishing at t = u
     over Z/p, or None: every pair is tried, units included."""
@@ -429,7 +546,7 @@ def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int 
         certificates.append(cert)
         if cert.qualifies:
             best = max(best, k)
-    return IdealBoundResult(1 + best, tuple(certificates))
+    return MinorScanResult(1 + best, tuple(certificates))
 
 
 def dense_alexander_core(a: AlexanderMatrix) -> AlexanderMatrix:
@@ -477,7 +594,7 @@ def _unit_pivot(rows: list[dict[int, LaurentPolynomial]]) -> Optional[tuple[int,
     return None if best is None else best[1:]
 
 
-def ideal_summary(result: IdealBoundResult):
+def ideal_summary(result: MinorScanResult):
     """What the bound certifies, independent of the generators chosen:
     (bound, [(k, witness, nontrivial)])."""
     return result.bound, [(c.k, c.witness, c.nontrivial) for c in result.certificates]
