@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError, check_deadline
 from .gauss import GaussDiagram, bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
@@ -51,15 +51,13 @@ ALL_ANALYSES = frozenset({"ideal", "parity", "welded"})
 _BEFORE = {a: f"before the {a} analysis" for a in (*ALL_ANALYSES, "quandle")}
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     name: str
     code: str
     line: int
 
 
-@dataclass(frozen=True)
-class TableProblem:
+class TableProblem(NamedTuple):
     line: int
     message: str
 

@@ -125,8 +125,7 @@ class HeadIncidence(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
-class StrandTable:
+class StrandTable(NamedTuple):
     strands: tuple[Strand, ...]
     incidences: tuple[HeadIncidence, ...]  # ordered by (component, head position)
 

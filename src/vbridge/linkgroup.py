@@ -38,7 +38,6 @@ generates the module: E_k = (1) for every k >= 1, and the bound is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice
 from math import gcd
@@ -51,17 +50,13 @@ from .quandle import _rank_mod
 from .search import one_strand_saturates
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
+class AlexanderMatrix(NamedTuple):
     rows: tuple[tuple[LaurentPolynomial, ...], ...]  # one row per relation
+    n_cols: int  # one column per generator, also when there is no row
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     def row_sums_at_one(self) -> list[int]:
         return [sum(p.evaluate_unit(1) for p in row) for row in self.rows]
@@ -86,7 +81,8 @@ def _dense(rows: list[dict[int, dict[int, int]]], cols: Sequence[int]) -> Alexan
         tuple(
             tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
             for row in rows
-        )
+        ),
+        len(cols),
     )
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     NotDistributiveError,
@@ -34,8 +33,7 @@ from .gauss import GaussDiagram, strand_table
 from .search import WirtingerResult, apply_coloring_moves, wirtinger_number
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(NamedTuple):
     table: tuple[tuple[int, ...], ...]  # table[x][y] = x > y
     inverse: tuple[tuple[int, ...], ...]  # inverse[x][y] = x >^-1 y
     name: str = ""

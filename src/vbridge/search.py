@@ -33,16 +33,16 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import CutSplitError, SearchExhaustedError, check_deadline
 from .gauss import GaussDiagram, HeadIncidence, StrandTable, cut_split_witness, strand_table
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass
-class ColoringState:
+
+class ColoringState(NamedTuple):
     """Partial coloring: strand -> color index (1..k) or None."""
 
     assignment: list[Optional[int]]
@@ -61,8 +61,7 @@ class SequenceEntry(NamedTuple):
     via: Optional[int]  # chord id of the justifying arrowhead; None for seeds
 
 
-@dataclass(frozen=True)
-class ColoringSequence:
+class ColoringSequence(NamedTuple):
     """Strands in coloring order; the first k entries are the seeds."""
 
     entries: tuple[SequenceEntry, ...]
@@ -78,6 +77,10 @@ class ColoringSequence:
 
     def heights(self) -> dict[int, Fraction]:
         """Height of the j-th colored strand is 1/(j+1), j counted from 1."""
+        # imported here: fractions loads decimal and numbers, which an
+        # import of the package otherwise skips
+        from fractions import Fraction
+
         return {e.strand: Fraction(1, j + 2) for j, e in enumerate(self.entries)}
 
     def to_json_dict(self) -> dict:
@@ -96,8 +99,7 @@ class ColoringSequence:
         return cls(entries, int(data["k"]))
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failed_at: Optional[int] = None  # index of the first offending entry/move
 
@@ -110,8 +112,7 @@ class SearchStats(NamedTuple):
     saturation_steps: int
 
 
-@dataclass(frozen=True)
-class WirtingerResult:
+class WirtingerResult(NamedTuple):
     omega: int
     seed_set: tuple[int, ...]
     sequence: ColoringSequence
@@ -479,15 +480,13 @@ def verify_height_certificate(d: GaussDiagram, seq: ColoringSequence) -> VerifyR
     return VerifyResult(True, None)
 
 
-@dataclass(frozen=True)
-class LowTailChord:
+class LowTailChord(NamedTuple):
     chord_id: int
     color: int
     whole_component: bool  # the chord's color class covers its component
 
 
-@dataclass(frozen=True)
-class LowTailReport:
+class LowTailReport(NamedTuple):
     """Chords whose head separates same-colored strands while the tail
     strand's height is at most both head-side heights.
 

@@ -12,7 +12,6 @@ at most T(T-1)/2 swaps plus T deletions for T chords.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import NotAKnotError, NotOneOverbridgeError
@@ -31,8 +30,7 @@ class WeldedMove(NamedTuple):
         return {"kind": "r1", "chord": self.chord}
 
 
-@dataclass(frozen=True)
-class UnknottingCertificate:
+class UnknottingCertificate(NamedTuple):
     initial: str
     moves: tuple[WeldedMove, ...]
     final: str

@@ -147,8 +147,8 @@ class TestSingleDiagramCommands:
         # the chordless circle: one strand, no arrowhead, so no relation
         data = run_json(capsys, "alexander", ".")
         assert (data["generators"], data["relations"], data["matrix"]) == (1, 0, [])
-        # a matrix with no rows has no columns either, the core as the matrix
-        assert (data["core_width"], data["witness"], data["lower_bound"]) == (0, None, 1)
+        # the core keeps the one generator as a column, though it has no row
+        assert (data["core_width"], data["witness"], data["lower_bound"]) == (1, None, 1)
 
     def test_quandle(self, capsys, tmp_path):
         path = tmp_path / "r3.txt"

@@ -9,6 +9,7 @@ from vbridge.errors import NotAKnotError, SearchTimeoutError
 from vbridge.gauss import HeadIncidence, ensure_tail_per_component, parse_gauss_code, strand_table
 from vbridge.laurent import LaurentPolynomial
 from vbridge.linkgroup import (
+    AlexanderMatrix,
     IdealBoundResult,
     _minor_determinants,
     _primes_upto,
@@ -435,6 +436,17 @@ class TestAlexanderCore:
         [cert] = minor_scan_ideal_lower_bound(dv).certificates
         assert cert.generators == (LaurentPolynomial({0: 1}),)
         assert ideal_lower_bound(dv) == (1, None)
+
+    def test_chordless_components_keep_their_columns(self):
+        # the circle has one generator and no relation, so its core is a
+        # matrix with no row and one column, free of rank 1
+        circle = parse_gauss_code(".")
+        assert alexander_core(circle) == AlexanderMatrix((), 1)
+        assert alexander_matrix(circle).n_cols == 1
+        d = parse_gauss_code("O1+U1+|.")
+        core = alexander_core(d)
+        assert (core.n_rows, core.n_cols) == (1, 2)
+        assert core == dense_alexander_core(laurent_alexander_matrix(d))
 
     def test_every_code_up_to_three_chords_every_sign(self):
         checked = 0

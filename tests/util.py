@@ -525,7 +525,7 @@ def laurent_alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
         row[r.before] = row[r.before] + te
         row[r.after] = row[r.after] - ONE
         rows.append(tuple(row))
-    return AlexanderMatrix(tuple(rows))
+    return AlexanderMatrix(tuple(rows), n)
 
 
 def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97):
@@ -576,7 +576,7 @@ def dense_alexander_core(a: AlexanderMatrix) -> AlexanderMatrix:
                 else:
                     row[j] = v
         cols.remove(c)
-    return AlexanderMatrix(tuple(tuple(row.get(j, ZERO) for j in cols) for row in rows))
+    return AlexanderMatrix(tuple(tuple(row.get(j, ZERO) for j in cols) for row in rows), len(cols))
 
 
 def _unit_pivot(rows: list[dict[int, LaurentPolynomial]]) -> Optional[tuple[int, int]]:
