@@ -22,7 +22,12 @@ the sparse Fox rows of plain integers, and only its few entries become
 filled from the same rows, only for ``vbridge alexander``'s output.
 
 Nullity 2 or more needs every (w - 1)-minor to vanish, and only those
-(p, u) are ranked.  For u != 0 the common roots of the minors mod p are
+(p, u) are ranked.  Every Fox row sums to zero, and elimination keeps
+that (row' . 1 = row . 1 - (f / pivot) prow . 1), so the core's first
+column is minus the sum of the others at every t and dropping it keeps
+the rank: the w maximal minors of the core without its first column
+vanish exactly where all w^2 (w - 1)-minors of the core do, and they are
+the minors taken.  For u != 0 the common roots of the minors mod p are
 exactly the roots of their gcd over Z/p, so u comes from Horner's rule on
 that gcd.  A common root mod p of two minors f and g makes p divide their
 resultant, since Res(f, g) = A f + B g with A, B in Z[t]; so once one
@@ -336,10 +341,11 @@ def ideal_lower_bound(
     p <= ``prime_bound`` and units u, capped at k_max + 1 and at the strand
     count; 1, with no witness, when no nullity reaches 2.
 
-    Only the common roots of the (width - 1)-minors are ranked.  At u = 1
-    the relations chain the strands into one cycle, so a knot's nullity is
-    1 there and p = 2 has no unit to try.  The witness is the first (p, u)
-    of largest nullity; the scan stops once the nullity reaches the cap.
+    Only the common roots of the maximal minors of the core without its
+    first column are ranked.  At u = 1 the relations chain the strands into
+    one cycle, so a knot's nullity is 1 there and p = 2 has no unit to try.
+    The witness is the first (p, u) of largest nullity; the scan stops once
+    the nullity reaches the cap.
     A core at most one wide, or a knot that one strand saturates (which
     builds no core), gives 1.  Raises SearchTimeoutError once
     ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
@@ -353,7 +359,9 @@ def ideal_lower_bound(
     cap = min(cap, width)
     if cap < 2:
         return IdealBoundResult(1, None)
-    minors = _minor_determinants(core, width - 1, deadline)
+    # column 0 is minus the sum of the others, so it adds no rank
+    rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
+    minors = _minor_determinants(rest, width - 1, deadline)
     minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
     best = None
     res = None  # N, once a prime has shown no common root

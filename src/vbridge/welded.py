@@ -49,12 +49,12 @@ class UnknottingCertificate(NamedTuple):
     def from_json_dict(cls, data: dict) -> "UnknottingCertificate":
         moves = []
         for m in data["moves"]:
-            if m["kind"] == "swap":
+            if m["kind"] == "swap" and "at" in m:
                 moves.append(WeldedMove("swap", at=tuple(int(i) for i in m["at"])))
-            elif m["kind"] == "r1":
+            elif m["kind"] == "r1" and "chord" in m:
                 moves.append(WeldedMove("r1", chord=int(m["chord"])))
             else:
-                raise ValueError(f"unknown move kind {m['kind']!r}")
+                raise ValueError(f"unknown move kind or missing field in {m!r}")
         return cls(data["initial"], tuple(moves), data["final"])
 
     @classmethod
@@ -72,7 +72,11 @@ def is_one_overbridge(d: GaussDiagram) -> bool:
 
 def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     """Explicit move list reducing a one-overbridge diagram to the chordless
-    circle; at most T(T-1)/2 + T moves for T chords."""
+    circle; at most T(T-1)/2 + T moves for T chords.  The moves are planned
+    from the token order and never carried out: ``replay_certificate``
+    checks what the plan relies on, that T heads follow the tail run, that
+    each kink is adjacent when it is peeled and that the diagram ends
+    empty."""
     if not is_one_overbridge(d):
         raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
     initial = to_gauss_code(d)
@@ -82,45 +86,22 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
         return UnknottingCertificate(initial, (), ".")
 
     length = len(tokens)
-    # the tails form one cyclically consecutive run; find its start
-    run_start = next(
-        p
-        for p in range(length)
-        if tokens[p][0] == TAIL and tokens[(p - 1) % length][0] == HEAD
-    )
-    head_order = []
-    p = (run_start + n_chords) % length
-    while tokens[p][0] == HEAD:
-        head_order.append(tokens[p][1])
-        p = (p + 1) % length
-        if p == run_start:
-            break
-    assert len(head_order) == n_chords
-
-    moves: list[WeldedMove] = []
+    # the tails form one cyclically consecutive run; the heads follow it
+    run_start = next(p for p in range(length) if tokens[p][0] == TAIL and tokens[p - 1][0] == HEAD)
+    run = [(run_start + i) % length for i in range(n_chords)]
+    head_order = [tokens[(run_start + n_chords + i) % length][1] for i in range(n_chords)]
     # sort the tail run to the reverse of the head order by adjacent swaps,
     # so the first-encountered head's chord becomes the innermost kink
-    target = list(reversed(head_order))
-    rank = {label: i for i, label in enumerate(target)}
-    run = [(run_start + i) % length for i in range(n_chords)]
+    rank = {label: n_chords - 1 - i for i, label in enumerate(head_order)}
     labels = [tokens[p][1] for p in run]
+    moves: list[WeldedMove] = []
     for i in range(1, n_chords):
         j = i
         while j > 0 and rank[labels[j - 1]] > rank[labels[j]]:
             labels[j - 1], labels[j] = labels[j], labels[j - 1]
-            a, b = run[j - 1], run[j]
-            tokens[a], tokens[b] = tokens[b], tokens[a]
-            moves.append(WeldedMove("swap", (a, b)))
+            moves.append(WeldedMove("swap", (run[j - 1], run[j])))
             j -= 1
-
-    for label in head_order:
-        pos = [p for p, t in enumerate(tokens) if t[1] == label]
-        p, q = pos
-        assert q == (p + 1) % len(tokens) or p == (q + 1) % len(tokens)
-        moves.append(WeldedMove("r1", None, label))
-        tokens = [t for t in tokens if t[1] != label]
-
-    assert not tokens
+    moves += [WeldedMove("r1", chord=label) for label in head_order]
     return UnknottingCertificate(initial, tuple(moves), ".")
 
 
@@ -140,7 +121,7 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
         if move.kind == "swap":
-            if move.at is None or length == 0:
+            if move.at is None or len(move.at) != 2 or length == 0:
                 return VerifyResult(False, idx)
             i, j = move.at
             if not (0 <= i < length and 0 <= j < length and j == (i + 1) % length):

@@ -400,6 +400,31 @@ class TestNullityBound:
             assert capped.bound == 4
             _assert_witness_replays(d, capped)
 
+    def test_maximal_minors_without_the_first_column(self):
+        # the bound's minors: they vanish at (p, u) exactly where every
+        # (width - 1)-minor of the whole core does
+        rng = random.Random(2303)
+        diagrams = list(_census_knots())
+        diagrams += [random_knot(rng, max_chords=12, min_chords=6) for _ in range(60)]
+        compared = 0
+        for d in diagrams:
+            core = alexander_core(d)
+            width = core.n_cols
+            if width < 2:
+                continue
+            rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
+            every = _minor_determinants(core, width - 1)
+            maximal = _minor_determinants(rest, width - 1)
+            assert len(every) == width * width and len(maximal) == width
+            for p in _primes_upto(13):
+                for u in range(1, p):
+                    assert all(g.evaluate_mod(p, u) == 0 for g in every) == all(
+                        g.evaluate_mod(p, u) == 0 for g in maximal
+                    ), (d, p, u)
+            compared += 1
+        assert compared > 200
+
+
 def _assert_core_matches_full_matrix(d):
     expected = ideal_summary(full_matrix_ideal_lower_bound(d))
     assert ideal_summary(minor_scan_ideal_lower_bound(d)) == expected, d
@@ -447,6 +472,20 @@ class TestAlexanderCore:
         core = alexander_core(d)
         assert (core.n_rows, core.n_cols) == (1, 2)
         assert core == dense_alexander_core(laurent_alexander_matrix(d))
+
+    def test_every_row_sums_to_zero(self):
+        # -1 + t^e + (1 - t^e) = 0 in each Fox row, and each elimination
+        # step subtracts a multiple of a row that sums to zero
+        rng = random.Random(2302)
+        diagrams = list(_census_knots())
+        diagrams += [random_knot(rng, max_chords=14, min_chords=5) for _ in range(100)]
+        diagrams += [
+            parse_gauss_code(util.random_diagram_code(rng, 16, 3, 4, min_components=2))
+            for _ in range(100)
+        ]
+        for d in diagrams:
+            for row in alexander_core(d).rows:
+                assert sum(row, LaurentPolynomial()).is_zero, d
 
     def test_every_code_up_to_three_chords_every_sign(self):
         checked = 0

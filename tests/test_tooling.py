@@ -86,3 +86,18 @@ def test_every_exported_name_exists():
     # a stale __all__ entry breaks ``from vbridge import *``
     missing = [name for name in vbridge.__all__ if not hasattr(vbridge, name)]
     assert not missing and len(set(vbridge.__all__)) == len(vbridge.__all__)
+
+
+def test_benchmark_smoke_passes():
+    # tiny corpora through the benchmark runner, traced and untraced: a row
+    # that differs from the reference CSV, a traced call that no longer
+    # produces its row, a missing BOUNDARY name or a PipelineConfig that
+    # dataclasses.replace rejects all fail it.  It writes only under the
+    # ignored .pipebench_work/
+    out = subprocess.run(
+        [sys.executable, "pipebench/run.py", "--smoke"],
+        cwd=SRC.parent,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0 and "smoke: PASS" in out.stdout, out.stdout + out.stderr

@@ -11,7 +11,12 @@ from vbridge.welded import (
     replay_certificate,
     welded_unknot_certificate,
 )
-from util import random_one_overbridge_code
+from util import (
+    enumerate_knot_codes,
+    random_one_overbridge_code,
+    simulating_welded_certificate,
+    with_signs,
+)
 
 
 class TestIsOneOverbridge:
@@ -99,6 +104,38 @@ class TestCertificate:
                     assert is_one_overbridge(sub)
 
 
+class TestPlannedMatchesSimulated:
+    """The planned certificate is, move for move, the one the former
+    generator produced by carrying out every move (kept in tests/util.py),
+    and it replays."""
+
+    @staticmethod
+    def _check(d):
+        cert = welded_unknot_certificate(d)
+        assert cert.to_json() == simulating_welded_certificate(d).to_json(), to_gauss_code(d)
+        assert replay_certificate(cert), to_gauss_code(d)
+
+    def test_census_knots(self):
+        # every code of at most 4 chords in two seeded sign variants, as the
+        # benchmark's census draws them
+        rng = random.Random(2104)
+        checked = 0
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for _ in range(2):
+                    signs = [rng.choice("+-") for _ in range(n_chords)]
+                    d = parse_gauss_code(with_signs(code, signs))
+                    if is_one_overbridge(d):
+                        self._check(d)
+                        checked += 1
+        assert checked == 478
+
+    def test_random_knots_up_to_150_chords(self):
+        rng = random.Random(2301)
+        for _ in range(60):
+            self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=150)))
+
+
 class TestReplayRejections:
     def _cert(self, dv):
         return welded_unknot_certificate(dv)
@@ -142,6 +179,14 @@ class TestReplayRejections:
         r = replay_certificate(UnknottingCertificate("O1+U1+", moves, "."))
         assert not r and r.failed_at == 0
 
+    def test_swap_that_is_not_a_pair(self):
+        for at in ([0], [0, 1, 2]):
+            cert = UnknottingCertificate.from_json_dict(
+                {"initial": "O1+O2+U1+U2+", "moves": [{"kind": "swap", "at": at}], "final": "."}
+            )
+            r = replay_certificate(cert)
+            assert not r and r.failed_at == 0, at
+
     def test_bad_initial(self):
         r = replay_certificate(UnknottingCertificate("O1+", (), "."))
         assert not r and r.failed_at is None
@@ -175,6 +220,13 @@ class TestJsonRoundtrip:
             UnknottingCertificate.from_json_dict(
                 {"initial": ".", "moves": [{"kind": "slide"}], "final": "."}
             )
+
+    def test_missing_field_rejected(self):
+        for move in ({"kind": "swap"}, {"kind": "r1"}, {"kind": "r1", "at": [0, 1]}):
+            with pytest.raises(ValueError):
+                UnknottingCertificate.from_json_dict(
+                    {"initial": "O1+U1+", "moves": [move], "final": "."}
+                )
 
 
 class TestMoveRecords:

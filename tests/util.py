@@ -28,6 +28,9 @@ diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
 is the former library builder, reading each head incidence where it read
 that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
 kept to check that the matrix filled from the sparse Fox rows is the same.
+The simulating welded certificate is the former library generator, which
+carried out every move it emitted on a token list under three asserts,
+kept verbatim to check that the planned certificates are the same.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from vbridge.errors import (
     EmptyInputError,
     GaussSyntaxError,
     NotAKnotError,
+    NotOneOverbridgeError,
     SignMismatchError,
     UnbalancedChordError,
     check_deadline,
@@ -64,6 +68,7 @@ from vbridge.gauss import (
     from_tokens,
     parse_gauss_code,
     strand_table,
+    to_gauss_code,
 )
 from vbridge.laurent import ONE, ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
@@ -77,6 +82,7 @@ from vbridge.linkgroup import (
 )
 from vbridge.parity import gaussian_parity
 from vbridge.search import one_strand_saturates
+from vbridge.welded import UnknottingCertificate, WeldedMove, is_one_overbridge
 
 _NP_CHECK_EVERY = 256
 _ORACLE_TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
@@ -669,3 +675,57 @@ def random_one_overbridge_code(
     tokens += [f"U{label}{signs[label]}" for label in head_order]
     cut = rng.randrange(len(tokens))
     return "".join(tokens[cut:] + tokens[:cut])
+
+
+def simulating_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
+    """Explicit move list reducing a one-overbridge diagram to the chordless
+    circle; at most T(T-1)/2 + T moves for T chords."""
+    if not is_one_overbridge(d):
+        raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
+    initial = to_gauss_code(d)
+    [tokens] = component_tokens(d)
+    n_chords = d.n_chords
+    if n_chords == 0:
+        return UnknottingCertificate(initial, (), ".")
+
+    length = len(tokens)
+    # the tails form one cyclically consecutive run; find its start
+    run_start = next(
+        p
+        for p in range(length)
+        if tokens[p][0] == TAIL and tokens[(p - 1) % length][0] == HEAD
+    )
+    head_order = []
+    p = (run_start + n_chords) % length
+    while tokens[p][0] == HEAD:
+        head_order.append(tokens[p][1])
+        p = (p + 1) % length
+        if p == run_start:
+            break
+    assert len(head_order) == n_chords
+
+    moves: list[WeldedMove] = []
+    # sort the tail run to the reverse of the head order by adjacent swaps,
+    # so the first-encountered head's chord becomes the innermost kink
+    target = list(reversed(head_order))
+    rank = {label: i for i, label in enumerate(target)}
+    run = [(run_start + i) % length for i in range(n_chords)]
+    labels = [tokens[p][1] for p in run]
+    for i in range(1, n_chords):
+        j = i
+        while j > 0 and rank[labels[j - 1]] > rank[labels[j]]:
+            labels[j - 1], labels[j] = labels[j], labels[j - 1]
+            a, b = run[j - 1], run[j]
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            moves.append(WeldedMove("swap", (a, b)))
+            j -= 1
+
+    for label in head_order:
+        pos = [p for p, t in enumerate(tokens) if t[1] == label]
+        p, q = pos
+        assert q == (p + 1) % len(tokens) or p == (q + 1) % len(tokens)
+        moves.append(WeldedMove("r1", None, label))
+        tokens = [t for t in tokens if t[1] != label]
+
+    assert not tokens
+    return UnknottingCertificate(initial, tuple(moves), ".")
