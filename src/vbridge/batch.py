@@ -171,8 +171,8 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     before it starts),
     SearchExhaustedError at ``config.max_k``,
     InvariantError when ideal_lb <= omega <= vb fails.
-    The parity stage gets the ideal stage's result, which is its own on a
-    knot with no odd chord.
+    Both bounds get the search's result, and the parity stage the ideal
+    stage's, which is its own on a knot with no odd chord.
     """
     deadline = None if config.time_limit is None else time.perf_counter() + config.time_limit
 
@@ -197,11 +197,11 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     is_knot = diagram.n_components == 1
     ideal = None
     if due("ideal", is_knot):
-        ideal = ideal_lower_bound(diagram, config.max_k, config.prime_bound, deadline=deadline)
+        ideal = ideal_lower_bound(diagram, config.max_k, config.prime_bound, deadline=deadline, result=result)
         rec.ideal_lb = ideal.bound
     if due("parity", is_knot):
         rec.parity_lb = parity_lower_bound(
-            diagram, config.max_k, config.prime_bound, deadline=deadline, ideal=ideal
+            diagram, config.max_k, config.prime_bound, deadline=deadline, ideal=ideal, result=result
         ).bound
     for q in config.quandles:
         check_deadline(deadline, _BEFORE["quandle"])

@@ -23,7 +23,7 @@ from .batch import (
     run_pipeline,
     write_results,
 )
-from .errors import SearchTimeoutError, VbridgeError, check_deadline
+from .errors import SearchTimeoutError, VbridgeError, check_deadline, require_knot
 from .gauss import (
     bridge_count,
     cut_split_witness,
@@ -31,9 +31,10 @@ from .gauss import (
     strand_table,
     to_gauss_code,
 )
-from .linkgroup import alexander_core, alexander_matrix, ideal_lower_bound
+from .linkgroup import alexander_matrix, sequence_bound
 from .parity import gaussian_parity, parity_projection
 from .quandle import load_quandle_table
+from .search import apply_coloring_moves, reduced_seed_set
 from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate
 
 EXIT_OK = 0
@@ -198,19 +199,19 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "alexander":
-        # the bound first: the dense matrix is quadratic in the strands, so
-        # it is built and printed only while the deadline allows
+        # the seeds and the bound on them first: the dense matrix is
+        # quadratic in the strands, so it is built only while time allows
         deadline = None if args.time_limit is None else time.perf_counter() + args.time_limit
-        result = ideal_lower_bound(
-            d, k_max=args.max_k, prime_bound=args.prime_bound, deadline=deadline
-        )
+        require_knot(d, "elementary-ideal bound")
+        _, seq = apply_coloring_moves(d, reduced_seed_set(d, deadline))
+        result = sequence_bound(d, seq, args.max_k, args.prime_bound, deadline)
         check_deadline(deadline, _MATRIX)
         table = strand_table(d)
         out = {
             "generators": table.n_strands,
             "relations": len(table.incidences),
             "matrix": [[str(entry) for entry in row] for row in alexander_matrix(d).rows],
-            "core_width": alexander_core(d).n_cols,
+            "core_width": seq.k,
             "witness": None if result.witness is None else dict(zip(("p", "u", "nullity"), result.witness)),
             "lower_bound": result.bound,
         }

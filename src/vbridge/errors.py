@@ -32,6 +32,12 @@ class NotAKnotError(VbridgeError, ValueError):
     """Operation is defined only for one-component diagrams."""
 
 
+def require_knot(d, what: str) -> None:
+    """Raise NotAKnotError unless ``d`` has one component; ``what`` names the operation."""
+    if d.n_components != 1:
+        raise NotAKnotError(f"{what} is defined for knot diagrams")
+
+
 class CutSplitError(VbridgeError, ValueError):
     """Operation is defined only for diagrams that are not cut-split."""
 

@@ -3,42 +3,29 @@
 The strand table is the Wirtinger presentation: a generator per strand, a
 relation per head incidence, a_after = b^e a_before b^-e with b the tail
 strand and e the chord sign.  Fox derivatives of that relation,
-abelianized to Z[t, 1/t], give the Alexander matrix row (``_fox_rows``)
+abelianized to Z[t, 1/t], give the Alexander matrix row
   column a_after: -1,  column a_before: t^e,  column b: 1 - t^e,
 with coincident generators accumulating.  The elementary ideal E_k is
 proper when some prime p and unit u make every generator vanish at t = u
 over Z/p, which puts the bridge number above k.
 
-Every row has a unit -1 in its ``after`` column, so the bound first
-eliminates unit pivots +-t^m (``alexander_core``): the elementary ideals
-are invariants of the module the matrix presents, which the elimination
-keeps, and the pivots stay units at every u != 0 mod p, so the core's
-nullity at (p, u) is the full matrix's.  On a w-wide core, E_k vanishes
-at (p, u) exactly when every (w - k)-minor does, that is when the core at
-t = u has rank below w - k over Z/p.  So one rank per (p, u) gives every
-k at once: the bound is the largest nullity.  The core is eliminated on
-the sparse Fox rows of plain integers, and only its few entries become
-``LaurentPolynomial``; the dense n x n matrix (``alexander_matrix``) is
-filled from the same rows, only for ``vbridge alexander``'s output.
-
-Nullity 2 or more needs every (w - 1)-minor to vanish, and only those
-(p, u) are ranked.  Every Fox row sums to zero, and elimination keeps
-that (row' . 1 = row . 1 - (f / pivot) prow . 1), so the core's first
-column is minus the sum of the others at every t and dropping it keeps
-the rank: the w maximal minors of the core without its first column
-vanish exactly where all w^2 (w - 1)-minors of the core do, and they are
-the minors taken.  For u != 0 the common roots of the minors mod p are
-exactly the roots of their gcd over Z/p, so u comes from Horner's rule on
-that gcd.  A common root mod p of two minors f and g makes p divide their
-resultant, since Res(f, g) = A f + B g with A, B in Z[t]; so once one
-prime shows no common root, the integer resultant of the first two
-nonzero minors (by the subresultant remainder sequence) rules out every
-prime that does not divide it.
-
-A knot that one seed strand saturates skips the core altogether.  Each
-coloring move solves one relation for a strand whose coefficient is a
-unit (-1 at ``after``, t^e at ``before``), so the seed's generator alone
-generates the module: E_k = (1) for every k >= 1, and the bound is 1.
+The bound ranks the presentation on a seed set that colors every strand
+(``_presentation``): the Wirtinger search's, else
+``search.reduced_seed_set``.  Each coloring move solves one relation for
+the strand it colors, whose coefficient is a unit (-1 or t^e), so every
+strand is a form in the seeds, and each relation no move used is a row.
+It presents the module the full matrix does, so E_k vanishes at (p, u)
+exactly when its rank at t = u over Z/p is below its width w minus k: the
+bound is the largest nullity, at most w (omega on the search's seeds),
+whatever the seeds, and the minors cost about 2^w.  Nullity 2 needs every
+(w - 1)-minor to vanish.  Every form's coefficients sum to 1, so every row
+sums to zero and the first column adds no rank: the w maximal minors
+without it vanish exactly where all w^2 (w - 1)-minors do.  For u != 0
+their common roots mod p are the roots of their gcd over Z/p, found by
+Horner's rule.  A common root mod p of two minors f and g makes p divide
+Res(f, g) = A f + B g (A, B in Z[t]), so once one prime shows no common
+root, every prime not dividing the resultant of the first two nonzero
+minors is skipped.
 """
 
 from __future__ import annotations
@@ -46,13 +33,20 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, islice
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import NotAKnotError, check_deadline
+from .errors import check_deadline, require_knot
 from .gauss import GaussDiagram, strand_table
-from .laurent import ZERO, LaurentPolynomial
+from .laurent import ONE, ZERO, LaurentPolynomial
 from .quandle import _rank_mod
-from .search import one_strand_saturates
+from .search import (
+    ColoringSequence,
+    SequenceEntry,
+    WirtingerResult,
+    apply_coloring_moves,
+    reduced_seed_set,
+    sequence_relations,
+)
 
 
 class AlexanderMatrix(NamedTuple):
@@ -67,103 +61,11 @@ class AlexanderMatrix(NamedTuple):
         return [sum(p.evaluate_unit(1) for p in row) for row in self.rows]
 
 
-def _fox_rows(d: GaussDiagram) -> list[dict[int, dict[int, int]]]:
-    """The Alexander matrix rows, one per head incidence in head order, as
-    sparse rows: strand -> entry {exponent: coefficient} of plain ints."""
-    rows = []
-    for i in strand_table(d).incidences:
-        row: dict[int, dict[int, int]] = {}
-        _accumulate(row, i.tail_strand, ((0, 1), (i.sign, -1)))  # 1 - t^e
-        _accumulate(row, i.before, ((i.sign, 1),))  # t^e
-        _accumulate(row, i.after, ((0, -1),))
-        rows.append(row)
-    return rows
-
-
-def _dense(rows: list[dict[int, dict[int, int]]], cols: Sequence[int]) -> AlexanderMatrix:
-    """The sparse rows restricted to ``cols``, in that order, as a matrix."""
-    return AlexanderMatrix(
-        tuple(
-            tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
-            for row in rows
-        ),
-        len(cols),
-    )
-
-
 def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
-    """The n x n Alexander matrix: a row per relation, a column per strand."""
-    return _dense(_fox_rows(d), range(strand_table(d).n_strands))
-
-
-def alexander_core(d: GaussDiagram) -> AlexanderMatrix:
-    """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
-
-    Works on the sparse Fox rows, never the dense matrix.  Each pivot's row
-    clears the rest of its column, then the pivot's row and column go.  The
-    result presents the same module, so for k below its width E_k is the
-    ideal of its (width - k)-minors, and E_k = (1) above.  Pivots are
-    chosen by least fill-in (Markowitz), ties by position; the column
-    counts follow every fill-in and cancellation.
-    """
-    rows = _fox_rows(d)
-    counts = dict.fromkeys(range(strand_table(d).n_strands), 0)
-    for row in rows:
-        for j in row:
-            counts[j] += 1
-    while (pivot := _unit_pivot(rows, counts)) is not None:
-        r, c = pivot
-        prow = rows.pop(r)
-        for j in prow:
-            counts[j] -= 1
-        [(m, sign)] = prow.pop(c).items()
-        for row in rows:
-            f = row.pop(c, None)
-            if f is None:
-                continue
-            # row += f * (-1 / pivot) * prow, with -1 / pivot = -sign t^-m
-            for j, q in prow.items():
-                had = j in row
-                terms = [
-                    (e1 + e2 - m, -sign * c1 * c2) for e1, c1 in f.items() for e2, c2 in q.items()
-                ]
-                _accumulate(row, j, terms)
-                counts[j] += (j in row) - had
-        del counts[c]
-    return _dense(rows, sorted(counts))
-
-
-def _accumulate(
-    row: dict[int, dict[int, int]], j: int, terms: Iterable[tuple[int, int]]
-) -> None:
-    """Add the terms (exponent, nonzero coefficient) to row[j], dropping
-    zero coefficients and a zero entry."""
-    entry = row.setdefault(j, {})
-    for e, c in terms:
-        v = entry.get(e, 0) + c
-        if v:
-            entry[e] = v
-        else:
-            del entry[e]
-    if not entry:
-        del row[j]
-
-
-def _unit_pivot(
-    rows: list[dict[int, dict[int, int]]], counts: dict[int, int]
-) -> Optional[tuple[int, int]]:
-    """Position (row, column) of the unit entry with the least key
-    ((row length - 1) * (column count - 1), row, column), or None."""
-    best = None
-    for i, row in enumerate(rows):
-        for j, entry in row.items():
-            if len(entry) == 1 and abs(next(iter(entry.values()))) == 1:
-                key = ((len(row) - 1) * (counts[j] - 1), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is not None and best[0] == 0:
-            break  # a later row cannot beat cost 0
-    return None if best is None else best[1:]
+    """The n x n Alexander matrix: a row per relation, a column per strand;
+    the presentation on every strand as a seed, so no move is used."""
+    entries = tuple(SequenceEntry(s, None) for s in range(strand_table(d).n_strands))
+    return _presentation(d, ColoringSequence(entries, len(entries)))
 
 
 _IDEAL = "during the elementary-ideal bound"  # the end of its timeout message
@@ -330,39 +232,57 @@ class IdealBoundResult(NamedTuple):
     witness: Optional[tuple[int, int, int]]  # (prime, unit, nullity) or None
 
 
-def ideal_lower_bound(
+def _presentation(d: GaussDiagram, seq: ColoringSequence) -> AlexanderMatrix:
+    """The Alexander module on the seeds of a coloring sequence: a column
+    per seed, the Fox row (form(before) >^e form(b)) - form(after) per
+    relation that no move used, with x >^e y = t^e x + (1 - t^e) y.  A form
+    maps (seed, exponent) to a nonzero coefficient."""
+    moves, unused = sequence_relations(d, seq)
+    forms: list = [None] * strand_table(d).n_strands
+    for j, s in enumerate(seq.seeds):
+        forms[s] = {(j, 0): 1}
+
+    def act(x: dict, y: dict, e: int, z: dict) -> dict:  # y + t^e (x - y) - z
+        if x == y and not z:
+            return x
+        out = dict(y)
+        for form, sign, shift in ((x, 1, e), (y, -1, e), (z, -1, 0)):
+            for (j, ex), c in form.items():
+                out[j, ex + shift] = out.get((j, ex + shift), 0) + sign * c
+        return {key: c for key, c in out.items() if c}
+
+    for strand, src, tail, e in moves:
+        forms[strand] = act(forms[src], forms[tail], e, {})
+    rows = []
+    for after, before, tail, e in unused:
+        row: dict = {}
+        for (j, ex), c in act(forms[before], forms[tail], e, forms[after]).items():
+            row.setdefault(j, {})[ex] = c
+        rows.append(tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in range(seq.k)))
+    return AlexanderMatrix(tuple(rows), seq.k)
+
+
+def sequence_bound(
     d: GaussDiagram,
+    seq: ColoringSequence,
     k_max: Optional[int] = None,
     prime_bound: int = 97,
     deadline: Optional[float] = None,
 ) -> IdealBoundResult:
-    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
-    largest nullity of ``alexander_core`` at t = u over Z/p, for primes
-    p <= ``prime_bound`` and units u, capped at k_max + 1 and at the strand
-    count; 1, with no witness, when no nullity reaches 2.
-
-    Only the common roots of the maximal minors of the core without its
-    first column are ranked.  At u = 1 the relations chain the strands into
-    one cycle, so a knot's nullity is 1 there and p = 2 has no unit to try.
-    The witness is the first (p, u) of largest nullity; the scan stops once
-    the nullity reaches the cap.
-    A core at most one wide, or a knot that one strand saturates (which
-    builds no core), gives 1.  Raises SearchTimeoutError once
-    ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
-    if d.n_components != 1:
-        raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
-    check_deadline(deadline, _IDEAL)
-    n = strand_table(d).n_strands
-    cap = n if k_max is None else min(k_max + 1, n)
-    core = None if cap < 2 or one_strand_saturates(d) else alexander_core(d)
-    width = 0 if core is None else core.n_cols
-    cap = min(cap, width)
+    """``ideal_lower_bound`` of the knot ``d`` on the presentation of a
+    coloring sequence that colors every strand, whose nullity never exceeds
+    its seed count; the scan stops once the nullity reaches the cap."""
+    width = seq.k
+    cap = width if k_max is None else min(k_max + 1, width)
     if cap < 2:
         return IdealBoundResult(1, None)
+    pres = _presentation(d, seq)
     # column 0 is minus the sum of the others, so it adds no rank
-    rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
+    rest = AlexanderMatrix(tuple(row[1:] for row in pres.rows), width - 1)
     minors = _minor_determinants(rest, width - 1, deadline)
     minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
+    if ONE in minors:  # a unit vanishes nowhere
+        return IdealBoundResult(1, None)
     best = None
     res = None  # N, once a prime has shown no common root
     for p in _primes_upto(prime_bound)[1:]:
@@ -380,10 +300,37 @@ def ideal_lower_bound(
                 v = (v * u + c) % p
             if v:
                 continue
-            rows = [[g.evaluate_mod(p, u) for g in row] for row in core.rows]
+            rows = [[g.evaluate_mod(p, u) for g in row] for row in pres.rows]
             nullity = width - _rank_mod(rows, p)
             if best is None or nullity > best[2]:
                 best = (p, u, nullity)
                 if nullity >= cap:
                     return IdealBoundResult(cap, best)
     return IdealBoundResult(1 if best is None else best[2], best)
+
+
+def ideal_lower_bound(
+    d: GaussDiagram,
+    k_max: Optional[int] = None,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+    result: Optional[WirtingerResult] = None,
+) -> IdealBoundResult:
+    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
+    largest nullity at t = u over Z/p, for primes p <= ``prime_bound`` and
+    units u, of the presentation on the seeds of the Wirtinger search
+    ``result``, or else of ``reduced_seed_set(d)`` (the nullity at each
+    (p, u) is the module's, so only the cost differs), capped at k_max + 1;
+    1, with no witness, when no nullity reaches 2.  The witness is the
+    first (p, u) of largest nullity.  At u = 1 a knot's nullity is 1, as its
+    relations chain its strands into one cycle, and p = 2 has no unit to
+    try.  A cap below 2 returns before any seeds are taken.  Raises
+    SearchTimeoutError once ``time.perf_counter()`` passes ``deadline``.
+    Knot diagrams only."""
+    require_knot(d, "elementary-ideal bound")
+    check_deadline(deadline, _IDEAL)
+    n = strand_table(d).n_strands
+    if (n if k_max is None else min(k_max + 1, n)) < 2:
+        return IdealBoundResult(1, None)
+    seq = result.sequence if result else apply_coloring_moves(d, reduced_seed_set(d, deadline))[1]
+    return sequence_bound(d, seq, k_max, prime_bound, deadline)

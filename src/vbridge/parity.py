@@ -14,14 +14,10 @@ leaves a valid one.
 
 from __future__ import annotations
 
-from .errors import NotAKnotError
-from .gauss import Chord, Endpoint, GaussDiagram
-from .linkgroup import IdealBoundResult, ideal_lower_bound
-
-
-def _require_knot(d: GaussDiagram):
-    if d.n_components != 1:
-        raise NotAKnotError("Gaussian parity is defined for knot diagrams")
+from .errors import require_knot
+from .gauss import Chord, Endpoint, GaussDiagram, strand_table
+from .linkgroup import IdealBoundResult, ideal_lower_bound, sequence_bound
+from .search import WirtingerResult, apply_coloring_moves, reduced_seed_set
 
 
 def gaussian_parity(d: GaussDiagram) -> dict[int, int]:
@@ -31,7 +27,7 @@ def gaussian_parity(d: GaussDiagram) -> dict[int, int]:
     The |head.position - tail.position| - 1 ends strictly inside a chord's
     span are two per nested chord and one per crossing chord, so that
     count mod 2 is the parity; no pair of chords is compared."""
-    _require_knot(d)
+    require_knot(d, "Gaussian parity")
     return {c.id: (abs(c.head.position - c.tail.position) - 1) % 2 for c in d.chords}
 
 
@@ -56,21 +52,39 @@ def parity_projection(d: GaussDiagram) -> GaussDiagram:
     return GaussDiagram((tuple(kept.values()),), chords)
 
 
+def _projected_seeds(d: GaussDiagram, seeds) -> set[int]:
+    """The projection's strands holding the strands ``seeds`` of ``d``: knot
+    strand j ends at head j, so it lies in the one numbered by the even heads before j."""
+    parity = gaussian_parity(d)
+    even = [0]  # even[j]: even heads before head j
+    for inc in strand_table(d).incidences:
+        even.append(even[-1] + 1 - parity[inc.chord_id])
+    return {even[s] % (even[-1] or 1) for s in seeds}
+
+
 def parity_lower_bound(
     d: GaussDiagram,
     k_max: int | None = None,
     prime_bound: int = 97,
     deadline: float | None = None,
     ideal: IdealBoundResult | None = None,
+    result: WirtingerResult | None = None,
 ) -> IdealBoundResult:
     """Elementary-ideal bound of the parity projection; since the projection
     never raises the bridge count, this bounds the original knot too.
     ``deadline`` is a ``time.perf_counter()`` value, as for
     ``ideal_lower_bound``.  ``ideal``, when given, is ``ideal_lower_bound``
     of ``d`` with the same ``k_max`` and ``prime_bound``; a knot with no odd
-    chord is its own projection, so it is returned unchanged."""
-    _require_knot(d)
+    chord is its own projection, so it is returned unchanged.  Otherwise
+    the projection is ranked on its ``reduced_seed_set``, started from the
+    images of the seeds of ``result`` (the search of ``d``) when given:
+    they color it, as a move at an even chord is a move there too."""
+    require_knot(d, "Gaussian parity")
+    if result is not None and result.omega < 2:  # no more seeds in the projection
+        return IdealBoundResult(1, None)
     projection = parity_projection(d)
-    if projection is d and ideal is not None:
-        return ideal
-    return ideal_lower_bound(projection, k_max, prime_bound, deadline)
+    if projection is d:
+        return ideal if ideal is not None else ideal_lower_bound(d, k_max, prime_bound, deadline, result)
+    images = None if result is None else _projected_seeds(d, result.seed_set)
+    _, seq = apply_coloring_moves(projection, reduced_seed_set(projection, deadline, images))
+    return sequence_bound(projection, seq, k_max, prime_bound, deadline)

@@ -30,7 +30,7 @@ from .errors import (
     check_deadline,
 )
 from .gauss import GaussDiagram, strand_table
-from .search import WirtingerResult, apply_coloring_moves, wirtinger_number
+from .search import WirtingerResult, apply_coloring_moves, sequence_relations, wirtinger_number
 
 
 class FiniteQuandle(NamedTuple):
@@ -165,7 +165,6 @@ def count_colorings(
     assignments and raising SearchTimeoutError past it.  The count does not
     depend on which generating seed set or sequence is used.
     """
-    table = strand_table(d)
     if result is not None:
         seq = result.sequence
     elif seeds is not None:
@@ -175,22 +174,8 @@ def count_colorings(
     else:
         seq = wirtinger_number(d).sequence
 
-    # (strand, source, tail strand, sign): value[strand] = value[source] >^sign value[tail]
-    by_chord = {i.chord_id: i for i in table.incidences}
-    steps = []
-    for e in seq.entries[seq.k :]:
-        inc = by_chord[e.via]
-        if e.strand == inc.after:
-            steps.append((inc.after, inc.before, inc.tail_strand, inc.sign))
-        else:
-            steps.append((inc.before, inc.after, inc.tail_strand, -inc.sign))
-    used = {e.via for e in seq.entries}
-    residual = [
-        (i.after, i.before, i.tail_strand, i.sign)
-        for i in table.incidences
-        if i.chord_id not in used
-    ]
-    n = table.n_strands
+    steps, residual = sequence_relations(d, seq)
+    n = strand_table(d).n_strands
     seeds = seq.seeds
 
     u = _alexander_unit(q)

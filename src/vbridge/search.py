@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
+import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import CutSplitError, SearchExhaustedError, check_deadline
@@ -255,15 +255,12 @@ def _search_level(
 
 
 def apply_coloring_moves(
-    d: GaussDiagram,
-    seeds: Iterable[int],
-    scan_rng: Optional[random.Random] = None,
+    d: GaussDiagram, seeds: Iterable[int]
 ) -> tuple[ColoringState, ColoringSequence]:
     """Saturate the coloring moves from the given seed strands.
 
     The colored set is the unique closure regardless of firing order; the
-    returned sequence is one witness.  Arrowheads are scanned in head order,
-    or in an order shuffled by ``scan_rng`` (used to test confluence).
+    returned sequence is one witness.  Arrowheads are scanned in head order.
     """
     table = strand_table(d)
     n = table.n_strands
@@ -278,14 +275,9 @@ def apply_coloring_moves(
     for color, s in enumerate(seed_list, start=1):
         assignment[s] = color
 
-    incidences = list(table.incidences)
     while True:
-        idx = list(range(len(incidences)))
-        if scan_rng is not None:
-            scan_rng.shuffle(idx)
         fired = False
-        for i in idx:
-            inc = incidences[i]
+        for inc in table.incidences:
             if assignment[inc.tail_strand] is None:
                 continue
             b = assignment[inc.before] is not None
@@ -302,6 +294,27 @@ def apply_coloring_moves(
     return state, ColoringSequence(tuple(entries), len(seed_list))
 
 
+def sequence_relations(d: GaussDiagram, seq: ColoringSequence) -> tuple[list, list]:
+    """A coloring sequence as a presentation on its seeds: its moves and the
+    arrowhead relations no move used, each as (strand, source, tail strand,
+    sign) with value[strand] = value[source] >^sign value[tail].  A move
+    that colors ``before`` solves a_after = a_before >^e b for a_before."""
+    table = strand_table(d)
+    by_chord = {i.chord_id: i for i in table.incidences}
+    moves = []
+    for e in seq.entries[seq.k :]:
+        inc = by_chord[e.via]
+        if e.strand == inc.after:
+            moves.append((inc.after, inc.before, inc.tail_strand, inc.sign))
+        else:
+            moves.append((inc.before, inc.after, inc.tail_strand, -inc.sign))
+    used = {e.via for e in seq.entries}
+    unused = [
+        (i.after, i.before, i.tail_strand, i.sign) for i in table.incidences if i.chord_id not in used
+    ]
+    return moves, unused
+
+
 def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
     """Colored strand set after saturation, via the search's closure on a
     batch of one subset."""
@@ -316,16 +329,46 @@ def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
     return frozenset(s for s in range(n) if x[s])
 
 
-def one_strand_saturates(d: GaussDiagram) -> bool:
-    """Whether some single seed strand colors every strand: all n
-    one-strand seed sets saturate as one batch, bit s seeding strand s."""
+def reduced_seed_set(
+    d: GaussDiagram, deadline: Optional[float] = None, seeds: Optional[Iterable[int]] = None
+) -> tuple[int, ...]:
+    """A seed set that colors every strand, found by local search instead
+    of ``wirtinger_number``'s exhaustive one, so it has omega seeds or more.
+    It starts from ``seeds``, which must color every strand, or else from
+    the tail-bearing strands and a strand of each component: every head's
+    tail is then colored, so each component's color spreads around it.  It
+    moves to the first smaller set that still colors every strand, tested
+    a batch at a time: less one seed, fewest tails first, else less two
+    seeds plus one other strand.  Raises SearchTimeoutError at ``deadline``."""
     table = strand_table(d)
-    x = [1 << s for s in range(table.n_strands)]
-    _saturate_batch(_moves(table), x)
-    full = -1
-    for bits in x:
-        full &= bits
-    return full != 0
+    n = table.n_strands
+    moves = _moves(table)
+    if seeds is None:
+        firsts = {s.component: s.id for s in reversed(table.strands)}
+        seeds = [s.id for s in table.strands if s.tails] + list(firsts.values())
+    seeds = sorted(set(seeds), key=lambda s: (len(table.strands[s].tails), s))
+    while True:
+        others = [s for s in range(n) if s not in seeds]
+        drops = [((s,), ()) for s in seeds]
+        swaps = ((pair, (s,)) for pair in itertools.combinations(seeds, 2) for s in others)
+        chunks = iter(lambda: list(itertools.islice(swaps, _BATCH_BITS)), [])
+        for batch in itertools.chain([drops], chunks):
+            check_deadline(deadline, "while reducing a seed set")
+            x = [0] * n
+            for s in seeds:
+                x[s] = (1 << len(batch)) - 1
+            for bit, (dropped, added) in enumerate(batch):
+                for s in dropped:
+                    x[s] ^= 1 << bit
+                for s in added:
+                    x[s] |= 1 << bit
+            _saturate_batch(moves, x)
+            if full := functools.reduce(operator.and_, x):
+                dropped, added = batch[(full & -full).bit_length() - 1]
+                seeds = [s for s in seeds if s not in dropped] + list(added)
+                break
+        else:
+            return tuple(sorted(seeds))
 
 
 def wirtinger_number(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from .errors import NotAKnotError, NotOneOverbridgeError
+from .errors import NotOneOverbridgeError, require_knot
 from .gauss import HEAD, TAIL, GaussDiagram, bridge_count, component_tokens, parse_gauss_code, to_gauss_code
 from .search import VerifyResult
 
@@ -49,12 +49,15 @@ class UnknottingCertificate(NamedTuple):
     def from_json_dict(cls, data: dict) -> "UnknottingCertificate":
         moves = []
         for m in data["moves"]:
-            if m["kind"] == "swap" and "at" in m:
-                moves.append(WeldedMove("swap", at=tuple(int(i) for i in m["at"])))
-            elif m["kind"] == "r1" and "chord" in m:
-                moves.append(WeldedMove("r1", chord=int(m["chord"])))
-            else:
-                raise ValueError(f"unknown move kind or missing field in {m!r}")
+            try:
+                if m.get("kind") == "swap" and "at" in m:
+                    moves.append(WeldedMove("swap", at=tuple(int(i) for i in m["at"])))
+                elif m.get("kind") == "r1" and "chord" in m:
+                    moves.append(WeldedMove("r1", chord=int(m["chord"])))
+                else:
+                    raise ValueError(f"unknown move kind or missing field in {m!r}")
+            except (AttributeError, TypeError) as exc:  # no object, or a field no list or number
+                raise ValueError(f"malformed move {m!r}") from exc
         return cls(data["initial"], tuple(moves), data["final"])
 
     @classmethod
@@ -65,8 +68,7 @@ class UnknottingCertificate(NamedTuple):
 def is_one_overbridge(d: GaussDiagram) -> bool:
     """True when exactly one strand carries arrowtails, or the diagram is
     the chordless circle."""
-    if d.n_components != 1:
-        raise NotAKnotError("one-overbridge test is defined for knot diagrams")
+    require_knot(d, "one-overbridge test")
     return bridge_count(d) == 1
 
 
@@ -121,10 +123,11 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
         if move.kind == "swap":
-            if move.at is None or len(move.at) != 2 or length == 0:
+            at = move.at if isinstance(move.at, (tuple, list)) else ()
+            if len(at) != 2 or not all(isinstance(i, int) for i in at):
                 return VerifyResult(False, idx)
-            i, j = move.at
-            if not (0 <= i < length and 0 <= j < length and j == (i + 1) % length):
+            i, j = at
+            if not (0 <= i < length and j == (i + 1) % length):
                 return VerifyResult(False, idx)
             if tokens[i][0] != TAIL or tokens[j][0] != TAIL:
                 return VerifyResult(False, idx)

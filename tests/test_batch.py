@@ -133,10 +133,10 @@ class TestPipeline:
     def test_analysis_skipped_for_time_is_a_timeout(self, monkeypatch):
         real = batch.ideal_lower_bound
 
-        def slow_ideal(*args, deadline=None):
+        def slow_ideal(*args, deadline=None, **kwargs):
             # a bound that finishes after the deadline instead of stopping
             time.sleep(0.2)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(batch, "ideal_lower_bound", slow_ideal)
         [r] = run_pipeline(
@@ -170,6 +170,20 @@ class TestPipeline:
         [r] = run_pipeline([TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)])
         assert deadlines == {"search": None, "ideal": None, "parity": None}
 
+    def test_bounds_reuse_the_search(self, monkeypatch):
+        # one search per record: both bounds rank the presentation on its
+        # seeds, so neither takes seeds of its own
+        def seeds(*args, **kwargs):
+            raise AssertionError("the bounds must rank the search's seeds")
+
+        monkeypatch.setattr("vbridge.linkgroup.reduced_seed_set", seeds)
+        monkeypatch.setattr("vbridge.parity.reduced_seed_set", seeds)
+        entries, _ = ingest_table(DATA)
+        records = run_pipeline(entries)
+        knots = [r for r in records if r.components == 1]
+        assert len(knots) > 10 and all(r.status == "ok" for r in knots)
+        assert any(r.parity_lb == 2 for r in knots)
+
     def test_parity_reuses_the_ideal_bound_of_an_even_knot(self, monkeypatch):
         from vbridge import parity
 
@@ -187,10 +201,14 @@ class TestPipeline:
         assert len(calls) == 1
         assert r.parity_lb == r.ideal_lb == 2
         assert r.parity_lb == parity.parity_lower_bound(calls[0]).bound
-        # an odd chord: the projection gets its own bound
+        # odd chords: the projection is bounded on the images of the
+        # search's seeds, not through a second ideal_lower_bound call
         calls.clear()
         [r] = run_pipeline([TableEntry("v", "O1+O2+U1+U2+", 1)])
-        assert len(calls) == 2 and r.parity_lb == 1
+        assert len(calls) == 1 and r.parity_lb == 1
+        calls.clear()
+        [r] = run_pipeline([TableEntry("o", "O5+O4-U2+U1-O3-U5+O1-U3-O2+U4-", 1)])
+        assert len(calls) == 1 and (r.omega_d, r.ideal_lb, r.parity_lb) == (2, 2, 2)
         # without the ideal stage the parity stage computes the bound itself
         calls.clear()
         [r] = run_pipeline(

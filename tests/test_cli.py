@@ -82,14 +82,14 @@ class TestExitCodes:
         assert code == 3 and out == "" and "Alexander matrix" in err
         # past the deadline once the bound is done: no matrix is built
         late[0] = 0.0
-        real_bound = cli.ideal_lower_bound
+        real_bound = cli.sequence_bound
 
         def slow_bound(*args, **kwargs):
             result = real_bound(*args, **kwargs)
             late[0] = 3600.0
             return result
 
-        monkeypatch.setattr(cli, "ideal_lower_bound", slow_bound)
+        monkeypatch.setattr(cli, "sequence_bound", slow_bound)
         monkeypatch.setattr(cli, "alexander_matrix", None)
         code, out, err = run(capsys, "alexander", "--time-limit", "60", D3)
         assert code == 3 and out == "" and "Alexander matrix" in err
@@ -147,8 +147,33 @@ class TestSingleDiagramCommands:
         # the chordless circle: one strand, no arrowhead, so no relation
         data = run_json(capsys, "alexander", ".")
         assert (data["generators"], data["relations"], data["matrix"]) == (1, 0, [])
-        # the core keeps the one generator as a column, though it has no row
+        # the presentation keeps the one seed as a column, though it has no row
         assert (data["core_width"], data["witness"], data["lower_bound"]) == (1, None, 1)
+
+    def test_alexander_core_width_is_the_reduced_seed_count(self, capsys, monkeypatch):
+        # the bound ranks the presentation on search.reduced_seed_set, taken
+        # under the command's deadline, with no seed-set search; this knot's
+        # former Alexander core was one wide, but it needs two seeds
+        deadlines = []
+        reduced = cli.reduced_seed_set
+
+        def counted(d, deadline):
+            deadlines.append(deadline)
+            return reduced(d, deadline)
+
+        monkeypatch.setattr(cli, "reduced_seed_set", counted)
+        monkeypatch.setattr("vbridge.search._search_level", None)
+        for code, width, bound in ((D3, 2, 2), (".", 1, 1), ("O1+U1+U2+O2+O3+U3+U4+O4+", 2, 1)):
+            data = run_json(capsys, "alexander", "--max-k", "1", code)
+            assert (data["core_width"], data["lower_bound"]) == (width, bound), code
+        data = run_json(capsys, "alexander", "--time-limit", "60", D3)
+        assert data["core_width"] == 2
+        assert deadlines[:3] == [None] * 3 and deadlines[3] is not None
+        # a link is rejected before any seeds are taken, with the bound's message
+        code, out, err = run(capsys, "alexander", "O1+U1+|O2+U2+")
+        assert code == 2 and out == ""
+        assert "elementary-ideal bound is defined for knot diagrams" in err
+        assert len(deadlines) == 4
 
     def test_quandle(self, capsys, tmp_path):
         path = tmp_path / "r3.txt"

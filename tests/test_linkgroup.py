@@ -12,18 +12,27 @@ from vbridge.linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
     _minor_determinants,
+    _presentation,
     _primes_upto,
     _resultant,
     _resultant_filter,
-    alexander_core,
     alexander_matrix,
     ideal_lower_bound,
+    sequence_bound,
 )
-from vbridge.parity import parity_lower_bound, parity_projection
+from vbridge.parity import _projected_seeds, parity_lower_bound, parity_projection
 from vbridge.quandle import _rank_mod
-from vbridge.search import one_strand_saturates
+from vbridge.search import (
+    apply_coloring_moves,
+    reduced_seed_set,
+    verify_coloring_sequence,
+    wirtinger_number,
+)
 from test_batch import FIGURE_EIGHT, TREFOIL, _connected_sum
 from util import (
+    alexander_core,
+    core_ideal_lower_bound,
+    core_parity_lower_bound,
     dense_alexander_core,
     elementary_ideal_generators,
     enumerate_knot_codes,
@@ -33,6 +42,7 @@ from util import (
     ideal_summary,
     laurent_alexander_matrix,
     minor_scan_ideal_lower_bound,
+    one_strand_saturates,
     properness_certificate,
     random_diagram,
     random_knot,
@@ -352,13 +362,27 @@ def _assert_witness_replays(d, result):
     assert nullity >= result.bound >= 2, d
 
 
+def _assert_matches_the_core_bound(d, k_max=None):
+    """Both bounds, with the search passed in and without, give the
+    (bound, witness) of the former core bound kept in tests/util.py."""
+    search = wirtinger_number(d)
+    expected = core_ideal_lower_bound(d, k_max)
+    assert ideal_lower_bound(d, k_max, result=search) == expected, (d, k_max)
+    assert ideal_lower_bound(d, k_max) == expected, (d, k_max)
+    expected = core_parity_lower_bound(d, k_max)
+    assert parity_lower_bound(d, k_max, result=search) == expected, (d, k_max)
+    assert parity_lower_bound(d, k_max) == expected, (d, k_max)
+
+
 class TestNullityBound:
-    """The largest nullity of the evaluated core is the bound of the minor
-    scan, kept in tests/util.py, with and without k_max, and each witness
-    replays on the full matrix."""
+    """The largest nullity of the presentation on the search's seeds is the
+    bound of the minor scan and, witness included, of the core bound, both
+    kept in tests/util.py, with and without k_max; each witness replays on
+    the full matrix."""
 
     @staticmethod
     def _check(d, k_max=None):
+        _assert_matches_the_core_bound(d, k_max)
         result = ideal_lower_bound(d, k_max)
         assert result.bound == minor_scan_ideal_lower_bound(d, k_max).bound, (d, k_max)
         _assert_witness_replays(d, result)
@@ -382,6 +406,31 @@ class TestNullityBound:
                 witnesses += self._check(d, k_max).witness is not None
         assert witnesses > 30
 
+    def test_random_knots_match_the_core_bound(self):
+        rng = random.Random(2401)
+        bounds = []
+        for _ in range(200):
+            d = random_knot(rng, max_chords=14, min_chords=3)
+            for k_max in (None, 1, 2):
+                _assert_matches_the_core_bound(d, k_max)
+            bounds.append(ideal_lower_bound(d).bound)
+        assert bounds.count(2) > 20
+
+    def test_connected_sums_match_the_core_bound(self):
+        for code in (TREFOIL, FIGURE_EIGHT):
+            for m in range(1, 7):
+                d = parse_gauss_code(_connected_sum(code, m))
+                for k_max in (None, 1, 2, 3):
+                    _assert_matches_the_core_bound(d, k_max)
+
+    def test_unit_minor_ends_the_bound(self, monkeypatch):
+        # a 2-seed presentation with a unit minor: no prime is scanned
+        d = parse_gauss_code("U5+O2-O3+U4-U1+O5+U3+O1+O4-U2-")
+        search = wirtinger_number(d)
+        assert search.omega == 2
+        monkeypatch.setattr("vbridge.linkgroup._gcd_mod", None)
+        assert ideal_lower_bound(d, result=search) == core_ideal_lower_bound(d) == (1, None)
+
     def test_trefoil_witness_replays(self, d3):
         result = ideal_lower_bound(d3)
         assert result.witness == (3, 2, 2)
@@ -394,7 +443,7 @@ class TestNullityBound:
             d = parse_gauss_code(_connected_sum(code, 6))
             result = ideal_lower_bound(d)
             assert result.bound == minor_scan_ideal_lower_bound(d).bound == 7
-            assert alexander_core(d).n_cols == 7
+            assert alexander_core(d).n_cols == wirtinger_number(d).omega == 7
             _assert_witness_replays(d, result)
             capped = ideal_lower_bound(d, k_max=3)  # stops at nullity 4
             assert capped.bound == 4
@@ -402,18 +451,18 @@ class TestNullityBound:
 
     def test_maximal_minors_without_the_first_column(self):
         # the bound's minors: they vanish at (p, u) exactly where every
-        # (width - 1)-minor of the whole core does
+        # (width - 1)-minor of the whole presentation does
         rng = random.Random(2303)
         diagrams = list(_census_knots())
         diagrams += [random_knot(rng, max_chords=12, min_chords=6) for _ in range(60)]
         compared = 0
         for d in diagrams:
-            core = alexander_core(d)
-            width = core.n_cols
+            presentation = _presentation(d, wirtinger_number(d).sequence)
+            width = presentation.n_cols
             if width < 2:
                 continue
-            rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
-            every = _minor_determinants(core, width - 1)
+            rest = AlexanderMatrix(tuple(row[1:] for row in presentation.rows), width - 1)
+            every = _minor_determinants(presentation, width - 1)
             maximal = _minor_determinants(rest, width - 1)
             assert len(every) == width * width and len(maximal) == width
             for p in _primes_upto(13):
@@ -434,6 +483,7 @@ def _assert_core_matches_full_matrix(d):
         expected = ideal_summary(full_matrix_ideal_lower_bound(projection))
         assert ideal_summary(minor_scan_ideal_lower_bound(projection)) == expected, d
     assert parity_lower_bound(d).bound == expected[0], d
+    _assert_matches_the_core_bound(d)
 
 
 def _assert_sparse_core_matches_dense(d):
@@ -441,11 +491,14 @@ def _assert_sparse_core_matches_dense(d):
 
 
 class TestAlexanderCore:
-    """The minor scan on the core certifies what the full-matrix bound,
-    both kept in tests/util.py, certifies: same bound, witnesses and
-    nontrivial flags; the nullity bound gives the same bound.  The core
-    built from sparse rows is the former dense elimination's core, also
-    kept there, entry for entry."""
+    """The Alexander core and the bounds built on it are kept in
+    tests/util.py.  The minor scan on the core certifies what the
+    full-matrix bound certifies: same bound, witnesses and nontrivial
+    flags; the bound on the search's seeds gives the core bound's bound and
+    witness.  The core built from sparse rows is the dense elimination's
+    core, also kept there, entry for entry.  The presentation the bound
+    ranks, on the seeds of the search, presents the same module as the
+    full matrix."""
 
     def test_trefoil_core(self, d3):
         core = alexander_core(d3)
@@ -474,8 +527,8 @@ class TestAlexanderCore:
         assert core == dense_alexander_core(laurent_alexander_matrix(d))
 
     def test_every_row_sums_to_zero(self):
-        # -1 + t^e + (1 - t^e) = 0 in each Fox row, and each elimination
-        # step subtracts a multiple of a row that sums to zero
+        # each strand's form t^e x + (1 - t^e) y has coefficients summing
+        # to 1, so every unused relation's row sums to 1 - t^e - (1 - t^e)
         rng = random.Random(2302)
         diagrams = list(_census_knots())
         diagrams += [random_knot(rng, max_chords=14, min_chords=5) for _ in range(100)]
@@ -484,8 +537,60 @@ class TestAlexanderCore:
             for _ in range(100)
         ]
         for d in diagrams:
-            for row in alexander_core(d).rows:
+            seq = wirtinger_number(d).sequence
+            presentation = _presentation(d, seq)
+            assert presentation.n_cols == seq.k, d
+            assert presentation.n_rows == len(strand_table(d).incidences) - (len(seq.entries) - seq.k)
+            for row in presentation.rows:
                 assert sum(row, LaurentPolynomial()).is_zero, d
+
+    def test_presentation_nullity_is_the_full_matrix_nullity(self):
+        # both present the Alexander module, so they have the same nullity
+        # at every t = u over Z/p
+        rng = random.Random(2402)
+        diagrams = list(_census_knots())
+        diagrams += [random_knot(rng, max_chords=12, min_chords=5) for _ in range(150)]
+        diagrams += [parse_gauss_code(_connected_sum(TREFOIL, m)) for m in (2, 3)]
+        nullities = set()
+        for d in diagrams:
+            presentation = _presentation(d, wirtinger_number(d).sequence)
+            full = laurent_alexander_matrix(d)
+            for p in _primes_upto(13):
+                for u in range(1, p):
+                    ranks = []
+                    for a in (presentation, full):
+                        rows = [[g.evaluate_mod(p, u) for g in row] for row in a.rows]
+                        ranks.append(a.n_cols - _rank_mod(rows, p))
+                    assert ranks[0] == ranks[1], (d, p, u)
+                    nullities.add(ranks[0])
+        assert nullities == {1, 2, 3, 4}
+
+    def test_projected_seeds_saturate_the_projection(self):
+        # the images of a seed set that colors the knot color its
+        # projection, and their sequence is a valid certificate there: the
+        # search's seeds on every code up to four chords with two sign
+        # variants and on random knots up to 12 chords, and the tail-bearing
+        # strands, which color every knot, on random knots up to 40 chords
+        rng = random.Random(2403)
+        cases = [(d, wirtinger_number(d).seed_set) for d in _census_knots()]
+        for _ in range(150):
+            d = random_knot(rng, max_chords=12, min_chords=5)
+            cases.append((d, wirtinger_number(d).seed_set))
+        for _ in range(150):
+            d = random_knot(rng, max_chords=40, min_chords=5)
+            cases.append((d, [s.id for s in strand_table(d).strands if s.tails]))
+        projected = 0
+        for d, seeds in cases:
+            projection = parity_projection(d)
+            if projection is d:
+                continue
+            images = _projected_seeds(d, seeds)
+            assert len(images) <= len(seeds)
+            state, seq = apply_coloring_moves(projection, images)
+            assert state.is_complete, d
+            assert verify_coloring_sequence(projection, seq), d
+            projected += 1
+        assert projected > 2500
 
     def test_every_code_up_to_three_chords_every_sign(self):
         checked = 0
@@ -546,17 +651,24 @@ class TestAlexanderCore:
             result.bound = 3
 
     def test_one_strand_knots_build_no_core(self, dv, d6, monkeypatch):
-        def core(*args):
-            raise AssertionError("a knot that one strand saturates needs no core")
+        # omega 1: the bound never exceeds the seed count, so neither bound
+        # builds a presentation
+        def build(*args):
+            raise AssertionError("a knot that one strand saturates needs no presentation")
 
-        monkeypatch.setattr("vbridge.linkgroup.alexander_core", core)
-        monkeypatch.setattr("vbridge.linkgroup._fox_rows", core)
+        # the dense matrix is a presentation too, so this stops it as well
+        monkeypatch.setattr("vbridge.linkgroup._presentation", build)
         for d in (dv, d6):
+            search = wirtinger_number(d)
+            assert search.omega == 1
             assert ideal_lower_bound(d) == parity_lower_bound(d) == (1, None)
+            assert ideal_lower_bound(d, result=search) == (1, None)
+            assert parity_lower_bound(d, result=search) == (1, None)
 
     def test_one_strand_knots_have_cores_at_most_one_wide(self, monkeypatch):
         # a core at most one wide has E_k = (1) for every k >= 1, so the
-        # shortcut's bound and witness are the ones the core gives
+        # bound and witness at omega 1 are the ones the core gives, with or
+        # without the former one-strand shortcut
         def diagrams():
             for n_chords in range(4):
                 for code in enumerate_knot_codes(n_chords):
@@ -574,13 +686,15 @@ class TestAlexanderCore:
         for d in diagrams():
             for e in {d, parity_projection(d)}:
                 if one_strand_saturates(e):
+                    assert wirtinger_number(e, max_k=1).omega == 1, e
                     assert alexander_core(e).n_cols <= 1, e
-                    saturated.append((e, ideal_lower_bound(e)))
+                    assert ideal_lower_bound(e) == core_ideal_lower_bound(e) == (1, None), e
+                    saturated.append(e)
         assert len(saturated) > 4000
-        assert max(e.n_chords for e, _ in saturated) >= 30
-        monkeypatch.setattr("vbridge.linkgroup.one_strand_saturates", lambda d: False)
-        for e, result in saturated:
-            assert ideal_lower_bound(e) == result, e
+        assert max(e.n_chords for e in saturated) >= 30
+        monkeypatch.setattr(util, "one_strand_saturates", lambda d: False)
+        for e in saturated:
+            assert core_ideal_lower_bound(e) == (1, None), e
 
     def test_deadline_stops_the_bounds(self, d3):
         core = alexander_core(d3)
@@ -604,12 +718,22 @@ class TestAlexanderCore:
             parity_lower_bound(dv, deadline=past)
 
     def test_deadline_stops_wide_core_minors(self):
-        # the 100-chord knot of this draw has an 11x11 core, and a few dozen
-        # of its 10x10 minors take seconds
+        # the 100-chord knot of this draw: its reduced seed set is 10 wide,
+        # and the bound on it takes seconds; seeded on its 51 tail-bearing
+        # strands (which color everything), the 50 x 50 minors take far
+        # longer still.  Its parity projection needs only 7 seeds.
         rng = random.Random(3)
         for n in (20, 40, 60, 100):
             d = random_knot(rng, max_chords=n, min_chords=n)
-        start = time.perf_counter()
-        with pytest.raises(SearchTimeoutError):
-            ideal_lower_bound(d, deadline=start + 0.2)
-        assert time.perf_counter() - start < 1.0
+        assert len(reduced_seed_set(d)) == 10
+        state, seq = apply_coloring_moves(d, [s.id for s in strand_table(d).strands if s.tails])
+        assert state.is_complete and seq.k == 51
+        for bound in (
+            lambda deadline: sequence_bound(d, seq, deadline=deadline),
+            lambda deadline: ideal_lower_bound(d, deadline=deadline),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(SearchTimeoutError):
+                bound(start + 0.2)
+            assert time.perf_counter() - start < 1.0
+        assert parity_lower_bound(d) == core_parity_lower_bound(d) == (2, (5, 3, 2))

@@ -16,6 +16,7 @@ from vbridge.search import (
     SequenceEntry,
     apply_coloring_moves,
     low_tail_chords,
+    reduced_seed_set,
     saturated_strands,
     verify_coloring_sequence,
     verify_height_certificate,
@@ -27,6 +28,7 @@ from util import (
     numpy_search,
     random_diagram,
     random_one_overbridge_code,
+    shuffled_closure,
 )
 
 
@@ -320,15 +322,7 @@ class TestConfluence:
                 s for s in range(table.n_strands) if state.assignment[s] is not None
             ) == reference
             for trial in range(5):
-                shuffled, _ = apply_coloring_moves(
-                    d, seeds, scan_rng=random.Random(trial)
-                )
-                colored = frozenset(
-                    s
-                    for s in range(table.n_strands)
-                    if shuffled.assignment[s] is not None
-                )
-                assert colored == reference
+                assert shuffled_closure(d, seeds, random.Random(trial)) == reference
 
     def test_saturated_strands_rejects_bad_seeds(self, d3):
         for seed in (-1, 3):
@@ -343,6 +337,41 @@ class TestConfluence:
             seeds = [s.id for s in table.strands if s.tails]
             assert len(saturated_strands(d, seeds)) == table.n_strands
             assert wirtinger_number(d).omega <= bridge_count(d)
+
+
+class TestReducedSeedSet:
+    """The local search's seeds color every strand, number omega or more,
+    and on small diagrams number exactly omega."""
+
+    @staticmethod
+    def _check(d, seeds=None):
+        reduced = reduced_seed_set(d, seeds=seeds)
+        assert reduced == tuple(sorted(set(reduced))), d
+        assert saturated_strands(d, reduced) == frozenset(range(strand_table(d).n_strands)), d
+        return len(reduced) - wirtinger_number(d).omega
+
+    def test_every_knot_up_to_four_chords_reaches_omega(self):
+        codes = [code for n in range(5) for code in enumerate_knot_codes(n)]
+        assert len(codes) > 1800
+        assert all(self._check(parse_gauss_code(code)) == 0 for code in codes)
+
+    def test_random_diagrams(self):
+        # links included: a component bearing no tail starts with a seed
+        rng = random.Random(2501)
+        excess = []
+        for _ in range(300):
+            d = random_diagram(rng, max_chords=12, max_components=3)
+            excess.append(self._check(d))
+            excess.append(self._check(d, seeds=range(strand_table(d).n_strands)))
+        assert min(excess) == 0 and excess.count(0) > 550
+
+    def test_chordless_components(self):
+        for code, seeds in ((".", (0,)), (".|.", (0, 1)), ("O1+U1+|.", (0, 1))):
+            assert reduced_seed_set(parse_gauss_code(code)) == seeds, code
+
+    def test_stops_at_its_deadline(self, d6):
+        with pytest.raises(SearchTimeoutError, match="reducing a seed set"):
+            reduced_seed_set(d6, deadline=time.perf_counter() - 1.0)
 
 
 class TestVerifySequence:

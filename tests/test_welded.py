@@ -187,6 +187,13 @@ class TestReplayRejections:
             r = replay_certificate(cert)
             assert not r and r.failed_at == 0, at
 
+    def test_swap_of_non_integer_positions(self):
+        # string positions compare with nothing, so the move is illegal
+        for at in (("0", "1"), (0.0, 1.0), 7, None):
+            cert = UnknottingCertificate("O1+O2+U1+U2+", (WeldedMove("swap", at=at),), ".")
+            r = replay_certificate(cert)
+            assert not r and r.failed_at == 0, at
+
     def test_bad_initial(self):
         r = replay_certificate(UnknottingCertificate("O1+", (), "."))
         assert not r and r.failed_at is None
@@ -220,6 +227,17 @@ class TestJsonRoundtrip:
             UnknottingCertificate.from_json_dict(
                 {"initial": ".", "moves": [{"kind": "slide"}], "final": "."}
             )
+
+    def test_malformed_moves_rejected(self):
+        # a move without a kind, positions that are no list, a chord that
+        # is no number, a move that is no object: each a ValueError, like a
+        # missing field
+        moves = ({"at": [0, 1]}, {"kind": "swap", "at": 7}, {"kind": "r1", "chord": None}, 7, "swap")
+        for move in moves:
+            with pytest.raises(ValueError):
+                UnknottingCertificate.from_json_dict(
+                    {"initial": "O1+O2+U1+U2+", "moves": [move], "final": "."}
+                )
 
     def test_missing_field_rejected(self):
         for move in ({"kind": "swap"}, {"kind": "r1"}, {"kind": "r1", "at": [0, 1]}):

@@ -2,20 +2,30 @@
 
 The oracles deliberately avoid the library's search kernels: the Wirtinger
 oracle does a breadth-first walk over colored-set states for every seed
-subset, and the coloring oracle enumerates all strand assignments.  The
-numpy seed-subset search is the former library backend, kept verbatim to
-check that the bitmask search reproduces its witnesses and work counters.
-The minor-scan ideal bound, with its per-k elementary-ideal generators,
-properness certificates and ``IdealCertificate`` records, is the former
-library bound, kept verbatim (its bad-index error now a plain
-``ValueError``) to check that the largest nullity of the evaluated
-Alexander core gives the same bound.  The full-matrix ideal bound is the
-bound before the Alexander core, kept to check that the minor scan on the
-core gives the same bound, witnesses and nontriviality flags.  The dense
-Alexander core is the former library elimination on the full
-``LaurentPolynomial`` matrix, kept verbatim to
-check that the core built from sparse integer rows is the same entry for
-entry.  The token-by-token tokenizer, the two-pass diagram builder, the
+subset, the coloring oracle enumerates all strand assignments, and the
+shuffled closure fires coloring moves in a reshuffled arrowhead order to
+check that saturation does not depend on it.  The numpy seed-subset search
+is the former library backend, kept verbatim to check that the bitmask
+search reproduces its witnesses and work counters.
+
+The core bound is the former library ideal bound, kept verbatim with its
+Alexander core (Markowitz elimination of unit pivots on the sparse Fox
+rows of ``_fox_rows``, ``alexander_core`` and ``_sparse_unit_pivot``, the
+latter renamed from ``_unit_pivot``) and its one-strand shortcut
+(``one_strand_saturates``), to check that ranking the presentation on the
+search's seeds, or on any seed set that colors every strand, gives the
+same bound and witness.  The minor-scan ideal
+bound, with its per-k elementary-ideal generators, properness
+certificates and ``IdealCertificate`` records, is the bound before that,
+kept verbatim (its bad-index error now a plain ``ValueError``) to check
+that the core's largest nullity gives the same bound.  The full-matrix
+ideal bound is the bound before the Alexander core, kept to check that the
+minor scan on the core gives the same bound, witnesses and nontriviality
+flags.  The dense Alexander core is the elimination on the full
+``LaurentPolynomial`` matrix, kept to check that the core built from
+sparse integer rows is the same entry for entry.
+
+The token-by-token tokenizer, the two-pass diagram builder, the
 position-walking strand table and the pairwise Gaussian parity are the
 former library code, kept verbatim to check that the one-pass
 replacements build equal diagrams, tables and parities and raise the same
@@ -27,7 +37,8 @@ witnesses and that the projection built from endpoints is the same
 diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
 is the former library builder, reading each head incidence where it read
 that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
-kept to check that the matrix filled from the sparse Fox rows is the same.
+kept to check that the matrix built as the presentation with every strand
+a seed is the same.
 The simulating welded certificate is the former library generator, which
 carried out every move it emitted on a token list under three asserts,
 kept verbatim to check that the planned certificates are the same.
@@ -42,7 +53,7 @@ import time
 from collections import deque
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,14 +85,15 @@ from vbridge.laurent import ONE, ZERO, LaurentPolynomial
 from vbridge.linkgroup import (
     _IDEAL,
     AlexanderMatrix,
+    IdealBoundResult,
     _gcd_mod,
     _minor_determinants,
     _primes_upto,
     _resultant_filter,
-    alexander_core,
 )
 from vbridge.parity import gaussian_parity
-from vbridge.search import one_strand_saturates
+from vbridge.quandle import _rank_mod
+from vbridge.search import _moves, _saturate_batch
 from vbridge.welded import UnknottingCertificate, WeldedMove, is_one_overbridge
 
 _NP_CHECK_EVERY = 256
@@ -345,6 +357,199 @@ def numpy_search(d: GaussDiagram):
         if comb is not None:
             return k, tuple(comb), examined
     raise AssertionError("seeding every strand always succeeds")
+
+
+def shuffled_closure(d: GaussDiagram, seeds, rng: random.Random) -> frozenset:
+    """Strands colored by firing the coloring moves from ``seeds`` with the
+    arrowheads scanned in an order reshuffled by ``rng`` on every pass."""
+    table = strand_table(d)
+    colored = [False] * table.n_strands
+    for s in seeds:
+        colored[s] = True
+    incidences = list(table.incidences)
+    while True:
+        idx = list(range(len(incidences)))
+        rng.shuffle(idx)
+        fired = False
+        for i in idx:
+            inc = incidences[i]
+            if not colored[inc.tail_strand] or colored[inc.before] == colored[inc.after]:
+                continue
+            colored[inc.before] = colored[inc.after] = True
+            fired = True
+        if not fired:
+            return frozenset(s for s, c in enumerate(colored) if c)
+
+
+def _fox_rows(d: GaussDiagram) -> list[dict[int, dict[int, int]]]:
+    """The Alexander matrix rows, one per head incidence in head order, as
+    sparse rows: strand -> entry {exponent: coefficient} of plain ints."""
+    rows = []
+    for i in strand_table(d).incidences:
+        row: dict[int, dict[int, int]] = {}
+        _accumulate(row, i.tail_strand, ((0, 1), (i.sign, -1)))  # 1 - t^e
+        _accumulate(row, i.before, ((i.sign, 1),))  # t^e
+        _accumulate(row, i.after, ((0, -1),))
+        rows.append(row)
+    return rows
+
+
+def _dense(rows: list[dict[int, dict[int, int]]], cols: Sequence[int]) -> AlexanderMatrix:
+    """The sparse rows restricted to ``cols``, in that order, as a matrix."""
+    return AlexanderMatrix(
+        tuple(
+            tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in cols)
+            for row in rows
+        ),
+        len(cols),
+    )
+
+
+def _accumulate(
+    row: dict[int, dict[int, int]], j: int, terms: Iterable[tuple[int, int]]
+) -> None:
+    """Add the terms (exponent, nonzero coefficient) to row[j], dropping
+    zero coefficients and a zero entry."""
+    entry = row.setdefault(j, {})
+    for e, c in terms:
+        v = entry.get(e, 0) + c
+        if v:
+            entry[e] = v
+        else:
+            del entry[e]
+    if not entry:
+        del row[j]
+
+
+def one_strand_saturates(d: GaussDiagram) -> bool:
+    """Whether some single seed strand colors every strand: all n
+    one-strand seed sets saturate as one batch, bit s seeding strand s."""
+    table = strand_table(d)
+    x = [1 << s for s in range(table.n_strands)]
+    _saturate_batch(_moves(table), x)
+    full = -1
+    for bits in x:
+        full &= bits
+    return full != 0
+
+
+def alexander_core(d: GaussDiagram) -> AlexanderMatrix:
+    """Eliminate unit pivots +-t^m over Z[t, 1/t] until none is left.
+
+    Works on the sparse Fox rows, never the dense matrix.  Each pivot's row
+    clears the rest of its column, then the pivot's row and column go.  The
+    result presents the same module, so for k below its width E_k is the
+    ideal of its (width - k)-minors, and E_k = (1) above.  Pivots are
+    chosen by least fill-in (Markowitz), ties by position; the column
+    counts follow every fill-in and cancellation.
+    """
+    rows = _fox_rows(d)
+    counts = dict.fromkeys(range(strand_table(d).n_strands), 0)
+    for row in rows:
+        for j in row:
+            counts[j] += 1
+    while (pivot := _sparse_unit_pivot(rows, counts)) is not None:
+        r, c = pivot
+        prow = rows.pop(r)
+        for j in prow:
+            counts[j] -= 1
+        [(m, sign)] = prow.pop(c).items()
+        for row in rows:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            # row += f * (-1 / pivot) * prow, with -1 / pivot = -sign t^-m
+            for j, q in prow.items():
+                had = j in row
+                terms = [
+                    (e1 + e2 - m, -sign * c1 * c2) for e1, c1 in f.items() for e2, c2 in q.items()
+                ]
+                _accumulate(row, j, terms)
+                counts[j] += (j in row) - had
+        del counts[c]
+    return _dense(rows, sorted(counts))
+
+
+def _sparse_unit_pivot(
+    rows: list[dict[int, dict[int, int]]], counts: dict[int, int]
+) -> Optional[tuple[int, int]]:
+    """Position (row, column) of the unit entry with the least key
+    ((row length - 1) * (column count - 1), row, column), or None."""
+    best = None
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
+            if len(entry) == 1 and abs(next(iter(entry.values()))) == 1:
+                key = ((len(row) - 1) * (counts[j] - 1), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is not None and best[0] == 0:
+            break  # a later row cannot beat cost 0
+    return None if best is None else best[1:]
+
+
+def core_ideal_lower_bound(
+    d: GaussDiagram,
+    k_max: Optional[int] = None,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+) -> IdealBoundResult:
+    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
+    largest nullity of ``alexander_core`` at t = u over Z/p, for primes
+    p <= ``prime_bound`` and units u, capped at k_max + 1 and at the strand
+    count; 1, with no witness, when no nullity reaches 2.
+
+    Only the common roots of the maximal minors of the core without its
+    first column are ranked.  At u = 1 the relations chain the strands into
+    one cycle, so a knot's nullity is 1 there and p = 2 has no unit to try.
+    The witness is the first (p, u) of largest nullity; the scan stops once
+    the nullity reaches the cap.
+    A core at most one wide, or a knot that one strand saturates (which
+    builds no core), gives 1.  Raises SearchTimeoutError once
+    ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
+    if d.n_components != 1:
+        raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
+    check_deadline(deadline, _IDEAL)
+    n = strand_table(d).n_strands
+    cap = n if k_max is None else min(k_max + 1, n)
+    core = None if cap < 2 or one_strand_saturates(d) else alexander_core(d)
+    width = 0 if core is None else core.n_cols
+    cap = min(cap, width)
+    if cap < 2:
+        return IdealBoundResult(1, None)
+    # column 0 is minus the sum of the others, so it adds no rank
+    rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
+    minors = _minor_determinants(rest, width - 1, deadline)
+    minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
+    best = None
+    res = None  # N, once a prime has shown no common root
+    for p in _primes_upto(prime_bound)[1:]:
+        if res and res % p:
+            continue
+        check_deadline(deadline, _IDEAL)
+        h = _gcd_mod(minors, p)  # [] when every minor vanishes mod p
+        if len(h) == 1:
+            if res is None:
+                res = _resultant_filter(minors)
+            continue
+        for u in range(2, p):
+            v = 0
+            for c in reversed(h):
+                v = (v * u + c) % p
+            if v:
+                continue
+            rows = [[g.evaluate_mod(p, u) for g in row] for row in core.rows]
+            nullity = width - _rank_mod(rows, p)
+            if best is None or nullity > best[2]:
+                best = (p, u, nullity)
+                if nullity >= cap:
+                    return IdealBoundResult(cap, best)
+    return IdealBoundResult(1 if best is None else best[2], best)
+
+
+def core_parity_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97) -> IdealBoundResult:
+    """The parity bound as the core bound gave it: the core bound of the
+    parity projection."""
+    return core_ideal_lower_bound(token_parity_projection(d), k_max, prime_bound)
 
 
 def elementary_ideal_generators(
