@@ -16,12 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError, check_deadline
 from .gauss import GaussDiagram, bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
@@ -224,25 +222,95 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
 def run_pipeline(
     entries: Sequence[TableEntry], config: Optional[PipelineConfig] = None
 ) -> list[ResultRecord]:
-    """Analyze entries in up to ``config.jobs`` worker processes, never more
-    than the CPU count or the entries; records come back in input order
-    whatever the worker count, so writers emit identical output.
+    """Analyze entries in up to ``config.jobs`` processes, the calling one
+    included, never more than the CPU count or the entries; records come
+    back in input order whatever the process count, so writers emit
+    identical output.
 
-    Workers take the entries in chunks, about four per worker, so the pool
-    pays for pickling and scheduling per chunk rather than per entry.
+    With w processes, process r analyzes entries r, r + w, r + 2w, ...:
+    the caller forks a child for each r > 0, analyzes r = 0 itself, then
+    reads each child's records, sent back as one pickle through a pipe.
+    An exception in a child's share is raised in the caller, or a
+    RuntimeError carrying the child's traceback when it cannot be pickled.
+    Any exception in the caller kills and reaps every child first.  Where
+    ``os.fork`` does not exist the entries run serially.  A child is a copy
+    of the calling thread alone, so callers that run other threads should
+    keep ``jobs`` at 1.
     """
     config = config or PipelineConfig()
-    workers = min(config.jobs, len(entries))
+    workers = min(config.jobs, len(entries)) if hasattr(os, "fork") else 1
     if workers > 1:  # os.cpu_count() reads a file, which serial calls skip
         workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [_process_entry(e, config) for e in entries]
-    # imported here: multiprocessing is not worth loading for serial runs
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: serial runs need neither
+    import pickle
+    import signal
 
-    chunksize = math.ceil(len(entries) / (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_process_entry, entries, repeat(config), chunksize=chunksize))
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for r in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(entries[r::workers], config, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        records = [None] * len(entries)
+        records[::workers] = [_process_entry(e, config) for e in entries[::workers]]
+        for r in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not reply:
+                raise RuntimeError(f"worker process {pid} sent no records (wait status {status})")
+            share, error, child_traceback = pickle.loads(reply)
+            if child_traceback is not None:
+                try:
+                    exc = pickle.loads(error)
+                except Exception:  # error is None when the child could not pickle it
+                    raise RuntimeError(f"worker process {pid} failed:\n{child_traceback}") from None
+                raise exc
+            records[r::workers] = share
+        return records
+    except BaseException:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+
+def _run_share(
+    entries: Sequence[TableEntry], config: PipelineConfig, read_fd: int, write_fd: int
+) -> NoReturn:
+    """In a forked child: close the pipe's ``read_fd``, analyze ``entries``,
+    write ``(records, None, None)`` or, on any exception, ``(None, the
+    pickled exception or None, its traceback text)`` to ``write_fd`` as one
+    pickle, and leave through ``os._exit``."""
+    import pickle
+
+    status = 1
+    try:
+        os.close(read_fd)  # so a write fails, not blocks, once the caller is gone
+        try:
+            records = [_process_entry(e, config) for e in entries]
+            reply = pickle.dumps((records, None, None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            import traceback
+
+            try:
+                error = pickle.dumps(exc)
+            except Exception:
+                error = None
+            reply = pickle.dumps((None, error, traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _record_json_dict(rec: ResultRecord) -> dict:
@@ -272,7 +340,7 @@ def render_results(records: Sequence[ResultRecord], fmt: str = "csv") -> str:
     """Render records as CSV (the stable, diffable format) or JSON.
 
     The CSV elapsed_ms column is pinned to 0 so identical inputs give
-    byte-identical files whatever the worker count or machine load; the
+    byte-identical files whatever the process count or machine load; the
     JSON output carries the measured per-entry times.
     """
     if fmt == "json":

@@ -70,7 +70,7 @@ def _at_least(convert, low):
 _FLAGS = {
     "--max-k": dict(type=_at_least(int, 1), default=None, help="cap on seed-set / ideal index search (at least 1)"),
     "--time-limit": dict(type=_at_least(float, 0), default=None, help="per-diagram wall-clock limit in seconds (at least 0)"),
-    "--jobs": dict(type=int, default=1, help="worker processes for batch processing (at least 1)"),
+    "--jobs": dict(type=int, default=1, help="processes analyzing interleaved shares of the batch, this one included (at least 1; serial where os.fork is missing)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
     "--certificates": dict(action="store_true", help="embed certificates in JSON output"),
     "--quandle": dict(action="append", default=[], metavar="FILE", help="quandle table file (repeatable)"),

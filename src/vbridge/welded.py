@@ -123,23 +123,29 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
         if move.kind == "swap":
-            at = move.at if isinstance(move.at, (tuple, list)) else ()
-            if len(at) != 2 or not all(isinstance(i, int) for i in at):
+            at = move.at
+            if not isinstance(at, (tuple, list)) or len(at) != 2:
                 return VerifyResult(False, idx)
             i, j = at
+            if not (isinstance(i, int) and isinstance(j, int)):
+                return VerifyResult(False, idx)
             if not (0 <= i < length and j == (i + 1) % length):
                 return VerifyResult(False, idx)
             if tokens[i][0] != TAIL or tokens[j][0] != TAIL:
                 return VerifyResult(False, idx)
             tokens[i], tokens[j] = tokens[j], tokens[i]
         elif move.kind == "r1":
-            pos = [p for p, t in enumerate(tokens) if t[1] == move.chord]
-            if len(pos) != 2:
+            # a chord's two tokens, found by value: O(T) in C, not in Python
+            try:
+                sign = d.chord(move.chord).sign
+                p = tokens.index((TAIL, move.chord, sign))
+                q = tokens.index((HEAD, move.chord, sign))
+            except (KeyError, TypeError, ValueError):  # unknown, unhashable or peeled chord
                 return VerifyResult(False, idx)
-            p, q = pos
-            if not (q == (p + 1) % length or p == (q + 1) % length):
+            if (p - q) % length not in (1, length - 1):
                 return VerifyResult(False, idx)
-            tokens = [t for t in tokens if t[1] != move.chord]
+            del tokens[max(p, q)]
+            del tokens[min(p, q)]
         else:
             return VerifyResult(False, idx)
 

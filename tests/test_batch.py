@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -309,6 +308,10 @@ class TestPipeline:
             assert [r.name for r in recs] == [e.name for e in entries]
 
 
+class Unexpected(Exception):
+    """An exception no record status covers."""
+
+
 class TestWorkerPool:
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
@@ -316,41 +319,49 @@ class TestWorkerPool:
                 PipelineConfig(jobs=jobs)
 
     def test_workers_capped_at_cpus_and_entries(self, monkeypatch):
-        pools = []
+        # the caller analyzes one share and forks a child for each other one
+        forks = []
+        real_fork = os.fork
 
-        class RecordingPool:
-            """Runs the map in this process and records how it was asked."""
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
-            def __init__(self, max_workers):
-                pools.append({"max_workers": max_workers})
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                pools[-1]["chunksize"] = chunksize
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         entries = [TableEntry(f"k{i}", "O1+U1+", i) for i in range(40)]
         huge = PipelineConfig(jobs=10**6)
-        assert len(run_pipeline(entries, huge)) == 40
-        assert len(run_pipeline(entries[:2], huge)) == 2
-        assert pools == [{"max_workers": 3, "chunksize": 4}, {"max_workers": 2, "chunksize": 1}]
-        # one entry, one CPU or an unknown CPU count: the serial path, no pool
-        assert len(run_pipeline(entries[:1], huge)) == 1
+
+        def processes(part):
+            forks.clear()
+            assert [r.name for r in run_pipeline(part, huge)] == [e.name for e in part]
+            return 1 + len(forks)
+
+        assert processes(entries) == 3
+        assert processes(entries[:2]) == 2
+        # one entry, one CPU or an unknown CPU count: the serial path, no fork
+        assert processes(entries[:1]) == 1
         for cpus in (1, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert len(run_pipeline(entries, huge)) == 40
-        assert len(pools) == 2
+            assert processes(entries) == 1
 
-    def test_records_equal_across_processes(self):
-        """Every field a worker process sends back survives pickling: the
-        JSON records, timing aside, match the serial ones."""
+    @staticmethod
+    def _dicts(recs):
+        dicts = [batch._record_json_dict(r) for r in recs]
+        for d in dicts:
+            assert d.pop("elapsed_ms") >= 0.0
+        return dicts
+
+    @staticmethod
+    def _assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_records_equal_across_processes(self, monkeypatch):
+        """Every field a child process sends back survives pickling: the
+        JSON records, timing aside, match the serial ones, also with three
+        children and shares of unequal length."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         rng = random.Random(77)
         links = []
         while len(links) < 20:
@@ -367,16 +378,60 @@ class TestWorkerPool:
         ]
         statuses = set()
         for part, cfg in runs:
-            by_jobs = []
-            for jobs in (1, 2):
-                recs = run_pipeline(part, dataclasses.replace(cfg, jobs=jobs))
-                dicts = [batch._record_json_dict(r) for r in recs]
-                for d in dicts:
-                    assert d.pop("elapsed_ms") >= 0.0
-                by_jobs.append(dicts)
-            assert by_jobs[0] == by_jobs[1]
+            by_jobs = [
+                self._dicts(run_pipeline(part, dataclasses.replace(cfg, jobs=jobs))) for jobs in (1, 2, 4)
+            ]
+            assert by_jobs[0] == by_jobs[1] == by_jobs[2]
             statuses |= {d["status"] for d in by_jobs[0]}
         assert statuses == {"ok", "error(parse)", "timeout"}
+        self._assert_no_children()
+
+    @pytest.mark.parametrize(
+        "failing, error",
+        [("k3", Unexpected), ("k0", Unexpected), ("k0", KeyboardInterrupt)],
+        ids=["child-share", "caller-share", "caller-interrupt"],
+    )
+    def test_exception_reaches_the_caller(self, monkeypatch, failing, error):
+        # with two processes the caller analyzes k0, k2, k4 and the child
+        # k1, k3, k5; a failing caller kills and reaps the child
+        real_analyze = batch.analyze
+
+        def analyze(diagram, config, rec):
+            if rec.name == failing:
+                raise error(f"raised for {rec.name}")
+            return real_analyze(diagram, config, rec)
+
+        monkeypatch.setattr(batch, "analyze", analyze)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        entries = [TableEntry(f"k{i}", "O1+U1+", i) for i in range(6)]
+        with pytest.raises(error, match=f"raised for {failing}"):
+            run_pipeline(entries, PipelineConfig(jobs=2))
+        self._assert_no_children()
+
+    def test_unpicklable_exception_carries_the_child_traceback(self, monkeypatch):
+        class Local(Exception):
+            """Defined in a function, so pickle cannot find it by name."""
+
+        real_analyze = batch.analyze
+
+        def analyze(diagram, config, rec):
+            if rec.name == "k1":
+                raise Local(f"raised for {rec.name}")
+            return real_analyze(diagram, config, rec)
+
+        monkeypatch.setattr(batch, "analyze", analyze)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        entries = [TableEntry(f"k{i}", "O1+U1+", i) for i in range(2)]
+        with pytest.raises(RuntimeError, match="(?s)Traceback.*Local: raised for k1"):
+            run_pipeline(entries, PipelineConfig(jobs=2))
+        self._assert_no_children()
+
+    def test_serial_without_fork(self, monkeypatch):
+        entries, _ = ingest_table(DATA)
+        serial = self._dicts(run_pipeline(entries, PipelineConfig(jobs=1)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert self._dicts(run_pipeline(entries, PipelineConfig(jobs=2))) == serial
 
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"

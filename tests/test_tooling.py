@@ -45,6 +45,25 @@ def test_import_loads_no_fractions_and_builds_four_dataclasses():
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+def test_parallel_batch_loads_no_executor():
+    # a subprocess, so nothing else has loaded either module.  jobs=2 forks
+    # one child and analyzes the other share in the calling process
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = (
+        "import os, sys\n"
+        "from vbridge.batch import PipelineConfig, ingest_table, run_pipeline\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.cpu_count = lambda: 2\n"
+        f"entries, _ = ingest_table({str(SRC.parent / 'tests' / 'data' / 'sample_table.tsv')!r})\n"
+        "records = run_pipeline(entries[:2], PipelineConfig(jobs=2))\n"
+        "assert [r.name for r in records] == [e.name for e in entries[:2]] and forks == [1]\n"
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
 def test_pytest_finds_the_package_without_pythonpath():
     # pyproject.toml puts src/ on the path, so a plain checkout needs no install
     root = SRC.parent

@@ -15,6 +15,7 @@ from util import (
     enumerate_knot_codes,
     random_one_overbridge_code,
     simulating_welded_certificate,
+    token_scan_replay_certificate,
     with_signs,
 )
 
@@ -134,6 +135,64 @@ class TestPlannedMatchesSimulated:
         rng = random.Random(2301)
         for _ in range(60):
             self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=150)))
+
+
+class TestReplayMatchesTokenScan:
+    """Finding an r1 chord's two tokens by value and deleting them in place
+    gives the verdict of the former replay, which scanned every token
+    (kept in tests/util.py), on every certificate and on mutations of it."""
+
+    @staticmethod
+    def _mutants(cert, rng):
+        moves = list(cert.moves)
+        length = cert.initial.count("O") + cert.initial.count("U")
+        top = max((m.chord for m in moves if m.kind == "r1"), default=0)
+        positions = [(0, 2), (length - 1, 0), (length, length + 1), (-1, 0), ("0", "1"), (0.0, 1.0)]
+        positions += [(False, True), (True, 2), 7, None]
+        bad = [WeldedMove("swap", at=at) for at in positions]
+        bad += [WeldedMove("r1", chord=c) for c in (top + 1, 0, -1, "1", 1.0, True, [1], None)]
+        bad.append(WeldedMove("detour", at=(0, 1)))
+        yield cert._replace(final="O1+U1+")
+        if not moves:
+            return
+        i = rng.randrange(len(moves))
+        for move in bad:
+            yield cert._replace(moves=tuple(moves[:i] + [move] + moves[i + 1 :]))
+            yield cert._replace(moves=tuple(moves[:i] + [move] + moves[i:]))
+        yield cert._replace(moves=tuple(moves[:i] + moves[i + 1 :]))
+        yield cert._replace(moves=tuple(moves[: i + 1] + moves[i:]))
+        # the last kink peeled first, before its swaps make it adjacent
+        yield cert._replace(moves=(moves[-1],) + tuple(moves[:-1]))
+
+    def _check(self, d, rng, verdicts):
+        cert = welded_unknot_certificate(d)
+        assert replay_certificate(cert) == token_scan_replay_certificate(cert) == (True, None)
+        for mutant in self._mutants(cert, rng):
+            r = replay_certificate(mutant)
+            assert r == token_scan_replay_certificate(mutant), mutant
+            verdicts.add(r.ok if r.failed_at is None else "move")
+
+    def test_census_knots(self):
+        rng = random.Random(2503)
+        verdicts = set()
+        checked = 0
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for _ in range(2):
+                    signs = [rng.choice("+-") for _ in range(n_chords)]
+                    d = parse_gauss_code(with_signs(code, signs))
+                    if is_one_overbridge(d):
+                        self._check(d, rng, verdicts)
+                        checked += 1
+        assert checked == 478
+        assert verdicts == {True, False, "move"}
+
+    def test_random_knots_up_to_150_chords(self):
+        rng = random.Random(2504)
+        verdicts = set()
+        for _ in range(60):
+            self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=150)), rng, verdicts)
+        assert verdicts == {True, False, "move"}
 
 
 class TestReplayRejections:

@@ -41,7 +41,11 @@ kept to check that the matrix built as the presentation with every strand
 a seed is the same.
 The simulating welded certificate is the former library generator, which
 carried out every move it emitted on a token list under three asserts,
-kept verbatim to check that the planned certificates are the same.
+kept verbatim to check that the planned certificates are the same.  The
+token-scan replay is the former library replay, which found an ``r1``
+chord's tokens by scanning every token and rebuilt the list, kept verbatim
+to check that finding them by value and deleting them in place gives the
+same verdicts.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from vbridge.linkgroup import (
 )
 from vbridge.parity import gaussian_parity
 from vbridge.quandle import _rank_mod
-from vbridge.search import _moves, _saturate_batch
+from vbridge.search import VerifyResult, _moves, _saturate_batch
 from vbridge.welded import UnknottingCertificate, WeldedMove, is_one_overbridge
 
 _NP_CHECK_EVERY = 256
@@ -934,3 +938,44 @@ def simulating_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
 
     assert not tokens
     return UnknottingCertificate(initial, tuple(moves), ".")
+
+
+def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
+    """Re-run a certificate move by move.  Accepts it only if every move is
+    legal at its stage, the end state matches ``final``, and the end state
+    is the chordless circle.  ``failed_at`` is the first illegal move index,
+    or None when the initial parse or the final comparison is what failed."""
+    try:
+        d = parse_gauss_code(cert.initial)
+    except Exception:
+        return VerifyResult(False, None)
+    if d.n_components != 1:
+        return VerifyResult(False, None)
+    [tokens] = component_tokens(d)
+
+    for idx, move in enumerate(cert.moves):
+        length = len(tokens)
+        if move.kind == "swap":
+            at = move.at if isinstance(move.at, (tuple, list)) else ()
+            if len(at) != 2 or not all(isinstance(i, int) for i in at):
+                return VerifyResult(False, idx)
+            i, j = at
+            if not (0 <= i < length and j == (i + 1) % length):
+                return VerifyResult(False, idx)
+            if tokens[i][0] != TAIL or tokens[j][0] != TAIL:
+                return VerifyResult(False, idx)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif move.kind == "r1":
+            pos = [p for p, t in enumerate(tokens) if t[1] == move.chord]
+            if len(pos) != 2:
+                return VerifyResult(False, idx)
+            p, q = pos
+            if not (q == (p + 1) % length or p == (q + 1) % length):
+                return VerifyResult(False, idx)
+            tokens = [t for t in tokens if t[1] != move.chord]
+        else:
+            return VerifyResult(False, idx)
+
+    if tokens or cert.final != ".":
+        return VerifyResult(False, None)
+    return VerifyResult(True, None)
