@@ -3,8 +3,9 @@
 Input tables are tab-separated ``name<TAB>code`` lines; ``#`` lines are
 comments.  Every entry is normalized (a tail on each component) before
 analysis, and the reported component/chord/strand statistics describe the
-normalized diagram, so the recorded invariant ideal_lb <= omega <= vb is
-meaningful within one record.
+normalized diagram, so the recorded invariants
+max(ideal_lb, parity_lb) <= omega <= vb and |X| <= count <= |X|^omega for
+each quandle count are meaningful within one record.
 
 ``analyze`` is the one per-diagram path, shared with the single-diagram
 commands: it fills a record and raises on failure, and each entry turns
@@ -168,7 +169,9 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     they go, and each later analysis and each quandle count checks it
     before it starts),
     SearchExhaustedError at ``config.max_k``,
-    InvariantError when ideal_lb <= omega <= vb fails.
+    InvariantError when max(ideal_lb, parity_lb) <= omega <= vb fails
+    (absent bounds skipped) or a quandle count falls outside
+    |X| <= count <= |X|^omega.
     Both bounds get the search's result, and the parity stage the ideal
     stage's, which is its own on a knot with no odd chord.
     """
@@ -212,10 +215,14 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
         if config.certificates:
             rec.certificates["welded"] = cert.to_json_dict()
 
-    if rec.ideal_lb is not None and not rec.ideal_lb <= rec.omega_d <= rec.vb_d:
-        raise InvariantError(
-            f"ideal_lb {rec.ideal_lb} <= omega {rec.omega_d} <= vb {rec.vb_d} fails"
-        )
+    lower = max(rec.ideal_lb or 0, rec.parity_lb or 0)  # an absent bound is None
+    if not lower <= rec.omega_d <= rec.vb_d:
+        raise InvariantError(f"lower bound {lower} <= omega {rec.omega_d} <= vb {rec.vb_d} fails")
+    for q in config.quandles:
+        key = _quandle_key(q)
+        count = rec.quandle_counts[key]
+        if not q.order <= count <= q.order**rec.omega_d:
+            raise InvariantError(f"{q.order} <= {key} count {count} <= {q.order}^omega {rec.omega_d} fails")
     return rec
 
 

@@ -9,16 +9,19 @@ on the seeds of a stored coloring sequence: walking the sequence gives
 every other strand's value, and the arrowhead relations not used as moves
 decide whether the seed values extend to a coloring.
 
-For an Alexander quandle (Z/p, p prime, x > y = u*x + (1-u)*y) the walk
-carries each strand's value as a linear form in the seed values, the
-leftover relations form a linear system over Z/p, and the count is
-p^(seeds - rank).  Every other quandle enumerates the |X|^seeds seed
+For an Alexander quandle (Z/p, p prime, x > y = u*x + (1-u)*y) every
+value is a linear form in the seed values, and the leftover relations form
+a linear system over Z/p whose rank r gives the count p^(seeds - r).  Its
+column for seed i is what the relations read with seed i at 1 and the
+others at 0, so the sequence is walked once per seed with one number mod p
+per strand.  Every other quandle enumerates the |X|^seeds seed
 assignments.  Both equal the brute-force count over all strand
 assignments.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -115,10 +118,11 @@ def load_quandle_table(path) -> FiniteQuandle:
 _CHECK_EVERY = 4096  # enumerated seed assignments between deadline checks
 
 
+@functools.lru_cache(maxsize=64)
 def _alexander_unit(q: FiniteQuandle) -> Optional[int]:
     """u when ``q`` is the Alexander quandle x > y = u*x + (1-u)*y on Z/p
     with p prime, else None.  u is read off 0 > 1 = 1 - u and checked
-    against the whole table."""
+    against the whole table, once per table: the result is cached."""
     p = q.order
     if p < 2 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
         return None
@@ -158,8 +162,9 @@ def count_colorings(
 
     The seeds of a coloring sequence fix a coloring: each later entry takes
     the value its move gives, and the arrowhead relations not used as moves
-    must hold.  For an Alexander quandle the values are linear forms in the
-    seed values and the count is p^(seeds - rank of those relations);
+    must hold.  For an Alexander quandle those relations are linear in the
+    seed values, the sequence is walked once per seed to read their
+    coefficients, and the count is p^(seeds - their rank);
     otherwise the |X|^seeds seed assignments are enumerated, checking the
     ``deadline`` (a ``time.perf_counter()`` value) every _CHECK_EVERY
     assignments and raising SearchTimeoutError past it.  The count does not
@@ -181,22 +186,20 @@ def count_colorings(
     u = _alexander_unit(q)
     if u is not None:
         p = q.order
-        coef = {1: u, -1: pow(u, -1, p)}
-        forms: list = [None] * n
-        for j, s in enumerate(seeds):
-            forms[s] = [int(i == j) for i in range(seq.k)]
-
-        def apply(x, y, sign):
-            c = coef[sign]
-            return [(c * a + (1 - c) * b) % p for a, b in zip(x, y)]
-
-        for strand, src, tail, sign in steps:
-            forms[strand] = apply(forms[src], forms[tail], sign)
-        rows = [
-            [(a - b) % p for a, b in zip(forms[strand], apply(forms[src], forms[tail], sign))]
-            for strand, src, tail, sign in residual
-        ]
-        return p ** (seq.k - _rank_mod(rows, p))
+        inv = pow(u, -1, p)
+        coef = {1: (u, 1 - u), -1: (inv, 1 - inv)}
+        walk = [(strand, src, tail, *coef[sign]) for strand, src, tail, sign in steps]
+        check = [(strand, src, tail, *coef[sign]) for strand, src, tail, sign in residual]
+        columns = []
+        for s in seeds:
+            v = [0] * n
+            v[s] = 1
+            for strand, src, tail, c, c1 in walk:
+                v[strand] = (c * v[src] + c1 * v[tail]) % p
+            columns.append(
+                [(v[strand] - c * v[src] - c1 * v[tail]) % p for strand, src, tail, c, c1 in check]
+            )
+        return p ** (seq.k - _rank_mod([list(row) for row in zip(*columns)], p))
 
     count = 0
     for i, assign in enumerate(itertools.product(range(q.order), repeat=seq.k)):

@@ -12,10 +12,13 @@ int whose bit j says "colored in subset j"; at an arrowhead the bits where
 the tail strand is colored and exactly one head-side strand is are
 ``x[tail] & (x[before] ^ x[after])``, and OR-ing them into both head-side
 strands fires the move in every subset together.  Passes over the
-arrowheads in head order repeat until one fires nothing.  Ints have no
-width limit, so any number of strands and subsets is handled the same
-way.  ``apply_coloring_moves`` computes the same closure strand by strand
-to build certificates.
+arrowheads alternate between head order and reverse head order until one
+fires nothing: a color that spreads against head order crosses a run of
+arrowheads in one reverse pass instead of one pass per arrowhead.  The
+closure does not depend on firing order, so only the pass count changes.
+Ints have no width limit, so any number of strands and subsets is handled
+the same way.  ``apply_coloring_moves`` computes the same closure strand
+by strand to build certificates.
 
 A batch lays out the size-k subsets in lexicographic order as consecutive
 (k-j)-prefixes, each followed by every choice of its last j seeds among
@@ -23,8 +26,9 @@ the strands after it.  The bits of those choices come from a pattern per
 count of free strands, cached for j >= 2, so a prefix costs one shift
 and OR per strand after it, however many subsets it owns.  j is at most
 3, and less when the n-strand block, C(n, j) subsets, would be wider
-than a few batches; that bounds the batch width, the time between
-deadline checks and the cache.
+than eight batches; that bounds the batch width, the time between
+deadline checks and the cache.  Three last seeds fit up to 37 strands,
+two up to 128.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class WirtingerResult(NamedTuple):
 
 
 _BATCH_BITS = 1024  # a batch grows by whole prefixes until it holds this many subsets
-_BLOCK_BATCHES = 4  # the last seeds of one prefix span at most this many batches
+_BLOCK_BATCHES = 8  # the last seeds of one prefix span at most this many batches
 
 
 def _moves(table: StrandTable) -> list[tuple[int, int, int]]:
@@ -130,11 +134,13 @@ def _moves(table: StrandTable) -> list[tuple[int, int, int]]:
 
 def _saturate_batch(moves: list[tuple[int, int, int]], x: list[int]) -> None:
     """Close the strand bitsets ``x`` under the coloring moves, in place:
-    bit j of x[s] says strand s is colored in subset j."""
-    changed = True
-    while changed:
+    bit j of x[s] says strand s is colored in subset j.  Passes alternate
+    between head order and reverse head order and stop after one that
+    fires nothing."""
+    backward = False
+    while True:
         changed = False
-        for tail, before, after in moves:
+        for tail, before, after in reversed(moves) if backward else moves:
             xb = x[before]
             xa = x[after]
             fire = x[tail] & (xb ^ xa)
@@ -142,6 +148,9 @@ def _saturate_batch(moves: list[tuple[int, int, int]], x: list[int]) -> None:
                 x[before] = xb | fire
                 x[after] = xa | fire
                 changed = True
+        if not changed:
+            return
+        backward = not backward
 
 
 @functools.cache
@@ -166,9 +175,12 @@ def _tail_pattern(m: int, j: int) -> tuple[tuple[int, ...], int]:
 def _tail_seeds(n: int) -> int:
     """The most last seeds a block lays out on n strands: the largest
     j <= 3 whose full block, C(n, j) subsets, spans at most _BLOCK_BATCHES
-    batches; level k lays out min(k, j).  That bounds a batch's width, the
-    time between deadline checks and the pattern cache, which the search
-    fills only for j >= 2, so only while C(n, 2) is small."""
+    batches; level k lays out min(k, j).  With eight batches of 1024 bits
+    that is 3 up to 37 strands, 2 up to 128 and 1 beyond.  The bound caps
+    a batch's width, the time between deadline checks and the pattern
+    cache, which the search fills only for j >= 2, so only up to 128
+    strands: its m entries for m strands hold C(m, j) bits each, so the
+    cache grows as m^4 for j = 2 and holds about 3.6 MB when full."""
     j = 3
     while math.comb(n, j) > _BLOCK_BATCHES * _BATCH_BITS:
         j -= 1

@@ -308,6 +308,43 @@ class TestPipeline:
             assert [r.name for r in recs] == [e.name for e in entries]
 
 
+
+class TestInvariantStatus:
+    """max(ideal_lb, parity_lb) <= omega <= vb and |X| <= count <= |X|^omega
+    are checked on every record; a record that breaks one gets
+    error(invariant) and keeps the fields computed."""
+
+    TREFOIL = TableEntry("t", "O1-U2-O3-U1-O2-U3-", 1)  # vb 3, omega 2
+    UNLINK = TableEntry("u", "O1+U1+|O2+U2+", 1)  # a link: no knot bound
+
+    def test_ideal_bound_above_omega(self, monkeypatch):
+        real = batch.ideal_lower_bound
+        monkeypatch.setattr(batch, "ideal_lower_bound", lambda *a, **kw: real(*a, **kw)._replace(bound=3))
+        [r] = run_pipeline([self.TREFOIL], PipelineConfig(analyses=frozenset({"ideal"})))
+        assert r.status_text == "error(invariant)"
+        assert (r.vb_d, r.omega_d, r.ideal_lb) == (3, 2, 3)
+
+    def test_parity_bound_above_omega(self, monkeypatch):
+        real = batch.parity_lower_bound
+        monkeypatch.setattr(batch, "parity_lower_bound", lambda *a, **kw: real(*a, **kw)._replace(bound=3))
+        [r] = run_pipeline([self.TREFOIL])
+        assert r.status_text == "error(invariant)"
+        assert (r.ideal_lb, r.parity_lb) == (2, 3)
+
+    def test_omega_above_vb_without_bounds(self, monkeypatch):
+        monkeypatch.setattr(batch, "bridge_count", lambda d: 1)
+        [r] = run_pipeline([self.UNLINK])
+        assert r.status_text == "error(invariant)"
+        assert (r.vb_d, r.omega_d, r.ideal_lb, r.parity_lb) == (1, 2, None, None)
+
+    @pytest.mark.parametrize("count, ok", [(2, False), (3, True), (9, True), (10, False)])
+    def test_quandle_count_outside_the_sandwich(self, monkeypatch, count, ok):
+        # R3 on a link of omega 2: 3 <= count <= 9
+        monkeypatch.setattr(batch, "count_colorings", lambda *a, **kw: count)
+        [r] = run_pipeline([self.UNLINK], PipelineConfig(quandles=(dihedral_quandle(3),)))
+        assert r.status_text == ("ok" if ok else "error(invariant)")
+        assert r.quandle_counts == {"R3": count}
+
 class Unexpected(Exception):
     """An exception no record status covers."""
 

@@ -23,6 +23,7 @@ from vbridge.search import wirtinger_number
 from util import (
     brute_force_colorings,
     enumerate_knot_codes,
+    linear_form_alexander_count,
     random_diagram,
     random_knot,
     with_signs,
@@ -183,6 +184,17 @@ def small_knots_with_signs(max_chords=4):
             yield parse_gauss_code(with_signs(code, signs))
 
 
+def seeded_links(seed, count=30):
+    """Seeded 2-3 component links of 20-32 chords, a tail on each component."""
+    rng = random.Random(seed)
+    links = []
+    while len(links) < count:
+        d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
+        if d.n_components >= 2:
+            links.append(ensure_tail_per_component(d))
+    return links
+
+
 class TestLinearCount:
     """Alexander quandles take the linear count; every other table the
     enumeration.  Relabelling a table by a non-affine permutation keeps
@@ -228,14 +240,8 @@ class TestLinearCount:
         assert checked == 1 + 2 + 12 + 120 + 1680
 
     def test_random_links(self):
-        rng = random.Random(29)
-        checked = 0
-        while checked < 30:
-            d = random_diagram(rng, max_chords=32, max_components=3, min_chords=20)
-            if d.n_components < 2:
-                continue
-            self.check(ensure_tail_per_component(d))
-            checked += 1
+        for d in seeded_links(29):
+            self.check(d)
 
     def test_order_three_against_brute_force(self):
         # every permutation of Z/3 is affine, so no relabelling leaves the
@@ -247,6 +253,32 @@ class TestLinearCount:
         for _ in range(40):
             d = ensure_tail_per_component(random_diagram(rng, max_chords=6, max_components=3))
             assert count_colorings(d, q) == brute_force_colorings(d, q)
+
+
+class TestSeedWalk:
+    """Walking the sequence once per seed gives the counts of the former
+    walk that carried a linear form per strand."""
+
+    QUANDLES = [
+        dihedral_quandle(3),
+        dihedral_quandle(5),
+        dihedral_quandle(7),
+        alexander_quandle(7, 3),
+        trivial_quandle(5),
+    ]
+
+    def check(self, d):
+        result = wirtinger_number(d)
+        for q in self.QUANDLES:
+            assert count_colorings(d, q, result=result) == linear_form_alexander_count(d, q, result), q.name
+
+    def test_every_small_knot(self):
+        for d in small_knots_with_signs():
+            self.check(d)
+
+    def test_random_links(self):
+        for d in seeded_links(31):
+            self.check(d)
 
 
 class TestDeadline:

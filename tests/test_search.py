@@ -25,6 +25,7 @@ from vbridge.search import (
 from util import (
     brute_force_omega,
     enumerate_knot_codes,
+    head_order_saturate_batch,
     numpy_search,
     random_diagram,
     random_one_overbridge_code,
@@ -237,6 +238,54 @@ class TestBlockWidthBound:
         assert widths and max(widths) <= search._BATCH_BITS + strand_table(d).n_strands
         assert search._tail_pattern.cache_info().currsize == cached
 
+    def test_three_last_seeds_up_to_37_strands(self):
+        # 31-37 strands took two last seeds under a four-batch block bound
+        rng = random.Random(37)
+        checked = 0
+        while checked < 8:
+            d = random_diagram(rng, max_chords=37, max_components=3, min_chords=28)
+            if d.n_components < 2:
+                continue
+            d = ensure_tail_per_component(d)
+            if not 31 <= strand_table(d).n_strands <= 37:
+                continue
+            assert search._tail_seeds(strand_table(d).n_strands) == 3
+            assert _search_triple(d) == numpy_search(d)
+            checked += 1
+
+    def test_two_last_seeds_match_one_near_100_strands(self):
+        # 92-128 strands took one last seed under a four-batch block bound;
+        # random links fail levels 2 and 3 (every subset examined), links
+        # of one-overbridge components joined in a chain pass one
+        rng = random.Random(100)
+        links = []
+        while len(links) < 3:
+            d = random_diagram(rng, max_chords=105, max_components=3, min_chords=95)
+            if d.n_components >= 2:
+                links.append(ensure_tail_per_component(d))
+        for n_comps in (2, 3):
+            size = 100 // n_comps
+            chained = []
+            for c in range(n_comps):
+                part = _relabel(random_one_overbridge_code(rng, size + 3, min_chords=size - 2), 60 * c)
+                joins = (f"U{499 + c}+" if c else "", f"O{500 + c}+" if c < n_comps - 1 else "")
+                chained.append(joins[0] + part + joins[1])
+            links.append(ensure_tail_per_component(parse_gauss_code("|".join(chained))))
+        witnesses = 0
+        for d in links:
+            table = strand_table(d)
+            n = table.n_strands
+            assert 92 <= n <= 128 and search._tail_seeds(n) == 2
+            moves = search._moves(table)
+            comps = {}
+            for s in table.strands:
+                comps.setdefault(s.component, []).append(s.id)
+            for k in range(d.n_components, 4):
+                level = search._search_level(n, moves, comps.values(), k, 2, None)
+                assert level == search._search_level(n, moves, comps.values(), k, 1, None)
+                witnesses += level[0] is not None
+        assert witnesses >= 2
+
     def test_pattern_cache_stays_bounded(self):
         search._tail_pattern.cache_clear()
         links = _random_links(32, 40)
@@ -323,6 +372,23 @@ class TestConfluence:
             ) == reference
             for trial in range(5):
                 assert shuffled_closure(d, seeds, random.Random(trial)) == reference
+
+    def test_alternating_sweeps_match_head_order(self):
+        # batches of random seed sets, as the search and the seed reduction
+        # saturate them: both sweeps reach the same closure, bit for bit
+        rng = random.Random(43)
+        for d in _random_links(43, 20):
+            n = strand_table(d).n_strands
+            moves = search._moves(strand_table(d))
+            for _ in range(5):
+                x = [0] * n
+                for bit in range(rng.randint(1, 300)):
+                    for s in rng.sample(range(n), rng.randint(1, 4)):
+                        x[s] |= 1 << bit
+                expected = list(x)
+                head_order_saturate_batch(moves, expected)
+                search._saturate_batch(moves, x)
+                assert x == expected
 
     def test_saturated_strands_rejects_bad_seeds(self, d3):
         for seed in (-1, 3):

@@ -46,6 +46,12 @@ token-scan replay is the former library replay, which found an ``r1``
 chord's tokens by scanning every token and rebuilt the list, kept verbatim
 to check that finding them by value and deleting them in place gives the
 same verdicts.
+The head-order saturation is the former library ``_saturate_batch``, which
+passed over the arrowheads in head order only, kept verbatim to check that
+sweeps alternating with reverse head order reach the same closure.  The
+linear-form Alexander count is the former library walk, which carried
+each strand's value as a k-long linear form in the seed values, kept to
+check that walking the sequence once per seed gives the same counts.
 """
 
 from __future__ import annotations
@@ -96,8 +102,14 @@ from vbridge.linkgroup import (
     _resultant_filter,
 )
 from vbridge.parity import gaussian_parity
-from vbridge.quandle import _rank_mod
-from vbridge.search import VerifyResult, _moves, _saturate_batch
+from vbridge.quandle import FiniteQuandle, _alexander_unit, _rank_mod
+from vbridge.search import (
+    VerifyResult,
+    WirtingerResult,
+    _moves,
+    _saturate_batch,
+    sequence_relations,
+)
 from vbridge.welded import UnknottingCertificate, WeldedMove, is_one_overbridge
 
 _NP_CHECK_EVERY = 256
@@ -979,3 +991,48 @@ def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     if tokens or cert.final != ".":
         return VerifyResult(False, None)
     return VerifyResult(True, None)
+
+
+def head_order_saturate_batch(moves: list[tuple[int, int, int]], x: list[int]) -> None:
+    """Close the strand bitsets ``x`` under the coloring moves, in place:
+    bit j of x[s] says strand s is colored in subset j."""
+    changed = True
+    while changed:
+        changed = False
+        for tail, before, after in moves:
+            xb = x[before]
+            xa = x[after]
+            fire = x[tail] & (xb ^ xa)
+            if fire:
+                x[before] = xb | fire
+                x[after] = xa | fire
+                changed = True
+
+
+def linear_form_alexander_count(d: GaussDiagram, q: FiniteQuandle, result: WirtingerResult) -> int:
+    """Colorings of ``d`` by the Alexander quandle ``q``, the walk over
+    ``result``'s sequence carrying each strand's value as a linear form in
+    the seed values; the count is p^(seeds - rank of the leftover
+    relations)."""
+    seq = result.sequence
+    steps, residual = sequence_relations(d, seq)
+    n = strand_table(d).n_strands
+    u = _alexander_unit(q)
+    assert u is not None, q.name
+    p = q.order
+    coef = {1: u, -1: pow(u, -1, p)}
+    forms: list = [None] * n
+    for j, s in enumerate(seq.seeds):
+        forms[s] = [int(i == j) for i in range(seq.k)]
+
+    def apply(x, y, sign):
+        c = coef[sign]
+        return [(c * a + (1 - c) * b) % p for a, b in zip(x, y)]
+
+    for strand, src, tail, sign in steps:
+        forms[strand] = apply(forms[src], forms[tail], sign)
+    rows = [
+        [(a - b) % p for a, b in zip(forms[strand], apply(forms[src], forms[tail], sign))]
+        for strand, src, tail, sign in residual
+    ]
+    return p ** (seq.k - _rank_mod(rows, p))
