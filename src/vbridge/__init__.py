@@ -54,13 +54,11 @@ from .quandle import (
     count_colorings,
     dihedral_quandle,
     load_quandle_table,
-    sandwich_check,
     trivial_quandle,
     validate_quandle,
 )
 from .search import (
     ColoringSequence,
-    ColoringState,
     LowTailReport,
     SequenceEntry,
     VerifyResult,
@@ -110,7 +108,6 @@ __all__ = [
     "to_gauss_code",
     # search
     "ColoringSequence",
-    "ColoringState",
     "LowTailReport",
     "SequenceEntry",
     "VerifyResult",
@@ -136,7 +133,6 @@ __all__ = [
     "count_colorings",
     "dihedral_quandle",
     "load_quandle_table",
-    "sandwich_check",
     "trivial_quandle",
     "validate_quandle",
     # welded

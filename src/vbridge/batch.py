@@ -198,11 +198,11 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     is_knot = diagram.n_components == 1
     ideal = None
     if due("ideal", is_knot):
-        ideal = ideal_lower_bound(diagram, config.max_k, config.prime_bound, deadline=deadline, result=result)
+        ideal = ideal_lower_bound(diagram, prime_bound=config.prime_bound, deadline=deadline, result=result)
         rec.ideal_lb = ideal.bound
     if due("parity", is_knot):
         rec.parity_lb = parity_lower_bound(
-            diagram, config.max_k, config.prime_bound, deadline=deadline, ideal=ideal, result=result
+            diagram, prime_bound=config.prime_bound, deadline=deadline, ideal=ideal, result=result
         ).bound
     for q in config.quandles:
         check_deadline(deadline, _BEFORE["quandle"])

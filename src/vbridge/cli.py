@@ -68,7 +68,7 @@ def _at_least(convert, low):
 
 
 _FLAGS = {
-    "--max-k": dict(type=_at_least(int, 1), default=None, help="cap on seed-set / ideal index search (at least 1)"),
+    "--max-k": dict(type=_at_least(int, 1), default=None, help="largest seed set the Wirtinger search tries; caps that search only (at least 1)"),
     "--time-limit": dict(type=_at_least(float, 0), default=None, help="per-diagram wall-clock limit in seconds (at least 0)"),
     "--jobs": dict(type=int, default=1, help="processes analyzing interleaved shares of the batch, this one included (at least 1; serial where os.fork is missing)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="batch output format"),
@@ -83,7 +83,7 @@ _COMMANDS = {
     "bridge": ("count overbridges", ()),
     "wirtinger": ("minimal seed-set search", ("--max-k", "--time-limit", "--certificates")),
     "parity": ("Gaussian parity and projection", ()),
-    "alexander": ("Fox-calculus matrix and ideal bounds", ("--max-k", "--time-limit", "--prime-bound")),
+    "alexander": ("Fox-calculus matrix and ideal bounds", ("--time-limit", "--prime-bound")),
     "quandle": ("coloring counts for quandle table files", ("--max-k", "--time-limit", "--quandle")),
     "welded": ("one-overbridge unknotting certificate", ()),
 }
@@ -203,8 +203,8 @@ def _dispatch(args) -> int:
         # quadratic in the strands, so it is built only while time allows
         deadline = None if args.time_limit is None else time.perf_counter() + args.time_limit
         require_knot(d, "elementary-ideal bound")
-        _, seq = apply_coloring_moves(d, reduced_seed_set(d, deadline))
-        result = sequence_bound(d, seq, args.max_k, args.prime_bound, deadline)
+        seq = apply_coloring_moves(d, reduced_seed_set(d, deadline))
+        result = sequence_bound(d, seq, prime_bound=args.prime_bound, deadline=deadline)
         check_deadline(deadline, _MATRIX)
         table = strand_table(d)
         out = {
@@ -222,14 +222,8 @@ def _dispatch(args) -> int:
     if cmd == "quandle":
         if not args.quandle:
             raise _UsageError("quandle command needs at least one --quandle FILE")
-        quandles = tuple(load_quandle_table(path) for path in args.quandle)
-        rec = _analyze(args, d, analyses=frozenset(), quandles=quandles)
-        # the sandwich |X| <= colorings <= |X|^omega; counts follow the table order
-        sandwich = {
-            key: q.order <= count <= q.order ** rec.omega_d
-            for (key, count), q in zip(rec.quandle_counts.items(), quandles)
-        }
-        _emit({"omega": rec.omega_d, "counts": rec.quandle_counts, "sandwich": sandwich})
+        rec = _analyze(args, d, analyses=frozenset(), quandles=tuple(map(load_quandle_table, args.quandle)))
+        _emit({"omega": rec.omega_d, "counts": rec.quandle_counts})
         return EXIT_OK
 
     if cmd == "welded":

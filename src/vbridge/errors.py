@@ -59,7 +59,7 @@ def check_deadline(deadline: Optional[float], where: str) -> None:
 
 
 class InvariantError(VbridgeError, RuntimeError):
-    """A record's bounds break ideal_lb <= omega <= vb."""
+    """A record breaks max(ideal_lb, parity_lb) <= omega <= vb or |X| <= count <= |X|^omega."""
 
 
 class QuandleAxiomError(VbridgeError, ValueError):

@@ -98,17 +98,11 @@ class GaussDiagram:
 
 
 class Strand(NamedTuple):
-    """Maximal arc between two consecutive arrowheads of one component.
-
-    ``span`` is the half-open cyclic position interval [start, stop); for a
-    strand ending at an arrowhead, stop is that head's position.  A component
-    without arrowheads is one strand spanning the whole circle.
-    """
+    """Maximal arc between two consecutive arrowheads of one component.  A
+    component without arrowheads is one strand spanning the whole circle."""
 
     id: int
     component: int
-    span: tuple[int, int]
-    head_pos: Optional[int]  # position of the terminating arrowhead
     tails: tuple[int, ...]  # chord ids of the arrowtails, in traversal order
 
 
@@ -121,8 +115,6 @@ class HeadIncidence(NamedTuple):
     after: int
     tail_strand: int
     sign: int
-    component: int
-    position: int
 
 
 class StrandTable(NamedTuple):
@@ -249,14 +241,14 @@ def _build_strand_table(d: GaussDiagram) -> StrandTable:
     strand, and each chord id maps to the strand carrying its tail."""
     strands: list[Strand] = []
     tail_strand: dict[int, int] = {}  # chord id -> strand carrying its arrowtail
-    heads: list[tuple[int, int, int, int, int]] = []  # (chord, before, after, component, position)
+    heads: list[tuple[int, int, int]] = []  # (chord, before, after)
 
     for ci, comp in enumerate(d.components):
         ids = tuple([e.chord_id for e in comp])
         head_positions = [e.position for e in comp if e.kind == HEAD]
         base = len(strands)
         if not head_positions:
-            strands.append(Strand(base, ci, (0, len(comp)), None, ids))
+            strands.append(Strand(base, ci, ids))
             for cid in ids:
                 tail_strand[cid] = base
             continue
@@ -269,15 +261,15 @@ def _build_strand_table(d: GaussDiagram) -> StrandTable:
             sid = base + j
             for cid in tails:
                 tail_strand[cid] = sid
-            strands.append(Strand(sid, ci, (start, hp), hp, tails))
-            heads.append((ids[hp], sid, base + (j + 1) % m, ci, hp))
+            strands.append(Strand(sid, ci, tails))
+            heads.append((ids[hp], sid, base + (j + 1) % m))
             prev = hp
 
     chord = d.chord
     incidences = tuple(
         [
-            HeadIncidence(cid, before, after, tail_strand[cid], chord(cid).sign, ci, hp)
-            for cid, before, after, ci, hp in heads
+            HeadIncidence(cid, before, after, tail_strand[cid], chord(cid).sign)
+            for cid, before, after in heads
         ]
     )
     return StrandTable(tuple(strands), incidences)

@@ -265,16 +265,15 @@ def _presentation(d: GaussDiagram, seq: ColoringSequence) -> AlexanderMatrix:
 def sequence_bound(
     d: GaussDiagram,
     seq: ColoringSequence,
-    k_max: Optional[int] = None,
+    *,
     prime_bound: int = 97,
     deadline: Optional[float] = None,
 ) -> IdealBoundResult:
     """``ideal_lower_bound`` of the knot ``d`` on the presentation of a
     coloring sequence that colors every strand, whose nullity never exceeds
-    its seed count; the scan stops once the nullity reaches the cap."""
+    its seed count; the scan stops once the nullity reaches it."""
     width = seq.k
-    cap = width if k_max is None else min(k_max + 1, width)
-    if cap < 2:
+    if width < 2:
         return IdealBoundResult(1, None)
     pres = _presentation(d, seq)
     # column 0 is minus the sum of the others, so it adds no rank
@@ -304,33 +303,28 @@ def sequence_bound(
             nullity = width - _rank_mod(rows, p)
             if best is None or nullity > best[2]:
                 best = (p, u, nullity)
-                if nullity >= cap:
-                    return IdealBoundResult(cap, best)
+                if nullity == width:
+                    return IdealBoundResult(width, best)
     return IdealBoundResult(1 if best is None else best[2], best)
 
 
 def ideal_lower_bound(
     d: GaussDiagram,
-    k_max: Optional[int] = None,
+    *,
     prime_bound: int = 97,
     deadline: Optional[float] = None,
     result: Optional[WirtingerResult] = None,
 ) -> IdealBoundResult:
-    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
-    largest nullity at t = u over Z/p, for primes p <= ``prime_bound`` and
-    units u, of the presentation on the seeds of the Wirtinger search
-    ``result``, or else of ``reduced_seed_set(d)`` (the nullity at each
-    (p, u) is the module's, so only the cost differs), capped at k_max + 1;
-    1, with no witness, when no nullity reaches 2.  The witness is the
-    first (p, u) of largest nullity.  At u = 1 a knot's nullity is 1, as its
-    relations chain its strands into one cycle, and p = 2 has no unit to
-    try.  A cap below 2 returns before any seeds are taken.  Raises
-    SearchTimeoutError once ``time.perf_counter()`` passes ``deadline``.
-    Knot diagrams only."""
+    """Bridge-number lower bound 1 + max{k : E_k proper}: the largest
+    nullity at t = u over Z/p, for primes p <= ``prime_bound`` and units u,
+    of the presentation on the seeds of the Wirtinger search ``result``, or
+    else of ``reduced_seed_set(d)`` (the nullity at each (p, u) is the
+    module's, so only the cost differs); 1, with no witness, when no
+    nullity reaches 2.  The witness is the first (p, u) of largest nullity.
+    At u = 1 a knot's nullity is 1, as its relations chain its strands into
+    one cycle, and p = 2 has no unit to try.  Raises SearchTimeoutError
+    once ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
     require_knot(d, "elementary-ideal bound")
     check_deadline(deadline, _IDEAL)
-    n = strand_table(d).n_strands
-    if (n if k_max is None else min(k_max + 1, n)) < 2:
-        return IdealBoundResult(1, None)
-    seq = result.sequence if result else apply_coloring_moves(d, reduced_seed_set(d, deadline))[1]
-    return sequence_bound(d, seq, k_max, prime_bound, deadline)
+    seq = result.sequence if result else apply_coloring_moves(d, reduced_seed_set(d, deadline))
+    return sequence_bound(d, seq, prime_bound=prime_bound, deadline=deadline)

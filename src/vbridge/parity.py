@@ -64,7 +64,7 @@ def _projected_seeds(d: GaussDiagram, seeds) -> set[int]:
 
 def parity_lower_bound(
     d: GaussDiagram,
-    k_max: int | None = None,
+    *,
     prime_bound: int = 97,
     deadline: float | None = None,
     ideal: IdealBoundResult | None = None,
@@ -74,17 +74,17 @@ def parity_lower_bound(
     never raises the bridge count, this bounds the original knot too.
     ``deadline`` is a ``time.perf_counter()`` value, as for
     ``ideal_lower_bound``.  ``ideal``, when given, is ``ideal_lower_bound``
-    of ``d`` with the same ``k_max`` and ``prime_bound``; a knot with no odd
-    chord is its own projection, so it is returned unchanged.  Otherwise
-    the projection is ranked on its ``reduced_seed_set``, started from the
-    images of the seeds of ``result`` (the search of ``d``) when given:
-    they color it, as a move at an even chord is a move there too."""
+    of ``d`` with the same ``prime_bound``; a knot with no odd chord is its
+    own projection, so it is returned unchanged.  Otherwise the projection
+    is ranked on its ``reduced_seed_set``, started from the images of the
+    seeds of ``result`` (the search of ``d``) when given: they color it, as
+    a move at an even chord is a move there too."""
     require_knot(d, "Gaussian parity")
     if result is not None and result.omega < 2:  # no more seeds in the projection
         return IdealBoundResult(1, None)
     projection = parity_projection(d)
     if projection is d:
-        return ideal if ideal is not None else ideal_lower_bound(d, k_max, prime_bound, deadline, result)
+        return ideal or ideal_lower_bound(d, prime_bound=prime_bound, deadline=deadline, result=result)
     images = None if result is None else _projected_seeds(d, result.seed_set)
-    _, seq = apply_coloring_moves(projection, reduced_seed_set(projection, deadline, images))
-    return sequence_bound(projection, seq, k_max, prime_bound, deadline)
+    seq = apply_coloring_moves(projection, reduced_seed_set(projection, deadline, images))
+    return sequence_bound(projection, seq, prime_bound=prime_bound, deadline=deadline)

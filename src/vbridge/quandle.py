@@ -101,16 +101,16 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
 
 
 def load_quandle_table(path) -> FiniteQuandle:
-    """Read an operation table: first line the order n, then n lines of n
-    whitespace-separated entries in 0..n-1."""
+    """Read an operation table: first line the order n >= 1 alone, then
+    exactly n non-blank lines of n whitespace-separated entries in 0..n-1.
+    Raises ValueError naming ``path`` on any other layout."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.split() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty quandle file")
-    n = int(lines[0][0])
-    rows = [[int(v) for v in line] for line in lines[1 : n + 1]]
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} table rows, found {len(rows)}")
+    header, *rows = lines or [[]]  # an empty file fails the header check
+    if len(header) != 1 or not header[0].isdecimal() or int(header[0]) < 1:
+        raise ValueError(f"{path}: the first line must be the order alone, an integer >= 1")
+    if len(rows) != int(header[0]):
+        raise ValueError(f"{path}: expected {header[0]} table rows, found {len(rows)}")
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return validate_quandle(rows, name=stem)
 
@@ -170,17 +170,17 @@ def count_colorings(
     assignments and raising SearchTimeoutError past it.  The count does not
     depend on which generating seed set or sequence is used.
     """
+    n = strand_table(d).n_strands
     if result is not None:
         seq = result.sequence
     elif seeds is not None:
-        state, seq = apply_coloring_moves(d, seeds)
-        if not state.is_complete:
+        seq = apply_coloring_moves(d, seeds)
+        if len(seq.entries) != n:
             raise ValueError("seed set does not color the whole diagram")
     else:
         seq = wirtinger_number(d).sequence
 
     steps, residual = sequence_relations(d, seq)
-    n = strand_table(d).n_strands
     seeds = seq.seeds
 
     u = _alexander_unit(q)
@@ -216,15 +216,3 @@ def count_colorings(
         ):
             count += 1
     return count
-
-
-def sandwich_check(
-    d: GaussDiagram,
-    q: FiniteQuandle,
-    result: Optional[WirtingerResult] = None,
-) -> bool:
-    """|X| <= colorings <= |X|^omega for the diagram's Wirtinger number."""
-    if result is None:
-        result = wirtinger_number(d)
-    count = count_colorings(d, q, result=result)
-    return q.order <= count <= q.order ** result.omega

@@ -46,20 +46,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class ColoringState(NamedTuple):
-    """Partial coloring: strand -> color index (1..k) or None."""
-
-    assignment: list[Optional[int]]
-
-    @property
-    def n_colored(self) -> int:
-        return sum(1 for c in self.assignment if c is not None)
-
-    @property
-    def is_complete(self) -> bool:
-        return all(c is not None for c in self.assignment)
-
-
 class SequenceEntry(NamedTuple):
     strand: int
     via: Optional[int]  # chord id of the justifying arrowhead; None for seeds
@@ -96,11 +82,17 @@ class ColoringSequence(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ColoringSequence":
-        entries = tuple(
-            SequenceEntry(int(s), None if v is None else int(v))
-            for s, v in zip(data["order"], data["via"])
-        )
-        return cls(entries, int(data["k"]))
+        """The sequence ``to_json_dict`` wrote; ValueError on a missing key,
+        a value of the wrong type, or ``order`` and ``via`` of two lengths."""
+        try:
+            k, order, via = data["k"], data["order"], data["via"]
+        except (KeyError, TypeError) as exc:  # a missing key, or no object
+            raise ValueError("a coloring sequence needs k, order and via") from exc
+        if type(order) is not list or type(via) is not list or len(order) != len(via):
+            raise ValueError("a coloring sequence's order and via are lists of one length")
+        if any(type(x) is not int for x in (k, *order, *(v for v in via if v is not None))):
+            raise ValueError("a coloring sequence's k, strands and chord ids are integers")
+        return cls(tuple(map(SequenceEntry, order, via)), k)
 
 
 class VerifyResult(NamedTuple):
@@ -266,13 +258,12 @@ def _search_level(
         return prefix + tail, examined
 
 
-def apply_coloring_moves(
-    d: GaussDiagram, seeds: Iterable[int]
-) -> tuple[ColoringState, ColoringSequence]:
+def apply_coloring_moves(d: GaussDiagram, seeds: Iterable[int]) -> ColoringSequence:
     """Saturate the coloring moves from the given seed strands.
 
     The colored set is the unique closure regardless of firing order; the
-    returned sequence is one witness.  Arrowheads are scanned in head order.
+    returned sequence is one witness, and it colors every strand exactly
+    when it has an entry per strand.  Arrowheads are scanned in head order.
     """
     table = strand_table(d)
     n = table.n_strands
@@ -282,28 +273,26 @@ def apply_coloring_moves(
     if seed_list[0] < 0 or seed_list[-1] >= n:
         raise ValueError(f"seed strand out of range 0..{n - 1}")
 
-    assignment: list[Optional[int]] = [None] * n
+    colored = [False] * n
     entries = [SequenceEntry(s, None) for s in seed_list]
-    for color, s in enumerate(seed_list, start=1):
-        assignment[s] = color
+    for s in seed_list:
+        colored[s] = True
 
     while True:
         fired = False
         for inc in table.incidences:
-            if assignment[inc.tail_strand] is None:
+            if not colored[inc.tail_strand]:
                 continue
-            b = assignment[inc.before] is not None
-            a = assignment[inc.after] is not None
-            if b == a:
+            b = colored[inc.before]
+            if b == colored[inc.after]:
                 continue
-            src, dst = (inc.before, inc.after) if b else (inc.after, inc.before)
-            assignment[dst] = assignment[src]
+            dst = inc.after if b else inc.before
+            colored[dst] = True
             entries.append(SequenceEntry(dst, inc.chord_id))
             fired = True
         if not fired:
             break
-    state = ColoringState(assignment)
-    return state, ColoringSequence(tuple(entries), len(seed_list))
+    return ColoringSequence(tuple(entries), len(seed_list))
 
 
 def sequence_relations(d: GaussDiagram, seq: ColoringSequence) -> tuple[list, list]:
@@ -411,8 +400,8 @@ def wirtinger_number(
         comb, ex = _search_level(n, moves, comps.values(), k, min(k, tail_seeds), deadline)
         examined += ex
         if comb is not None:
-            state, seq = apply_coloring_moves(d, comb)
-            assert state.is_complete
+            seq = apply_coloring_moves(d, comb)
+            assert len(seq.entries) == n
             return WirtingerResult(
                 omega=k,
                 seed_set=tuple(comb),

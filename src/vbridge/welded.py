@@ -47,18 +47,23 @@ class UnknottingCertificate(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnknottingCertificate":
-        moves = []
-        for m in data["moves"]:
-            try:
+        """The certificate ``to_json_dict`` wrote; ValueError on a missing
+        key, a value of the wrong type or a move of no known kind."""
+        try:
+            moves = []
+            for m in data["moves"]:
                 if m.get("kind") == "swap" and "at" in m:
                     moves.append(WeldedMove("swap", at=tuple(int(i) for i in m["at"])))
                 elif m.get("kind") == "r1" and "chord" in m:
                     moves.append(WeldedMove("r1", chord=int(m["chord"])))
                 else:
                     raise ValueError(f"unknown move kind or missing field in {m!r}")
-            except (AttributeError, TypeError) as exc:  # no object, or a field no list or number
-                raise ValueError(f"malformed move {m!r}") from exc
-        return cls(data["initial"], tuple(moves), data["final"])
+            initial, final = data["initial"], data["final"]
+        except (AttributeError, KeyError, TypeError) as exc:  # a missing key or a mistyped value
+            raise ValueError(f"malformed certificate: {exc!r}") from exc
+        if not (type(initial) is type(final) is str):
+            raise ValueError("a certificate's initial and final are strings")
+        return cls(initial, tuple(moves), final)
 
     @classmethod
     def from_json(cls, text: str) -> "UnknottingCertificate":

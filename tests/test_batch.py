@@ -20,9 +20,10 @@ from vbridge.batch import (
     write_results,
 )
 from vbridge.errors import SearchExhaustedError
-from vbridge.gauss import parse_gauss_code, to_gauss_code
+from vbridge.gauss import ensure_tail_per_component, is_cut_split, parse_gauss_code, to_gauss_code
 from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
-from vbridge.search import wirtinger_number
+from vbridge.search import ColoringSequence, verify_coloring_sequence, verify_height_certificate, wirtinger_number
+from vbridge.welded import UnknottingCertificate, replay_certificate
 from util import random_diagram, random_knot
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
@@ -300,6 +301,27 @@ class TestPipeline:
         assert set(certs) == {"sequence", "welded"}
         assert certs["welded"]["final"] == "."
         assert certs["sequence"]["k"] == 1
+
+    def test_emitted_certificates_verify(self):
+        # each certificate of the JSON output, parsed back, checks out on the
+        # normalized diagram its record describes
+        entries, _ = ingest_table(DATA)
+        rows = json.loads(render_results(run_pipeline(entries, PipelineConfig(certificates=True)), "json"))
+        sequences = heights = welded = 0
+        for e, row in zip(entries, rows, strict=True):
+            d = ensure_tail_per_component(parse_gauss_code(e.code))
+            certs = row["certificates"]
+            seq = ColoringSequence.from_json_dict(certs["sequence"])
+            assert verify_coloring_sequence(d, seq), e.name
+            sequences += 1
+            if not is_cut_split(d):
+                assert verify_height_certificate(d, seq), e.name
+                heights += 1
+            if "welded" in certs:
+                cert = UnknottingCertificate.from_json_dict(certs["welded"])
+                assert cert.initial == to_gauss_code(d) and replay_certificate(cert), e.name
+                welded += 1
+        assert (sequences, heights, welded) == (20, 14, 5)
 
     def test_results_in_input_order(self):
         entries, _ = ingest_table(DATA)

@@ -58,6 +58,24 @@ class TestExitCodes:
     def test_timeout(self, capsys):
         assert run(capsys, "wirtinger", "--time-limit", "0.0", D3)[0] == 3
 
+    def test_alexander_takes_no_max_k(self, capsys):
+        # the bound has no cap to set: its presentation's width is one
+        code, out, err = run(capsys, "alexander", "--max-k", "1", D3)
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+
+    def test_malformed_quandle_tables(self, capsys, tmp_path):
+        # a row past the order, a second header token, order 0
+        for name, text in (
+            ("rows.txt", R3_TABLE + "0 1 2\n"),
+            ("header.txt", "3 7\n" + R3_TABLE.split("\n", 1)[1]),
+            ("zero.txt", "0\n"),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            for argv in (("quandle", "--quandle", str(path), D3), ("batch", "--quandle", str(path), DATA)):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and out == "" and str(path) in err, (name, argv[0])
+
     def test_alexander_timeout(self, capsys):
         code, out, err = run(capsys, "alexander", "--time-limit", "0.0", D3)
         assert code == 3 and out == "" and "timeout" in err
@@ -164,7 +182,7 @@ class TestSingleDiagramCommands:
         monkeypatch.setattr(cli, "reduced_seed_set", counted)
         monkeypatch.setattr("vbridge.search._search_level", None)
         for code, width, bound in ((D3, 2, 2), (".", 1, 1), ("O1+U1+U2+O2+O3+U3+U4+O4+", 2, 1)):
-            data = run_json(capsys, "alexander", "--max-k", "1", code)
+            data = run_json(capsys, "alexander", code)
             assert (data["core_width"], data["lower_bound"]) == (width, bound), code
         data = run_json(capsys, "alexander", "--time-limit", "60", D3)
         assert data["core_width"] == 2
@@ -179,9 +197,7 @@ class TestSingleDiagramCommands:
         path = tmp_path / "r3.txt"
         path.write_text("3\n0 2 1\n2 1 0\n1 0 2\n")
         data = run_json(capsys, "quandle", "--quandle", str(path), D3)
-        assert data["omega"] == 2
-        assert data["counts"] == {"r3": 9}
-        assert data["sandwich"] == {"r3": True}
+        assert data == {"omega": 2, "counts": {"r3": 9}}
 
     def test_quandle_counts_each_table_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "r3.txt"
@@ -196,7 +212,7 @@ class TestSingleDiagramCommands:
         monkeypatch.setattr(batch, "count_colorings", counted)
         monkeypatch.setattr(quandle, "count_colorings", counted)
         data = run_json(capsys, "quandle", "--quandle", str(path), D3)
-        assert data["sandwich"] == {"r3": True}
+        assert data["counts"] == {"r3": 9}
         assert len(calls) == 1
 
     def test_quandle_time_limit_covers_the_counts(self, capsys, tmp_path, monkeypatch):
@@ -284,14 +300,14 @@ class TestFlags:
                 accepted.add((command, flag))
         expected = {("batch", flag) for flag in self.VALUES}
         expected |= {("wirtinger", f) for f in ("--max-k", "--time-limit", "--certificates")}
-        expected |= {("alexander", f) for f in ("--max-k", "--time-limit", "--prime-bound")}
+        expected |= {("alexander", f) for f in ("--time-limit", "--prime-bound")}
         expected |= {("quandle", f) for f in ("--max-k", "--time-limit", "--quandle")}
-        assert accepted == expected and len(expected) == 16
+        assert accepted == expected and len(expected) == 15
 
     def test_out_of_range_values_are_usage_errors(self, capsys):
         for argv in (
             ["wirtinger", "--max-k", "0", D3],
-            ["alexander", "--max-k", "-2", D3],
+            ["quandle", "--max-k", "-2", "--quandle", "r3.txt", D3],
             ["wirtinger", "--time-limit", "-1", D3],
             ["quandle", "--time-limit", "nan", "--quandle", "r3.txt", D3],
             ["alexander", "--time-limit", "-0.5", D3],
@@ -306,7 +322,7 @@ class TestFlags:
             assert "usage error" in err and argv[1] in err and "at least" in err, argv
         # the smallest values in range still run
         assert run_json(capsys, "wirtinger", "--max-k", "1", "O1+U1+")["omega"] == 1
-        assert run_json(capsys, "alexander", "--prime-bound", "2", "--max-k", "1", D3)["lower_bound"] == 1
+        assert run_json(capsys, "alexander", "--prime-bound", "2", D3)["lower_bound"] == 1
         assert run(capsys, "wirtinger", "--time-limit", "0", D3)[0] == 3
 
     def test_unread_flags_are_usage_errors(self, capsys):

@@ -295,8 +295,7 @@ class TestStrands:
     def test_chordless_component_is_one_strand(self):
         table = strand_table(parse_gauss_code("."))
         assert table.n_strands == 1
-        assert table.strands[0].tails == ()
-        assert table.strands[0].head_pos is None
+        assert table.strands[0] == (0, 0, ())
 
     def test_table_built_once_per_diagram(self, d6):
         assert strand_table(d6) is strand_table(d6)

@@ -60,8 +60,8 @@ class TestPresentation:
         table = strand_table(dv)
         assert table.n_strands == 2
         assert table.incidences == (
-            HeadIncidence(chord_id=1, before=0, after=1, tail_strand=0, sign=1, component=0, position=2),
-            HeadIncidence(chord_id=2, before=1, after=0, tail_strand=0, sign=1, component=0, position=3),
+            HeadIncidence(chord_id=1, before=0, after=1, tail_strand=0, sign=1),
+            HeadIncidence(chord_id=2, before=1, after=0, tail_strand=0, sign=1),
         )
 
     def test_normalized_circle(self):
@@ -362,33 +362,32 @@ def _assert_witness_replays(d, result):
     assert nullity >= result.bound >= 2, d
 
 
-def _assert_matches_the_core_bound(d, k_max=None):
+def _assert_matches_the_core_bound(d):
     """Both bounds, with the search passed in and without, give the
     (bound, witness) of the former core bound kept in tests/util.py."""
     search = wirtinger_number(d)
-    expected = core_ideal_lower_bound(d, k_max)
-    assert ideal_lower_bound(d, k_max, result=search) == expected, (d, k_max)
-    assert ideal_lower_bound(d, k_max) == expected, (d, k_max)
-    expected = core_parity_lower_bound(d, k_max)
-    assert parity_lower_bound(d, k_max, result=search) == expected, (d, k_max)
-    assert parity_lower_bound(d, k_max) == expected, (d, k_max)
+    expected = core_ideal_lower_bound(d)
+    assert ideal_lower_bound(d, result=search) == expected, d
+    assert ideal_lower_bound(d) == expected, d
+    expected = core_parity_lower_bound(d)
+    assert parity_lower_bound(d, result=search) == expected, d
+    assert parity_lower_bound(d) == expected, d
 
 
 class TestNullityBound:
     """The largest nullity of the presentation on the search's seeds is the
     bound of the minor scan and, witness included, of the core bound, both
-    kept in tests/util.py, with and without k_max; each witness replays on
-    the full matrix."""
+    kept in tests/util.py; each witness replays on the full matrix."""
 
     @staticmethod
-    def _check(d, k_max=None):
-        _assert_matches_the_core_bound(d, k_max)
-        result = ideal_lower_bound(d, k_max)
-        assert result.bound == minor_scan_ideal_lower_bound(d, k_max).bound, (d, k_max)
+    def _check(d):
+        _assert_matches_the_core_bound(d)
+        result = ideal_lower_bound(d)
+        assert result.bound == minor_scan_ideal_lower_bound(d).bound, d
         _assert_witness_replays(d, result)
         projection = parity_projection(d)
-        parity = parity_lower_bound(d, k_max)
-        assert parity.bound == minor_scan_ideal_lower_bound(projection, k_max).bound, (d, k_max)
+        parity = parity_lower_bound(d)
+        assert parity.bound == minor_scan_ideal_lower_bound(projection).bound, d
         _assert_witness_replays(projection, parity)
         return result
 
@@ -397,13 +396,12 @@ class TestNullityBound:
         assert len(bounds) == 2 * (1 + 2 + 12 + 120 + 1680)
         assert bounds.count(2) > 100 and max(bounds) == 2
 
-    def test_random_knots_with_and_without_k_max(self):
+    def test_random_knots_match_the_minor_scan(self):
         rng = random.Random(2105)
         witnesses = 0
         for _ in range(150):
             d = random_knot(rng, max_chords=14, min_chords=5)
-            for k_max in (None, 1, 2):
-                witnesses += self._check(d, k_max).witness is not None
+            witnesses += self._check(d).witness is not None
         assert witnesses > 30
 
     def test_random_knots_match_the_core_bound(self):
@@ -411,17 +409,14 @@ class TestNullityBound:
         bounds = []
         for _ in range(200):
             d = random_knot(rng, max_chords=14, min_chords=3)
-            for k_max in (None, 1, 2):
-                _assert_matches_the_core_bound(d, k_max)
+            _assert_matches_the_core_bound(d)
             bounds.append(ideal_lower_bound(d).bound)
         assert bounds.count(2) > 20
 
     def test_connected_sums_match_the_core_bound(self):
         for code in (TREFOIL, FIGURE_EIGHT):
             for m in range(1, 7):
-                d = parse_gauss_code(_connected_sum(code, m))
-                for k_max in (None, 1, 2, 3):
-                    _assert_matches_the_core_bound(d, k_max)
+                _assert_matches_the_core_bound(parse_gauss_code(_connected_sum(code, m)))
 
     def test_unit_minor_ends_the_bound(self, monkeypatch):
         # a 2-seed presentation with a unit minor: no prime is scanned
@@ -430,6 +425,18 @@ class TestNullityBound:
         assert search.omega == 2
         monkeypatch.setattr("vbridge.linkgroup._gcd_mod", None)
         assert ideal_lower_bound(d, result=search) == core_ideal_lower_bound(d) == (1, None)
+
+    def test_optional_parameters_are_keyword_only(self, d3):
+        # a positional call written for the former k_max cap fails loudly
+        # instead of binding its cap to prime_bound
+        seq = wirtinger_number(d3).sequence
+        for call in (
+            lambda: ideal_lower_bound(d3, 2),
+            lambda: parity_lower_bound(d3, 2),
+            lambda: sequence_bound(d3, seq, 2),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_trefoil_witness_replays(self, d3):
         result = ideal_lower_bound(d3)
@@ -445,9 +452,6 @@ class TestNullityBound:
             assert result.bound == minor_scan_ideal_lower_bound(d).bound == 7
             assert alexander_core(d).n_cols == wirtinger_number(d).omega == 7
             _assert_witness_replays(d, result)
-            capped = ideal_lower_bound(d, k_max=3)  # stops at nullity 4
-            assert capped.bound == 4
-            _assert_witness_replays(d, capped)
 
     def test_maximal_minors_without_the_first_column(self):
         # the bound's minors: they vanish at (p, u) exactly where every
@@ -586,9 +590,8 @@ class TestAlexanderCore:
                 continue
             images = _projected_seeds(d, seeds)
             assert len(images) <= len(seeds)
-            state, seq = apply_coloring_moves(projection, images)
-            assert state.is_complete, d
-            assert verify_coloring_sequence(projection, seq), d
+            # a sequence verifies only when it colors every strand
+            assert verify_coloring_sequence(projection, apply_coloring_moves(projection, images)), d
             projected += 1
         assert projected > 2500
 
@@ -726,8 +729,8 @@ class TestAlexanderCore:
         for n in (20, 40, 60, 100):
             d = random_knot(rng, max_chords=n, min_chords=n)
         assert len(reduced_seed_set(d)) == 10
-        state, seq = apply_coloring_moves(d, [s.id for s in strand_table(d).strands if s.tails])
-        assert state.is_complete and seq.k == 51
+        seq = apply_coloring_moves(d, [s.id for s in strand_table(d).strands if s.tails])
+        assert len(seq.entries) == strand_table(d).n_strands and seq.k == 51
         for bound in (
             lambda deadline: sequence_bound(d, seq, deadline=deadline),
             lambda deadline: ideal_lower_bound(d, deadline=deadline),

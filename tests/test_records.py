@@ -23,7 +23,7 @@ from vbridge.welded import welded_unknot_certificate
 @pytest.fixture(scope="module")
 def records(dl, dv):
     result = wirtinger_number(dl)
-    state, sequence = apply_coloring_moves(dl, [0])
+    sequence = apply_coloring_moves(dl, [0])
     report = low_tail_chords(dl, result.sequence)
     return (
         TableEntry("k", "O1+U1+", 1),
@@ -31,7 +31,6 @@ def records(dl, dv):
         strand_table(dl),
         alexander_matrix(dl),
         dihedral_quandle(3),
-        state,
         sequence,
         verify_coloring_sequence(dl, sequence),
         result,
@@ -42,7 +41,7 @@ def records(dl, dv):
 
 
 def test_every_record_is_a_read_only_tuple(records):
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 11
     for record in records:
         assert isinstance(record, tuple) and record == tuple(record)
         with pytest.raises(AttributeError):

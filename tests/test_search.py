@@ -35,21 +35,20 @@ from util import (
 
 class TestApplyColoringMoves:
     def test_six_chord_single_seed_colors_all(self, d6):
-        state, seq = apply_coloring_moves(d6, {0})
-        assert state.is_complete
+        seq = apply_coloring_moves(d6, {0})
+        assert len(seq.entries) == strand_table(d6).n_strands
         # propagation follows the code's head order
         assert seq.order == (0, 1, 2, 3, 4, 5)
         assert seq.k == 1
 
     def test_virtual_trefoil_single_move(self, dv):
-        state, seq = apply_coloring_moves(dv, {0})
-        assert state.is_complete
+        seq = apply_coloring_moves(dv, {0})
+        assert len(seq.entries) == strand_table(dv).n_strands
         assert seq.entries[1] == SequenceEntry(1, 1)
 
     def test_trefoil_singletons_stall(self, d3):
         for seed in range(3):
-            state, _ = apply_coloring_moves(d3, {seed})
-            assert state.n_colored == 1
+            assert apply_coloring_moves(d3, {seed}).order == (seed,)
 
     def test_bad_seeds(self, d3):
         with pytest.raises(ValueError):
@@ -59,9 +58,8 @@ class TestApplyColoringMoves:
 
     def test_colors_never_cross_components(self):
         d = parse_gauss_code("O1+U1+|O2+U2+")
-        state, _ = apply_coloring_moves(d, {0})
-        assert state.assignment[0] == 1
-        assert state.assignment[1] is None
+        # strand 0 alone: strand 1 is the other component
+        assert apply_coloring_moves(d, {0}).order == (0,)
 
 
 class TestWirtingerNumber:
@@ -366,10 +364,7 @@ class TestConfluence:
             table = strand_table(d)
             seeds = {rng.randrange(table.n_strands) for _ in range(rng.randint(1, 3))}
             reference = saturated_strands(d, seeds)
-            state, _ = apply_coloring_moves(d, seeds)
-            assert frozenset(
-                s for s in range(table.n_strands) if state.assignment[s] is not None
-            ) == reference
+            assert frozenset(apply_coloring_moves(d, seeds).order) == reference
             for trial in range(5):
                 assert shuffled_closure(d, seeds, random.Random(trial)) == reference
 
@@ -459,11 +454,54 @@ class TestVerifySequence:
         assert not verify_coloring_sequence(d3, seq).ok
 
     def test_unrecorded_via_is_searched(self, d6):
-        _, seq = apply_coloring_moves(d6, {0})
+        seq = apply_coloring_moves(d6, {0})
         stripped = ColoringSequence(
             tuple(SequenceEntry(e.strand, None) for e in seq.entries), seq.k
         )
         assert verify_coloring_sequence(d6, stripped).ok
+
+
+class TestSequenceJson:
+    def test_roundtrip(self, d6, d3):
+        for d in (d6, d3):
+            seq = wirtinger_number(d).sequence
+            assert ColoringSequence.from_json_dict(seq.to_json_dict()) == seq
+
+    def test_missing_key_rejected(self, d3):
+        data = wirtinger_number(d3).sequence.to_json_dict()
+        for key in data:
+            with pytest.raises(ValueError):
+                ColoringSequence.from_json_dict({k: v for k, v in data.items() if k != key})
+
+    def test_no_object_rejected(self):
+        for data in (None, [], "k", 3):
+            with pytest.raises(ValueError):
+                ColoringSequence.from_json_dict(data)
+
+    def test_lengths_must_agree(self):
+        # zip would drop the unmatched entry
+        for order, via in (([0, 1, 2], [None, None]), ([0, 1], [None, None, 1])):
+            with pytest.raises(ValueError):
+                ColoringSequence.from_json_dict({"k": 2, "order": order, "via": via})
+
+    def test_mistyped_values_rejected(self):
+        good = {"k": 1, "order": [0, 1], "via": [None, 1]}
+        assert ColoringSequence.from_json_dict(good).order == (0, 1)
+        for key, value in (
+            ("k", "1"),
+            ("k", None),
+            ("k", 1.0),
+            ("order", [0, "1"]),
+            ("order", [0, 1.5]),
+            ("order", [0, None]),
+            ("order", [0, True]),
+            ("order", "01"),
+            ("via", [None, "1"]),
+            ("via", [None, [1]]),
+            ("via", 7),
+        ):
+            with pytest.raises(ValueError):
+                ColoringSequence.from_json_dict({**good, key: value})
 
 
 class TestHeightCertificate:
@@ -474,7 +512,7 @@ class TestHeightCertificate:
 
     def test_cut_split_rejected(self):
         kink = parse_gauss_code("O1+U1+")
-        _, seq = apply_coloring_moves(kink, {0})
+        seq = apply_coloring_moves(kink, {0})
         with pytest.raises(CutSplitError):
             verify_height_certificate(kink, seq)
 

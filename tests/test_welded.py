@@ -305,6 +305,17 @@ class TestJsonRoundtrip:
                     {"initial": "O1+U1+", "moves": [move], "final": "."}
                 )
 
+    def test_malformed_certificate_rejected(self, dv):
+        # a missing key, moves that are no list of moves, a code that is no
+        # string, or no object at all: each a ValueError, like a bad move
+        data = welded_unknot_certificate(dv).to_json_dict()
+        cases = [{k: v for k, v in data.items() if k != key} for key in data]
+        cases += [{**data, "moves": 5}, {**data, "moves": None}, {**data, "moves": "swap"}]
+        cases += [{**data, "initial": 5}, {**data, "final": None}, None, [], "."]
+        for case in cases:
+            with pytest.raises(ValueError):
+                UnknottingCertificate.from_json_dict(case)
+
 
 class TestMoveRecords:
     def test_moves_are_tuples_with_defaults(self, dv):

@@ -192,7 +192,7 @@ def oracle_strand_table(d: GaussDiagram) -> StrandTable:
         if not head_positions:
             sid = len(strands)
             tails = tuple(e.chord_id for e in comp)
-            strands.append(Strand(sid, ci, (0, length), None, tails))
+            strands.append(Strand(sid, ci, tails))
             for p in range(length):
                 mapping[p] = sid
         else:
@@ -207,7 +207,7 @@ def oracle_strand_table(d: GaussDiagram) -> StrandTable:
                     mapping[p] = sid
                     tails.append(comp[p].chord_id)
                     p = (p + 1) % length
-                strands.append(Strand(sid, ci, (start, hp), hp, tuple(tails)))
+                strands.append(Strand(sid, ci, tuple(tails)))
         pos_to_strand.append(mapping)
 
     incidences: list[HeadIncidence] = []
@@ -225,8 +225,6 @@ def oracle_strand_table(d: GaussDiagram) -> StrandTable:
                     after=base + (j + 1) % m,
                     tail_strand=pos_to_strand[te.component][te.position],
                     sign=chord.sign,
-                    component=ci,
-                    position=hp,
                 )
             )
     return StrandTable(tuple(strands), tuple(incidences))
@@ -505,32 +503,28 @@ def _sparse_unit_pivot(
 
 def core_ideal_lower_bound(
     d: GaussDiagram,
-    k_max: Optional[int] = None,
     prime_bound: int = 97,
     deadline: Optional[float] = None,
 ) -> IdealBoundResult:
-    """Bridge-number lower bound 1 + max{k <= k_max : E_k proper}: the
-    largest nullity of ``alexander_core`` at t = u over Z/p, for primes
-    p <= ``prime_bound`` and units u, capped at k_max + 1 and at the strand
-    count; 1, with no witness, when no nullity reaches 2.
+    """Bridge-number lower bound 1 + max{k : E_k proper}: the largest
+    nullity of ``alexander_core`` at t = u over Z/p, for primes
+    p <= ``prime_bound`` and units u; 1, with no witness, when no nullity
+    reaches 2.
 
     Only the common roots of the maximal minors of the core without its
     first column are ranked.  At u = 1 the relations chain the strands into
     one cycle, so a knot's nullity is 1 there and p = 2 has no unit to try.
     The witness is the first (p, u) of largest nullity; the scan stops once
-    the nullity reaches the cap.
+    the nullity reaches the core's width.
     A core at most one wide, or a knot that one strand saturates (which
     builds no core), gives 1.  Raises SearchTimeoutError once
     ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     check_deadline(deadline, _IDEAL)
-    n = strand_table(d).n_strands
-    cap = n if k_max is None else min(k_max + 1, n)
-    core = None if cap < 2 or one_strand_saturates(d) else alexander_core(d)
+    core = None if one_strand_saturates(d) else alexander_core(d)
     width = 0 if core is None else core.n_cols
-    cap = min(cap, width)
-    if cap < 2:
+    if width < 2:
         return IdealBoundResult(1, None)
     # column 0 is minus the sum of the others, so it adds no rank
     rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
@@ -557,15 +551,15 @@ def core_ideal_lower_bound(
             nullity = width - _rank_mod(rows, p)
             if best is None or nullity > best[2]:
                 best = (p, u, nullity)
-                if nullity >= cap:
-                    return IdealBoundResult(cap, best)
+                if nullity == width:
+                    return IdealBoundResult(width, best)
     return IdealBoundResult(1 if best is None else best[2], best)
 
 
-def core_parity_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97) -> IdealBoundResult:
+def core_parity_lower_bound(d: GaussDiagram, prime_bound: int = 97) -> IdealBoundResult:
     """The parity bound as the core bound gave it: the core bound of the
     parity projection."""
-    return core_ideal_lower_bound(token_parity_projection(d), k_max, prime_bound)
+    return core_ideal_lower_bound(token_parity_projection(d), prime_bound)
 
 
 def elementary_ideal_generators(
@@ -642,12 +636,11 @@ class MinorScanResult:
 
 def minor_scan_ideal_lower_bound(
     d: GaussDiagram,
-    k_max: Optional[int] = None,
     prime_bound: int = 97,
     deadline: Optional[float] = None,
 ) -> MinorScanResult:
     """Bridge-number lower bound 1 + max{k : E_k certified proper and
-    nontrivial}, scanning k = 1..k_max; 1 when no index qualifies.
+    nontrivial}, scanning k = 1..n-1 for n strands; 1 when no index qualifies.
     Each E_k is generated by minors of ``alexander_core``, and is (1) from
     the core's width on; a knot that one strand saturates has every E_k
     = (1) and builds no core.  Raises SearchTimeoutError once
@@ -656,12 +649,11 @@ def minor_scan_ideal_lower_bound(
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     check_deadline(deadline, _IDEAL)
     n = strand_table(d).n_strands
-    k_hi = n - 1 if k_max is None else min(k_max, n - 1)
     core = None if one_strand_saturates(d) else alexander_core(d)
     width = 1 if core is None else core.n_cols
     certificates = []
     best = 0
-    for k in range(1, k_hi + 1):
+    for k in range(1, n):
         if k >= width:  # E_k = (1)
             certificates.append(IdealCertificate(k, (ONE,), None, True))
             continue
@@ -755,17 +747,16 @@ def laurent_alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
     return AlexanderMatrix(tuple(rows), n)
 
 
-def full_matrix_ideal_lower_bound(d: GaussDiagram, k_max=None, prime_bound: int = 97):
+def full_matrix_ideal_lower_bound(d: GaussDiagram, prime_bound: int = 97):
     """The ideal bound from every minor of the full n x n Alexander
     matrix, as the library computed it before the Alexander core."""
     if d.n_components != 1:
         raise NotAKnotError("elementary-ideal bound is defined for knot diagrams")
     a = laurent_alexander_matrix(d)
     n = strand_table(d).n_strands
-    k_hi = n - 1 if k_max is None else min(k_max, n - 1)
     certificates = []
     best = 0
-    for k in range(1, k_hi + 1):
+    for k in range(1, n):
         gens = elementary_ideal_generators(a, k)
         nontrivial = any(not g.is_zero for g in gens)
         witness = full_matrix_properness_certificate(gens, prime_bound) if gens else None
