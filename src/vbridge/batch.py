@@ -141,11 +141,11 @@ def ingest_table(path) -> tuple[list[TableEntry], list[TableProblem]]:
     return entries, problems
 
 
-def _process_entry(entry: TableEntry, config: PipelineConfig) -> ResultRecord:
+def _process_entry(entry: TableEntry, config: PipelineConfig, memo: Optional[dict]) -> ResultRecord:
     rec = ResultRecord(name=entry.name)
     start = time.perf_counter()
     try:
-        analyze(ensure_tail_per_component(parse_gauss_code(entry.code)), config, rec)
+        analyze(ensure_tail_per_component(parse_gauss_code(entry.code)), config, rec, memo=memo)
     except GaussCodeError:
         rec.status, rec.error_code = "error", "parse"
     except SearchTimeoutError:
@@ -158,9 +158,13 @@ def _process_entry(entry: TableEntry, config: PipelineConfig) -> ResultRecord:
     return rec
 
 
-def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) -> ResultRecord:
+def analyze(
+    diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord, *, memo: Optional[dict] = None
+) -> ResultRecord:
     """Fill ``rec`` from ``diagram``: statistics, the Wirtinger search, then
-    each enabled analysis that applies, in a fixed order.
+    each enabled analysis that applies, in a fixed order.  ``memo`` goes to
+    the search (see ``wirtinger_number``); ``run_pipeline`` keeps one per
+    share of a table, so each strand structure is searched once there.
 
     Failures are exceptions, and the fields filled before one stay:
     SearchTimeoutError past ``config.time_limit``, which sets one
@@ -188,7 +192,7 @@ def analyze(diagram: GaussDiagram, config: PipelineConfig, rec: ResultRecord) ->
     rec.strands = strand_table(diagram).n_strands
     rec.vb_d = bridge_count(diagram)
 
-    result = wirtinger_number(diagram, max_k=config.max_k, deadline=deadline)
+    result = wirtinger_number(diagram, max_k=config.max_k, deadline=deadline, memo=memo)
     rec.omega_d = result.omega
     rec.seed_set = result.seed_set
     rec.stats = result.stats
@@ -237,8 +241,11 @@ def run_pipeline(
     With w processes, process r analyzes entries r, r + w, r + 2w, ...:
     the caller forks a child for each r > 0, analyzes r = 0 itself, then
     reads each child's records, sent back as one pickle through a pipe.
-    An exception in a child's share is raised in the caller, or a
-    RuntimeError carrying the child's traceback when it cannot be pickled.
+    Each process keeps a search memo for its share alone (see
+    ``wirtinger_number``), and a hit gives what a fresh search would, so
+    the records do not depend on w.  An exception in a child's share is
+    raised in the caller, or a RuntimeError carrying the child's traceback
+    when it cannot be pickled.
     Any exception in the caller kills and reaps every child first.  Where
     ``os.fork`` does not exist the entries run serially.  A child is a copy
     of the calling thread alone, so callers that run other threads should
@@ -248,8 +255,11 @@ def run_pipeline(
     workers = min(config.jobs, len(entries)) if hasattr(os, "fork") else 1
     if workers > 1:  # os.cpu_count() reads a file, which serial calls skip
         workers = min(workers, os.cpu_count() or 1)
+    # the search memo of the caller's share, dropped on return; a table of
+    # one entry has no search to reuse
+    memo = {} if len(entries) > 1 else None
     if workers <= 1:
-        return [_process_entry(e, config) for e in entries]
+        return [_process_entry(e, config, memo) for e in entries]
     # imported here: serial runs need neither
     import pickle
     import signal
@@ -264,7 +274,7 @@ def run_pipeline(
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
         records = [None] * len(entries)
-        records[::workers] = [_process_entry(e, config) for e in entries[::workers]]
+        records[::workers] = [_process_entry(e, config, memo) for e in entries[::workers]]
         for r in range(1, workers):
             pid, pipe = children[0]
             with pipe:
@@ -303,7 +313,8 @@ def _run_share(
     try:
         os.close(read_fd)  # so a write fails, not blocks, once the caller is gone
         try:
-            records = [_process_entry(e, config) for e in entries]
+            memo: dict = {}
+            records = [_process_entry(e, config, memo) for e in entries]
             reply = pickle.dumps((records, None, None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             import traceback

@@ -30,6 +30,7 @@ from .errors import (
     NotDistributiveError,
     NotIdempotentError,
     NotRightInvertibleError,
+    QuandleAxiomError,
     check_deadline,
 )
 from .gauss import GaussDiagram, strand_table
@@ -103,16 +104,27 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
 def load_quandle_table(path) -> FiniteQuandle:
     """Read an operation table: first line the order n >= 1 alone, then
     exactly n non-blank lines of n whitespace-separated entries in 0..n-1.
-    Raises ValueError naming ``path`` on any other layout."""
+    Raises ValueError naming ``path`` on any other layout, and the
+    QuandleAxiomError of ``validate_quandle``, with its witness, prefixed
+    with ``path`` when the table fails an axiom."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.split() for line in fh if line.strip()]
     header, *rows = lines or [[]]  # an empty file fails the header check
     if len(header) != 1 or not header[0].isdecimal() or int(header[0]) < 1:
         raise ValueError(f"{path}: the first line must be the order alone, an integer >= 1")
-    if len(rows) != int(header[0]):
-        raise ValueError(f"{path}: expected {header[0]} table rows, found {len(rows)}")
+    n = int(header[0])
+    if len(rows) != n:
+        raise ValueError(f"{path}: expected {n} table rows, found {len(rows)}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise ValueError(f"{path}: table row {i} has {len(row)} entries, expected {n}")
+        if not all(v.isdecimal() and int(v) < n for v in row):
+            raise ValueError(f"{path}: table row {i} has an entry that is not an integer in 0..{n - 1}")
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return validate_quandle(rows, name=stem)
+    try:
+        return validate_quandle(rows, name=stem)
+    except QuandleAxiomError as exc:
+        raise type(exc)(f"{path}: {exc}", witness=exc.witness) from None
 
 
 _CHECK_EVERY = 4096  # enumerated seed assignments between deadline checks

@@ -179,6 +179,10 @@ def _tail_seeds(n: int) -> int:
     return j
 
 
+def _level_where(k: int) -> str:
+    return f"during the seed-set search at level k={k} (omega >= {k})"
+
+
 def _search_level(
     n: int,
     moves: list[tuple[int, int, int]],
@@ -205,7 +209,7 @@ def _search_level(
     witness.
     """
     prefixes = itertools.combinations(range(n - j), k - j)
-    where = f"during the seed-set search at level k={k} (omega >= {k})"
+    where = _level_where(k)
     examined = 0
     while True:
         check_deadline(deadline, where)
@@ -376,6 +380,8 @@ def wirtinger_number(
     d: GaussDiagram,
     max_k: Optional[int] = None,
     deadline: Optional[float] = None,
+    *,
+    memo: Optional[dict] = None,
 ) -> WirtingerResult:
     """Least k with a size-k seed set whose saturation colors every strand.
 
@@ -384,6 +390,15 @@ def wirtinger_number(
     of minimal size.  Raises SearchExhaustedError if max_k is hit without
     success and SearchTimeoutError once ``time.perf_counter()`` reaches
     ``deadline``, checked before each batch of subsets.
+
+    ``memo`` is a dict the caller keeps for a run of diagrams: each search
+    that succeeds is stored under the strand structure it read, the
+    (tail, before, after) strands of each arrowhead in head order and the
+    component sizes, which no crossing sign or chord label enters.  A
+    diagram of a stored structure gets the stored result, its counters
+    included, with each move's chord id replaced by that of the arrowhead
+    at the same place in head order: what a fresh search returns.  A hit
+    checks the deadline once; one whose omega exceeds ``max_k`` searches.
     """
     table = strand_table(d)
     n = table.n_strands
@@ -392,6 +407,12 @@ def wirtinger_number(
     for s in table.strands:
         comps.setdefault(s.component, []).append(s.id)
     n_comps = d.n_components
+    if memo is not None:
+        # strand ids run component by component, so the sizes fix comps
+        key = (tuple(moves), tuple(map(len, comps.values())))
+        if (hit := memo.get(key)) is not None and (max_k is None or hit[0].omega <= max_k):
+            check_deadline(deadline, _level_where(n_comps))
+            return _relabel(*hit, table.incidences)
     k_hi = n if max_k is None else min(max_k, n)
     tail_seeds = _tail_seeds(n)
 
@@ -402,15 +423,32 @@ def wirtinger_number(
         if comb is not None:
             seq = apply_coloring_moves(d, comb)
             assert len(seq.entries) == n
-            return WirtingerResult(
+            result = WirtingerResult(
                 omega=k,
                 seed_set=tuple(comb),
                 sequence=seq,
                 stats=SearchStats(examined, len(seq.entries) - seq.k),
             )
+            if memo is not None:
+                memo[key] = (result, table.incidences)
+            return result
     raise SearchExhaustedError(
         f"no seed set of size <= {k_hi} colors the diagram ({examined} subsets examined)"
     )
+
+
+def _relabel(
+    result: WirtingerResult, found_on: tuple[HeadIncidence, ...], incidences: tuple[HeadIncidence, ...]
+) -> WirtingerResult:
+    """``result``, found on the arrowheads ``found_on``, for a diagram whose
+    arrowheads ``incidences`` join the same strands in the same head order:
+    each move's chord id becomes that of the arrowhead at its index."""
+    index = {inc.chord_id: i for i, inc in enumerate(found_on)}
+    seq = result.sequence
+    entries = seq.entries[: seq.k] + tuple(
+        [SequenceEntry(e.strand, incidences[index[e.via]].chord_id) for e in seq.entries[seq.k :]]
+    )
+    return result._replace(sequence=seq._replace(entries=entries))
 
 
 def _move_source(inc: HeadIncidence, colors: list, target: int) -> Optional[int]:

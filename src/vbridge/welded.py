@@ -11,6 +11,7 @@ at most T(T-1)/2 swaps plus T deletions for T chords.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import NamedTuple, Optional
 
@@ -80,7 +81,8 @@ def is_one_overbridge(d: GaussDiagram) -> bool:
 def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     """Explicit move list reducing a one-overbridge diagram to the chordless
     circle; at most T(T-1)/2 + T moves for T chords.  The moves are planned
-    from the token order and never carried out: ``replay_certificate``
+    from the token order in O(T log T) Python steps, the swaps copied as
+    slices of T - 1 prebuilt moves, and never carried out: ``replay_certificate``
     checks what the plan relies on, that T heads follow the tail run, that
     each kink is adjacent when it is peeled and that the diagram ends
     empty."""
@@ -98,16 +100,19 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     run = [(run_start + i) % length for i in range(n_chords)]
     head_order = [tokens[(run_start + n_chords + i) % length][1] for i in range(n_chords)]
     # sort the tail run to the reverse of the head order by adjacent swaps,
-    # so the first-encountered head's chord becomes the innermost kink
+    # so the first-encountered head's chord becomes the innermost kink.  An
+    # insertion sort moves the i-th tail left past the c earlier tails that
+    # rank above it, by the swaps at run positions i-1, i-2, ..., i-c: the
+    # prebuilt swaps[i-c:i] reversed, with c counted by bisection
     rank = {label: n_chords - 1 - i for i, label in enumerate(head_order)}
-    labels = [tokens[p][1] for p in run]
+    swaps = [WeldedMove("swap", (run[j], run[j + 1])) for j in range(n_chords - 1)]
+    ranks: list[int] = []  # of the tails sorted so far, ascending
     moves: list[WeldedMove] = []
-    for i in range(1, n_chords):
-        j = i
-        while j > 0 and rank[labels[j - 1]] > rank[labels[j]]:
-            labels[j - 1], labels[j] = labels[j], labels[j - 1]
-            moves.append(WeldedMove("swap", (run[j - 1], run[j])))
-            j -= 1
+    for i, p in enumerate(run):
+        r = rank[tokens[p][1]]
+        c = i - bisect.bisect(ranks, r)
+        moves += swaps[i - c : i][::-1]
+        bisect.insort(ranks, r)
     moves += [WeldedMove("r1", chord=label) for label in head_order]
     return UnknottingCertificate(initial, tuple(moves), ".")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import weakref
 
 import pytest
 
-from vbridge import batch
+from vbridge import batch, search
 from vbridge.batch import (
     CSV_COLUMNS,
     PipelineConfig,
@@ -24,7 +25,7 @@ from vbridge.gauss import ensure_tail_per_component, is_cut_split, parse_gauss_c
 from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
 from vbridge.search import ColoringSequence, verify_coloring_sequence, verify_height_certificate, wirtinger_number
 from vbridge.welded import UnknottingCertificate, replay_certificate
-from util import random_diagram, random_knot
+from util import enumerate_knot_codes, random_diagram, random_diagram_code, random_knot, with_signs
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 
@@ -455,10 +456,10 @@ class TestWorkerPool:
         # k1, k3, k5; a failing caller kills and reaps the child
         real_analyze = batch.analyze
 
-        def analyze(diagram, config, rec):
+        def analyze(diagram, config, rec, **kwargs):
             if rec.name == failing:
                 raise error(f"raised for {rec.name}")
-            return real_analyze(diagram, config, rec)
+            return real_analyze(diagram, config, rec, **kwargs)
 
         monkeypatch.setattr(batch, "analyze", analyze)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -473,10 +474,10 @@ class TestWorkerPool:
 
         real_analyze = batch.analyze
 
-        def analyze(diagram, config, rec):
+        def analyze(diagram, config, rec, **kwargs):
             if rec.name == "k1":
                 raise Local(f"raised for {rec.name}")
-            return real_analyze(diagram, config, rec)
+            return real_analyze(diagram, config, rec, **kwargs)
 
         monkeypatch.setattr(batch, "analyze", analyze)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -491,6 +492,108 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.delattr(os, "fork")
         assert self._dicts(run_pipeline(entries, PipelineConfig(jobs=2))) == serial
+
+
+def _resigned(code: str, rng: random.Random) -> str:
+    """``code`` with its chord labels permuted and new random signs: the
+    same strand structure, other chord ids at its arrowheads."""
+    labels = sorted({int(m) for m in re.findall(r"[OU](\d+)", code)})
+    new = dict(zip(labels, rng.sample(labels, len(labels))))
+    signs = {label: rng.choice("+-") for label in labels}
+    return re.sub(r"([OU])(\d+)[+-]", lambda m: f"{m[1]}{new[int(m[2])]}{signs[int(m[2])]}", code)
+
+
+class TestSearchMemo:
+    """run_pipeline searches each strand structure once per share; every
+    record is the one a fresh search gives."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Wrap batch.wirtinger_number; returns the list of (memo, its size
+        before the call) per call."""
+        calls = []
+        real = batch.wirtinger_number
+
+        def counted(*args, memo=None, **kwargs):
+            calls.append((memo, len(memo)))
+            return real(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(batch, "wirtinger_number", counted)
+        return calls
+
+    def test_records_equal_a_fresh_search_per_entry(self, monkeypatch):
+        rng = random.Random(2802)
+        entries = []
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    entries.append(TableEntry(f"k{len(entries)}", with_signs(code, signs), len(entries)))
+        for _ in range(40):
+            code = random_diagram_code(rng, max_chords=7, max_components=3, min_chords=2, min_components=2)
+            for variant in (code, _resigned(code, rng), _resigned(code, rng)):
+                entries.append(TableEntry(f"l{len(entries)}", variant, len(entries)))
+        # the coloring sequence in each record pins what every later
+        # analysis reads of the search
+        cfg = PipelineConfig(analyses=frozenset(), certificates=True)
+        fresh = TestWorkerPool._dicts([run_pipeline([e], cfg)[0] for e in entries])
+        assert {d["status"] for d in fresh} == {"ok"}
+        calls = self._counting(monkeypatch)
+        assert TestWorkerPool._dicts(run_pipeline(entries, cfg)) == fresh
+        # each structure was searched once and hit on the rest
+        assert len(calls) == len(entries) and calls[-1][1] < len(entries) / 4
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert TestWorkerPool._dicts(run_pipeline(entries, dataclasses.replace(cfg, jobs=2))) == fresh
+
+    def test_a_hit_verifies_on_its_own_diagram(self, monkeypatch):
+        first = parse_gauss_code("O1-U2-O3-U1-O2-U3-")
+        other = parse_gauss_code("O3+U1+O2+U3+O1+U2+")
+        memo = {}
+        found = wirtinger_number(first, memo=memo)
+        monkeypatch.setattr(search, "_search_level", None)  # a hit runs no level
+        hit = wirtinger_number(other, memo=memo)
+        assert len(memo) == 1 and hit.stats == found.stats
+        assert [e.via for e in hit.sequence.entries] != [e.via for e in found.sequence.entries]
+        assert verify_coloring_sequence(other, hit.sequence)
+        monkeypatch.undo()
+        assert hit == wirtinger_number(other)
+
+    def test_component_sizes_are_part_of_the_structure(self):
+        # a chordless circle adds a strand that no arrowhead names
+        memo = {}
+        assert wirtinger_number(parse_gauss_code("O1+U1+"), memo=memo).omega == 1
+        assert wirtinger_number(parse_gauss_code("O1+U1+|."), memo=memo).omega == 2
+        assert len(memo) == 2
+
+    def test_time_limit_zero_times_out_every_entry(self):
+        entries = [TableEntry(f"t{i}", _resigned(TREFOIL, random.Random(i)), i) for i in range(6)]
+        records = run_pipeline(entries, PipelineConfig(time_limit=0))
+        assert [r.status for r in records] == ["timeout"] * 6
+        # a stored structure still checks the deadline
+        memo = {}
+        wirtinger_number(parse_gauss_code(TREFOIL), memo=memo)
+        for e in entries:
+            rec = batch._process_entry(e, PipelineConfig(time_limit=0), memo)
+            assert rec.status == "timeout" and rec.omega_d is None
+
+    def test_max_k_below_a_stored_omega_is_exhausted(self):
+        memo = {}
+        assert wirtinger_number(parse_gauss_code(TREFOIL), memo=memo).omega == 2
+        entry = TableEntry("t", _resigned(TREFOIL, random.Random(1)), 1)
+        rec = batch._process_entry(entry, PipelineConfig(max_k=1), memo)
+        assert rec.status_text == "error(exhausted)"
+        rec = batch._process_entry(TableEntry("t", TREFOIL, 1), PipelineConfig(max_k=2), memo)
+        assert (rec.status, rec.omega_d) == ("ok", 2)
+
+    def test_no_memo_survives_a_call(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        entries = [TableEntry(f"t{i}", _resigned(TREFOIL, random.Random(i)), i) for i in range(3)]
+        run_pipeline(entries)
+        first = calls[:]
+        calls.clear()
+        run_pipeline(entries)
+        # each call starts from an empty memo of its own
+        assert [size for _, size in first] == [size for _, size in calls] == [0, 1, 1]
+        assert first[0][0] is not calls[0][0]
 
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"

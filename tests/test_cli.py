@@ -76,6 +76,23 @@ class TestExitCodes:
                 code, out, err = run(capsys, *argv)
                 assert code == 2 and out == "" and str(path) in err, (name, argv[0])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n0 x\n1 1\n", "table row 1 has an entry that is not an integer in 0..1"),
+            ("2\n0 0 0\n1 1\n", "table row 1 has 3 entries, expected 2"),
+            ("2\n0 0\n1 2\n", "table row 2 has an entry that is not an integer in 0..1"),
+            ("2\n1 0\n0 1\n", "0 > 0 = 1"),
+        ],
+        ids=["entry", "ragged", "range", "axiom"],
+    )
+    def test_quandle_file_faults_name_the_path(self, capsys, tmp_path, text, message):
+        path = tmp_path / "badq.txt"
+        path.write_text(text)
+        for argv in (("quandle", "--quandle", str(path), D3), ("batch", "--quandle", str(path), DATA)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), argv[0]
+
     def test_alexander_timeout(self, capsys):
         code, out, err = run(capsys, "alexander", "--time-limit", "0.0", D3)
         assert code == 3 and out == "" and "timeout" in err

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -84,6 +85,13 @@ class TestFileFormat:
         path.write_text("3\n0 0 0\n")
         with pytest.raises(ValueError):
             load_quandle_table(path)
+
+    def test_axiom_failure_keeps_its_class_and_witness(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n1 0\n0 1\n")
+        with pytest.raises(NotIdempotentError, match=f"^{re.escape(str(path))}: 0 > 0 = 1$") as info:
+            load_quandle_table(path)
+        assert info.value.witness == 0
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -88,6 +88,25 @@ def test_traced_benchmark_names_exist_in_batch():
     assert tracing.BOUNDARY and not missing
 
 
+def test_every_analyzed_entry_calls_the_search_once(monkeypatch):
+    # the traced benchmark times the search and checks each row through
+    # batch.wirtinger_number, so a memo hit must still go through that name
+    calls = []
+    real = vbridge.batch.wirtinger_number
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(vbridge.batch, "wirtinger_number", counted)
+    codes = ["O1-U2-O3-U1-O2-U3-", "O3+U1+O2+U3+O1+U2+", "O1+U1+", "O1-U1-", "O1+", "O2-U1+O1+U2-"]
+    entries = [vbridge.TableEntry(f"e{i}", code, i) for i, code in enumerate(codes)]
+    records = vbridge.run_pipeline(entries)
+    analyzed = [r for r in records if r.status == "ok"]
+    assert len(analyzed) == 5 and len(calls) == 5
+    assert [(r.omega_d, r.seed_set) for r in analyzed] == [(c.omega, c.seed_set) for c in calls]
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for module in ("vbridge", "vbridge.cli"):

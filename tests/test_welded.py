@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from vbridge.welded import (
 )
 from util import (
     enumerate_knot_codes,
+    insertion_sort_welded_certificate,
     random_one_overbridge_code,
     simulating_welded_certificate,
     token_scan_replay_certificate,
@@ -135,6 +137,34 @@ class TestPlannedMatchesSimulated:
         rng = random.Random(2301)
         for _ in range(60):
             self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=150)))
+
+
+class TestPlannerMatchesInsertionSort:
+    """The planner that counts each tail's swaps by bisection and copies
+    them as a slice gives, move for move, the certificate of the former
+    insertion sort (kept in tests/util.py)."""
+
+    @staticmethod
+    def _check(d):
+        cert = welded_unknot_certificate(d)
+        assert cert == insertion_sort_welded_certificate(d), to_gauss_code(d)
+        assert cert.to_json() == insertion_sort_welded_certificate(d).to_json()
+
+    def test_every_signed_knot_up_to_4_chords(self):
+        checked = 0
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    d = parse_gauss_code(with_signs(code, signs))
+                    if is_one_overbridge(d):
+                        self._check(d)
+                        checked += 1
+        assert checked == 3397
+
+    def test_seeded_knots_of_1_to_150_chords(self):
+        rng = random.Random(2801)
+        for n_chords in range(1, 151):
+            self._check(parse_gauss_code(random_one_overbridge_code(rng, n_chords, n_chords)))
 
 
 class TestReplayMatchesTokenScan:

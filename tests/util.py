@@ -943,6 +943,38 @@ def simulating_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
     return UnknottingCertificate(initial, tuple(moves), ".")
 
 
+def insertion_sort_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
+    """Explicit move list reducing a one-overbridge diagram to the chordless
+    circle; at most T(T-1)/2 + T moves for T chords, planned from the token
+    order by an insertion sort that builds one move per swap."""
+    if not is_one_overbridge(d):
+        raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
+    initial = to_gauss_code(d)
+    [tokens] = component_tokens(d)
+    n_chords = d.n_chords
+    if n_chords == 0:
+        return UnknottingCertificate(initial, (), ".")
+
+    length = len(tokens)
+    # the tails form one cyclically consecutive run; the heads follow it
+    run_start = next(p for p in range(length) if tokens[p][0] == TAIL and tokens[p - 1][0] == HEAD)
+    run = [(run_start + i) % length for i in range(n_chords)]
+    head_order = [tokens[(run_start + n_chords + i) % length][1] for i in range(n_chords)]
+    # sort the tail run to the reverse of the head order by adjacent swaps,
+    # so the first-encountered head's chord becomes the innermost kink
+    rank = {label: n_chords - 1 - i for i, label in enumerate(head_order)}
+    labels = [tokens[p][1] for p in run]
+    moves: list[WeldedMove] = []
+    for i in range(1, n_chords):
+        j = i
+        while j > 0 and rank[labels[j - 1]] > rank[labels[j]]:
+            labels[j - 1], labels[j] = labels[j], labels[j - 1]
+            moves.append(WeldedMove("swap", (run[j - 1], run[j])))
+            j -= 1
+    moves += [WeldedMove("r1", chord=label) for label in head_order]
+    return UnknottingCertificate(initial, tuple(moves), ".")
+
+
 def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     """Re-run a certificate move by move.  Accepts it only if every move is
     legal at its stage, the end state matches ``final``, and the end state
