@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError, check_deadline
@@ -111,6 +112,12 @@ class ResultRecord:
         if self.status == "error":
             return f"error({self.error_code})"
         return self.status
+
+
+# a record's field values in declaration order, which ResultRecord(*values)
+# takes back: what a forked child sends, without the field names and
+# instance dict a pickle of the record would carry
+_record_values = operator.attrgetter(*(f.name for f in fields(ResultRecord)))
 
 
 def ingest_table(path) -> tuple[list[TableEntry], list[TableProblem]]:
@@ -240,7 +247,8 @@ def run_pipeline(
 
     With w processes, process r analyzes entries r, r + w, r + 2w, ...:
     the caller forks a child for each r > 0, analyzes r = 0 itself, then
-    reads each child's records, sent back as one pickle through a pipe.
+    reads each child's records, sent back through a pipe as one pickle of
+    each record's field values, and rebuilds them.
     Each process keeps a search memo for its share alone (see
     ``wirtinger_number``), and a hit gives what a fresh search would, so
     the records do not depend on w.  An exception in a child's share is
@@ -290,7 +298,7 @@ def run_pipeline(
                 except Exception:  # error is None when the child could not pickle it
                     raise RuntimeError(f"worker process {pid} failed:\n{child_traceback}") from None
                 raise exc
-            records[r::workers] = share
+            records[r::workers] = [ResultRecord(*values) for values in share]
         return records
     except BaseException:
         for pid, pipe in children:
@@ -304,9 +312,9 @@ def _run_share(
     entries: Sequence[TableEntry], config: PipelineConfig, read_fd: int, write_fd: int
 ) -> NoReturn:
     """In a forked child: close the pipe's ``read_fd``, analyze ``entries``,
-    write ``(records, None, None)`` or, on any exception, ``(None, the
-    pickled exception or None, its traceback text)`` to ``write_fd`` as one
-    pickle, and leave through ``os._exit``."""
+    write ``(the field values of each record, None, None)`` or, on any
+    exception, ``(None, the pickled exception or None, its traceback
+    text)`` to ``write_fd`` as one pickle, and leave through ``os._exit``."""
     import pickle
 
     status = 1
@@ -314,8 +322,8 @@ def _run_share(
         os.close(read_fd)  # so a write fails, not blocks, once the caller is gone
         try:
             memo: dict = {}
-            records = [_process_entry(e, config, memo) for e in entries]
-            reply = pickle.dumps((records, None, None), pickle.HIGHEST_PROTOCOL)
+            values = [_record_values(_process_entry(e, config, memo)) for e in entries]
+            reply = pickle.dumps((values, None, None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             import traceback
 
@@ -366,29 +374,25 @@ def render_results(records: Sequence[ResultRecord], fmt: str = "csv") -> str:
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")  # writes None as an empty cell
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.name,
-                _cell(rec.components),
-                _cell(rec.chords),
-                _cell(rec.strands),
-                _cell(rec.vb_d),
-                _cell(rec.omega_d),
-                ";".join(str(s) for s in rec.seed_set),
-                _cell(rec.ideal_lb),
-                _cell(rec.parity_lb),
-                rec.status_text,
-                0,
-            ]
+    writer.writerows(
+        (
+            rec.name,
+            rec.components,
+            rec.chords,
+            rec.strands,
+            rec.vb_d,
+            rec.omega_d,
+            ";".join(str(s) for s in rec.seed_set),
+            rec.ideal_lb,
+            rec.parity_lb,
+            rec.status_text,
+            0,
         )
+        for rec in records
+    )
     return buf.getvalue()
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
 
 
 def write_results(records: Sequence[ResultRecord], fmt: str, path=None) -> str:

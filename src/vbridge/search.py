@@ -40,7 +40,7 @@ import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import CutSplitError, SearchExhaustedError, check_deadline
-from .gauss import GaussDiagram, HeadIncidence, StrandTable, cut_split_witness, strand_table
+from .gauss import GaussDiagram, HeadIncidence, StrandTable, _new, cut_split_witness, strand_table
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -430,7 +430,7 @@ def wirtinger_number(
                 stats=SearchStats(examined, len(seq.entries) - seq.k),
             )
             if memo is not None:
-                memo[key] = (result, table.incidences)
+                memo[key] = (result, tuple([inc.chord_id for inc in table.incidences]))
             return result
     raise SearchExhaustedError(
         f"no seed set of size <= {k_hi} colors the diagram ({examined} subsets examined)"
@@ -438,17 +438,24 @@ def wirtinger_number(
 
 
 def _relabel(
-    result: WirtingerResult, found_on: tuple[HeadIncidence, ...], incidences: tuple[HeadIncidence, ...]
+    result: WirtingerResult, found_on: tuple[int, ...], incidences: tuple[HeadIncidence, ...]
 ) -> WirtingerResult:
-    """``result``, found on the arrowheads ``found_on``, for a diagram whose
-    arrowheads ``incidences`` join the same strands in the same head order:
-    each move's chord id becomes that of the arrowhead at its index."""
-    index = {inc.chord_id: i for i, inc in enumerate(found_on)}
+    """``result``, found on arrowheads of the chord ids ``found_on`` in head
+    order, for a diagram whose arrowheads ``incidences`` join the same
+    strands in the same head order: each move's chord id becomes that of
+    the arrowhead at its index, and with the same ids ``result`` is it."""
+    ids = tuple([inc.chord_id for inc in incidences])
+    if ids == found_on:
+        return result
+    new_id = dict(zip(found_on, ids))
     seq = result.sequence
-    entries = seq.entries[: seq.k] + tuple(
-        [SequenceEntry(e.strand, incidences[index[e.via]].chord_id) for e in seq.entries[seq.k :]]
+    k = seq.k
+    entries = seq.entries[:k] + tuple(
+        [_new(SequenceEntry, (e.strand, new_id[e.via])) for e in seq.entries[k:]]
     )
-    return result._replace(sequence=seq._replace(entries=entries))
+    return _new(
+        WirtingerResult, (result.omega, result.seed_set, _new(ColoringSequence, (entries, k)), result.stats)
+    )
 
 
 def _move_source(inc: HeadIncidence, colors: list, target: int) -> Optional[int]:
@@ -474,15 +481,19 @@ def _replay(d: GaussDiagram, seq: ColoringSequence) -> tuple[VerifyResult, list]
         return VerifyResult(False, None), colors
     by_chord = {i.chord_id: i for i in table.incidences}
     for idx, e in enumerate(seq.entries):
-        if not 0 <= e.strand < n or colors[e.strand] is not None:
+        if not (isinstance(e, SequenceEntry) and isinstance(e.strand, int) and 0 <= e.strand < n):
+            return VerifyResult(False, idx), colors
+        if colors[e.strand] is not None:
             return VerifyResult(False, idx), colors
         if idx < seq.k:
             colors[e.strand] = idx + 1
             continue
         if e.via is None:
             candidates = table.incidences
+        elif isinstance(e.via, int) and e.via in by_chord:
+            candidates = [by_chord[e.via]]
         else:
-            candidates = [by_chord[e.via]] if e.via in by_chord else []
+            candidates = []
         sources = (_move_source(inc, colors, e.strand) for inc in candidates)
         src = next((s for s in sources if s is not None), None)
         if src is None:
@@ -494,7 +505,8 @@ def _replay(d: GaussDiagram, seq: ColoringSequence) -> tuple[VerifyResult, list]
 def verify_coloring_sequence(d: GaussDiagram, seq: ColoringSequence) -> VerifyResult:
     """Check that a sequence is a valid certificate: every strand appears
     exactly once, the first k entries are the seeds, and each later entry is
-    justified by a move legal at its stage."""
+    justified by a move legal at its stage.  An entry that is no
+    SequenceEntry, or whose strand or chord id is no int, fails there."""
     return _replay(d, seq)[0]
 
 

@@ -16,7 +16,7 @@ import json
 from typing import NamedTuple, Optional
 
 from .errors import NotOneOverbridgeError, require_knot
-from .gauss import HEAD, TAIL, GaussDiagram, bridge_count, component_tokens, parse_gauss_code, to_gauss_code
+from .gauss import HEAD, TAIL, GaussDiagram, _tokenize, bridge_count, component_tokens, format_tokens, from_tokens
 from .search import VerifyResult
 
 
@@ -88,8 +88,8 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     empty."""
     if not is_one_overbridge(d):
         raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
-    initial = to_gauss_code(d)
     [tokens] = component_tokens(d)
+    initial = format_tokens([tokens])
     n_chords = d.n_chords
     if n_chords == 0:
         return UnknottingCertificate(initial, (), ".")
@@ -118,20 +118,24 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
 
 
 def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
-    """Re-run a certificate move by move.  Accepts it only if every move is
-    legal at its stage, the end state matches ``final``, and the end state
-    is the chordless circle.  ``failed_at`` is the first illegal move index,
-    or None when the initial parse or the final comparison is what failed."""
+    """Re-run a certificate move by move on the token list of its parsed
+    ``initial``.  Accepts it only if every move is a legal WeldedMove at
+    its stage, the end state matches ``final``, and the end state is the
+    chordless circle.  ``failed_at`` is the first illegal move index, or
+    None when the initial parse or the final comparison is what failed."""
     try:
-        d = parse_gauss_code(cert.initial)
+        parsed = _tokenize(cert.initial)
+        d = from_tokens(parsed)
     except Exception:
         return VerifyResult(False, None)
     if d.n_components != 1:
         return VerifyResult(False, None)
-    [tokens] = component_tokens(d)
+    [tokens] = parsed  # the parse's own token list, changed in place
 
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
+        if not isinstance(move, WeldedMove):
+            return VerifyResult(False, idx)
         if move.kind == "swap":
             at = move.at
             if not isinstance(at, (tuple, list)) or len(at) != 2:

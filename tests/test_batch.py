@@ -14,6 +14,7 @@ from vbridge import batch, search
 from vbridge.batch import (
     CSV_COLUMNS,
     PipelineConfig,
+    ResultRecord,
     TableEntry,
     ingest_table,
     render_results,
@@ -21,11 +22,26 @@ from vbridge.batch import (
     write_results,
 )
 from vbridge.errors import SearchExhaustedError
-from vbridge.gauss import ensure_tail_per_component, is_cut_split, parse_gauss_code, to_gauss_code
+from vbridge.gauss import ensure_tail_per_component, is_cut_split, parse_gauss_code, strand_table, to_gauss_code
 from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
-from vbridge.search import ColoringSequence, verify_coloring_sequence, verify_height_certificate, wirtinger_number
+from vbridge.search import (
+    ColoringSequence,
+    SearchStats,
+    verify_coloring_sequence,
+    verify_height_certificate,
+    wirtinger_number,
+)
 from vbridge.welded import UnknottingCertificate, replay_certificate
-from util import enumerate_knot_codes, random_diagram, random_diagram_code, random_knot, with_signs
+from util import (
+    assert_same_records,
+    cell_render_results,
+    enumerate_knot_codes,
+    random_diagram,
+    random_diagram_code,
+    random_knot,
+    replacing_relabel,
+    with_signs,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "sample_table.tsv")
 
@@ -413,14 +429,27 @@ class TestWorkerPool:
         return dicts
 
     @staticmethod
+    def _fields(recs):
+        """Every field of each record but elapsed_ms, by name."""
+        out = []
+        for rec in recs:
+            assert type(rec) is ResultRecord
+            assert rec.stats is None or type(rec.stats) is SearchStats
+            fields = dict(vars(rec))
+            assert fields.pop("elapsed_ms") >= 0.0
+            out.append(fields)
+        return out
+
+    @staticmethod
     def _assert_no_children():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_records_equal_across_processes(self, monkeypatch):
         """Every field a child process sends back survives pickling: the
-        JSON records, timing aside, match the serial ones, also with three
-        children and shares of unequal length."""
+        records, timing aside, match the serial ones field for field and
+        in their JSON view, also with three children and shares of unequal
+        length."""
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         rng = random.Random(77)
         links = []
@@ -438,10 +467,11 @@ class TestWorkerPool:
         ]
         statuses = set()
         for part, cfg in runs:
-            by_jobs = [
-                self._dicts(run_pipeline(part, dataclasses.replace(cfg, jobs=jobs))) for jobs in (1, 2, 4)
-            ]
+            runs = [run_pipeline(part, dataclasses.replace(cfg, jobs=jobs)) for jobs in (1, 2, 4)]
+            by_jobs = [self._dicts(recs) for recs in runs]
             assert by_jobs[0] == by_jobs[1] == by_jobs[2]
+            fields = [self._fields(recs) for recs in runs]
+            assert fields[0] == fields[1] == fields[2]
             statuses |= {d["status"] for d in by_jobs[0]}
         assert statuses == {"ok", "error(parse)", "timeout"}
         self._assert_no_children()
@@ -557,6 +587,32 @@ class TestSearchMemo:
         monkeypatch.undo()
         assert hit == wirtinger_number(other)
 
+    def test_hits_match_the_replacing_relabel(self):
+        """A hit with other chord ids is the former relabel's result, record
+        types included; one with the same ids is the stored result."""
+        rng = random.Random(2901)
+        codes = [with_signs(code, "+" * n) for n in range(1, 4) for code in enumerate_knot_codes(n)]
+        codes += [random_diagram_code(rng, max_chords=12, max_components=3) for _ in range(60)]
+        relabelled = same = 0
+        for code in codes:
+            first = parse_gauss_code(code)
+            found_on = strand_table(first).incidences
+            memo = {}
+            found = wirtinger_number(first, memo=memo)
+            for variant in (_resigned(code, rng), _resigned(code, rng), code):
+                d = parse_gauss_code(variant)
+                incidences = strand_table(d).incidences
+                hit = wirtinger_number(d, memo=memo)
+                assert len(memo) == 1
+                assert_same_records(hit, replacing_relabel(found, found_on, incidences))
+                assert hit == wirtinger_number(d)
+                if [i.chord_id for i in incidences] == [i.chord_id for i in found_on]:
+                    assert hit is found
+                    same += 1
+                else:
+                    relabelled += 1
+        assert relabelled > 100 and same >= len(codes)
+
     def test_component_sizes_are_part_of_the_structure(self):
         # a chordless circle adds a strand that no arrowhead names
         memo = {}
@@ -640,6 +696,32 @@ class TestRendering:
         recs = run_pipeline([TableEntry("pair", ".|.", 1)])
         row = render_results(recs).splitlines()[1]
         assert row == "pair,2,2,2,2,2,0;1,,,ok,0"
+
+    def test_rows_match_the_cell_renderer(self):
+        """Rows handed to csv as they are give the bytes of the former
+        renderer, which wrote each None cell as '' itself."""
+        optional = ("components", "chords", "strands", "vb_d", "omega_d", "ideal_lb", "parity_lb")
+        names = ["plain", "a,b", 'say "hi"', " lead", "trail ", "x\ny"]
+        statuses = [("ok", None), ("timeout", None)] + [
+            ("error", code) for code in ("parse", "exhausted", "invariant")
+        ]
+        records = []
+        for i, present in enumerate(itertools.product((False, True), repeat=len(optional))):
+            status, error_code = statuses[i % len(statuses)]
+            records.append(
+                ResultRecord(
+                    name=names[i % len(names)],
+                    **{f: i % 7 if p else None for f, p in zip(optional, present)},
+                    seed_set=((), (0,), (0, 3))[i % 3],
+                    status=status,
+                    error_code=error_code,
+                    elapsed_ms=1.5,
+                )
+            )
+        entries, _ = ingest_table(DATA)
+        records += run_pipeline(entries)
+        assert render_results(records) == cell_render_results(records)
+        assert render_results([]) == cell_render_results([])
 
     def test_csv_deterministic_across_jobs(self):
         entries, _ = ingest_table(DATA)

@@ -35,7 +35,10 @@ from vbridge.gauss import (
 from vbridge.search import wirtinger_number
 from conftest import D6_CODE
 from util import (
+    assert_same_records,
+    chord_index_strand_table,
     enumerate_knot_codes,
+    named_tuple_from_tokens,
     oracle_from_tokens,
     oracle_parse,
     oracle_strand_table,
@@ -279,6 +282,62 @@ class TestMalformedInputOracle:
         assert _failure(from_tokens, [[("U", -5, 1)], [("O", 0, 1)]])[1] == (
             "chord label must be positive, got -5"
         )
+
+
+class TestTupleRecordsOracle:
+    """Records built with tuple.__new__, and strand tables reading signs
+    from the chords, against the former builders that called each named
+    tuple's own __new__ and read signs through GaussDiagram.chord."""
+
+    @staticmethod
+    def _check(code: str) -> GaussDiagram:
+        tokens = _tokenize(code)
+        d, expected = from_tokens(tokens), named_tuple_from_tokens(tokens)
+        assert_same_records(d.components, expected.components)
+        assert_same_records(d.chords, expected.chords)
+        assert d == expected
+        table = _build_strand_table(d)
+        assert_same_records(table, chord_index_strand_table(expected))
+        assert d._chord_index is None  # no chord index built for the table
+        return d
+
+    def test_every_code_up_to_three_chords_every_sign(self):
+        checked = 0
+        for n in range(4):
+            for code in enumerate_knot_codes(n):
+                for signs in itertools.product("+-", repeat=n):
+                    self._check(with_signs(code, signs))
+                    checked += 1
+        assert checked == 1 + 2 * 2 + 12 * 4 + 120 * 8
+
+    def test_seeded_random_links_up_to_forty_chords(self):
+        rng = random.Random(2901)
+        sizes = set()
+        for _ in range(300):
+            code = random_diagram_code(rng, max_chords=40, max_components=3)
+            sizes.add(self._check(code).n_components)
+        assert sizes == {1, 2, 3}
+
+    @pytest.mark.parametrize("code", [code for code, _ in TestMalformedInputOracle.CASES])
+    def test_malformed_codes_fail_as_before(self, code):
+        expected = _failure(lambda text: named_tuple_from_tokens(_tokenize(text)), code)
+        assert expected is not None
+        assert _failure(parse_gauss_code, code) == expected
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            [[("O", 1, 1), ("O", 0, 1)], [("U", -5, 1)]],
+            [[("O", 3, 1), ("U", 3, -1), ("O", -1, 1)]],
+            [[("O", 1, 1), ("U", 1, 1), ("X", 2, 1), ("U", 2, 1)]],
+            [[("O", 1, 1)], [("U", 1, 1)], [("O", 1, 1)]],
+        ],
+    )
+    def test_malformed_token_lists_fail_as_before(self, tokens):
+        expected = _failure(named_tuple_from_tokens, tokens)
+        assert expected is not None
+        assert _failure(from_tokens, tokens) == expected
 
 
 class TestStrands:

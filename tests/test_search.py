@@ -460,6 +460,19 @@ class TestVerifySequence:
         )
         assert verify_coloring_sequence(d6, stripped).ok
 
+    @pytest.mark.parametrize(
+        "index, entry",
+        [(0, (0, None)), (2, (2, 1)), (0, SequenceEntry("0", None)), (2, SequenceEntry("2", 1)), (2, SequenceEntry(2, [1]))],
+        ids=["tuple-seed", "tuple-move", "str-seed", "str-move", "list-via"],
+    )
+    def test_malformed_entry_fails_at_its_index(self, d3, index, entry):
+        # the trefoil's sequence is seeds 0, 1 and strand 2 via chord 1
+        seq = wirtinger_number(d3).sequence
+        assert seq.entries[2] == SequenceEntry(2, 1)
+        entries = list(seq.entries)
+        entries[index] = entry
+        assert verify_coloring_sequence(d3, seq._replace(entries=tuple(entries))) == (False, index)
+
 
 class TestSequenceJson:
     def test_roundtrip(self, d6, d3):

@@ -283,6 +283,11 @@ class TestReplayRejections:
             r = replay_certificate(cert)
             assert not r and r.failed_at == 0, at
 
+    def test_move_that_is_no_welded_move(self):
+        for move in ({"kind": "r1", "chord": 1}, ("r1", None, 1), None):
+            r = replay_certificate(UnknottingCertificate("O1+U1+", (move,), "."))
+            assert not r and r.failed_at == 0, move
+
     def test_bad_initial(self):
         r = replay_certificate(UnknottingCertificate("O1+", (), "."))
         assert not r and r.failed_at is None

@@ -56,6 +56,8 @@ check that walking the sequence once per seed gives the same counts.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import random
 import re
@@ -67,6 +69,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from vbridge.batch import CSV_COLUMNS, ResultRecord
 from vbridge.errors import (
     EmptyInputError,
     GaussSyntaxError,
@@ -104,6 +107,7 @@ from vbridge.linkgroup import (
 from vbridge.parity import gaussian_parity
 from vbridge.quandle import FiniteQuandle, _alexander_unit, _rank_mod
 from vbridge.search import (
+    SequenceEntry,
     VerifyResult,
     WirtingerResult,
     _moves,
@@ -1059,3 +1063,133 @@ def linear_form_alexander_count(d: GaussDiagram, q: FiniteQuandle, result: Wirti
         for strand, src, tail, sign in residual
     ]
     return p ** (seq.k - _rank_mod(rows, p))
+
+
+def assert_same_records(a, b) -> None:
+    """``a == b`` with every nested tuple, named tuples included, of the
+    same type in both."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b), (a, b)
+        for x, y in zip(a, b):
+            assert_same_records(x, y)
+    else:
+        assert a == b, (a, b)
+
+
+def named_tuple_from_tokens(component_tokens) -> GaussDiagram:
+    """Build a validated diagram from per-component token lists; an empty
+    list is a chordless circle.  Raises the errors of parse_gauss_code:
+    a label below 1 first, in code order; then, by ascending label, an
+    unbalanced chord before a sign mismatch."""
+    if not component_tokens:
+        raise EmptyInputError("no components in Gauss code")
+    components = []
+    ends: dict[int, list] = {}  # label -> [endpoint, sign, ...] in code order
+    for ci, tokens in enumerate(component_tokens):
+        comp = []
+        for pos, (kind, label, sign) in enumerate(tokens):
+            if label < 1:
+                raise GaussSyntaxError(f"chord label must be positive, got {label}")
+            e = Endpoint(kind, label, ci, pos)
+            comp.append(e)
+            seen = ends.get(label)
+            if seen is None:
+                ends[label] = [e, sign]
+            else:
+                seen += (e, sign)
+        components.append(tuple(comp))
+
+    chords = []
+    for label, seen in sorted(ends.items()):
+        if len(seen) != 4 or {seen[0].kind, seen[2].kind} != {TAIL, HEAD}:
+            raise UnbalancedChordError(
+                f"chord {label} must appear exactly once as O and once as U"
+            )
+        first, sign, second, other_sign = seen
+        if sign != other_sign:
+            raise SignMismatchError(f"chord {label} carries both signs")
+        tail, head = (first, second) if first.kind == TAIL else (second, first)
+        chords.append(Chord(label, sign, tail, head))
+    return GaussDiagram(tuple(components), tuple(chords))
+
+
+def chord_index_strand_table(d: GaussDiagram) -> StrandTable:
+    """One walk per component: the tails between consecutive heads form a
+    strand, and each chord id maps to the strand carrying its tail."""
+    strands: list[Strand] = []
+    tail_strand: dict[int, int] = {}  # chord id -> strand carrying its arrowtail
+    heads: list[tuple[int, int, int]] = []  # (chord, before, after)
+
+    for ci, comp in enumerate(d.components):
+        ids = tuple([e.chord_id for e in comp])
+        head_positions = [e.position for e in comp if e.kind == HEAD]
+        base = len(strands)
+        if not head_positions:
+            strands.append(Strand(base, ci, ids))
+            for cid in ids:
+                tail_strand[cid] = base
+            continue
+        m = len(head_positions)
+        last = len(comp) - 1
+        prev = head_positions[-1]
+        for j, hp in enumerate(head_positions):
+            start = prev + 1 if prev < last else 0
+            tails = ids[start:hp] if start <= hp else ids[start:] + ids[:hp]
+            sid = base + j
+            for cid in tails:
+                tail_strand[cid] = sid
+            strands.append(Strand(sid, ci, tails))
+            heads.append((ids[hp], sid, base + (j + 1) % m))
+            prev = hp
+
+    chord = d.chord
+    incidences = tuple(
+        [
+            HeadIncidence(cid, before, after, tail_strand[cid], chord(cid).sign)
+            for cid, before, after in heads
+        ]
+    )
+    return StrandTable(tuple(strands), incidences)
+
+
+def replacing_relabel(
+    result: WirtingerResult, found_on: tuple[HeadIncidence, ...], incidences: tuple[HeadIncidence, ...]
+) -> WirtingerResult:
+    """``result``, found on the arrowheads ``found_on``, for a diagram whose
+    arrowheads ``incidences`` join the same strands in the same head order:
+    each move's chord id becomes that of the arrowhead at its index."""
+    index = {inc.chord_id: i for i, inc in enumerate(found_on)}
+    seq = result.sequence
+    entries = seq.entries[: seq.k] + tuple(
+        [SequenceEntry(e.strand, incidences[index[e.via]].chord_id) for e in seq.entries[seq.k :]]
+    )
+    return result._replace(sequence=seq._replace(entries=entries))
+
+
+def cell_render_results(records: Sequence[ResultRecord]) -> str:
+    """Render records as CSV, each ``None`` cell written as ''."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(
+            [
+                rec.name,
+                _cell(rec.components),
+                _cell(rec.chords),
+                _cell(rec.strands),
+                _cell(rec.vb_d),
+                _cell(rec.omega_d),
+                ";".join(str(s) for s in rec.seed_set),
+                _cell(rec.ideal_lb),
+                _cell(rec.parity_lb),
+                rec.status_text,
+                0,
+            ]
+        )
+    return buf.getvalue()
+
+
+def _cell(value) -> str:
+    return "" if value is None else str(value)
