@@ -26,17 +26,11 @@ read with one ``findall``; ``from_tokens`` collects each label's ends in
 the walk that builds the endpoints; the strand table slices each
 component's tails between consecutive heads.
 
-The records a parse and a strand table build many of (``Endpoint``,
-``Chord``, ``Strand``, ``HeadIncidence``) are named tuples, which cost
-about a third of a frozen dataclass to build.  Both builders make them
-with ``tuple.__new__`` from their field values in order, which skips the
-named tuple's generated Python ``__new__``: 145 ns a record against 306 ns
-(timeit, Python 3.11, 2-core VM), and a code of at most 4 chords builds
-about 20.  On the 1,815 uncapped entries of pipebench's census-jobs2
-table at seed 2901 that took ``from_tokens`` from 15.5-16.5 to 13.1-13.5
-ms, and the strand tables, which read the chord signs from ``chords`` and
-build no chord index, from 13.4-13.6 to 11.2-11.8 ms (best of 15, three
-rounds).
+The records a parse, a strand table and a parity projection build many of
+(``Endpoint``, ``Chord``, ``Strand``, ``HeadIncidence``) are named tuples,
+about a third of a frozen dataclass's cost, made with ``tuple.__new__``
+from their field values in order, which skips the named tuple's generated
+Python ``__new__``: 145 ns a record against 306 ns (timeit, Python 3.11).
 """
 
 from __future__ import annotations

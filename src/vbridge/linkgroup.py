@@ -25,7 +25,8 @@ their common roots mod p are the roots of their gcd over Z/p, found by
 Horner's rule.  A common root mod p of two minors f and g makes p divide
 Res(f, g) = A f + B g (A, B in Z[t]), so once one prime shows no common
 root, every prime not dividing the resultant of the first two nonzero
-minors is skipped.
+minors is skipped.  Entries and minors are {exponent: coefficient} dicts, and
+canonical minors coefficient tuples; only ``alexander_matrix`` builds ``LaurentPolynomial``s.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import check_deadline, require_knot
 from .gauss import GaussDiagram, strand_table
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import LaurentPolynomial
 from .quandle import _rank_mod
 from .search import (
     ColoringSequence,
@@ -47,7 +48,6 @@ from .search import (
     reduced_seed_set,
     sequence_relations,
 )
-
 
 class AlexanderMatrix(NamedTuple):
     rows: tuple[tuple[LaurentPolynomial, ...], ...]  # one row per relation
@@ -64,49 +64,62 @@ class AlexanderMatrix(NamedTuple):
 def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
     """The n x n Alexander matrix: a row per relation, a column per strand;
     the presentation on every strand as a seed, so no move is used."""
-    entries = tuple(SequenceEntry(s, None) for s in range(strand_table(d).n_strands))
-    return _presentation(d, ColoringSequence(entries, len(entries)))
+    n = strand_table(d).n_strands
+    rows = _presentation(d, ColoringSequence(tuple(SequenceEntry(s, None) for s in range(n)), n))
+    return AlexanderMatrix(tuple(tuple(map(LaurentPolynomial, row)) for row in rows), n)
 
 
 _IDEAL = "during the elementary-ideal bound"  # the end of its timeout message
 
 
 def _minor_determinants(
-    a: AlexanderMatrix, size: int, deadline: Optional[float] = None
-) -> list[LaurentPolynomial]:
-    """All size x size minors, by cofactor expansion memoized on the
-    (rows, cols) index pair so shared subminors are computed once.
-    Raises SearchTimeoutError once ``time.perf_counter()`` passes
-    ``deadline``, checked on entry and before each subminor of size two or
-    more that is not in the memo."""
+    rows: Sequence[Sequence[dict]], size: int, deadline: Optional[float] = None
+) -> list[dict]:
+    """All size x size minors of the matrix with these rows, by cofactor
+    expansion memoized on the (rows, cols) index pair so shared subminors
+    are computed once.  Raises SearchTimeoutError once
+    ``time.perf_counter()`` passes ``deadline``, checked on entry and before
+    each subminor of size two or more that is not in the memo."""
     check_deadline(deadline, _IDEAL)
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPolynomial] = {}
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
 
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPolynomial:
-        if len(rows) == 1:
-            return a.rows[rows[0]][cols[0]]
-        key = (rows, cols)
+    def det(rs: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        if len(rs) == 1:
+            return rows[rs[0]][cols[0]]
+        key = (rs, cols)
         cached = memo.get(key)
         if cached is not None:
             return cached
         check_deadline(deadline, _IDEAL)
-        total = LaurentPolynomial()
-        rest = rows[1:]
+        total: dict = {}
+        rest = rs[1:]
+        top = rows[rs[0]]
         for j, col in enumerate(cols):
-            entry = a.rows[rows[0]][col]
-            if entry.is_zero:
+            entry = top[col]
+            if not entry:
                 continue
             sub = det(rest, cols[:j] + cols[j + 1 :])
-            term = entry * sub
-            total = total + term if j % 2 == 0 else total - term
+            sign = -1 if j % 2 else 1
+            for e1, c1 in entry.items():
+                c1 *= sign
+                for e2, c2 in sub.items():
+                    total[e1 + e2] = total.get(e1 + e2, 0) + c1 * c2
+        total = {e: c for e, c in total.items() if c}
         memo[key] = total
         return total
 
-    out = []
-    for rows in combinations(range(a.n_rows), size):
-        for cols in combinations(range(a.n_cols), size):
-            out.append(det(rows, cols))
-    return out
+    cols = range(len(rows[0]) if rows else 0)
+    return [det(rs, cs) for rs in combinations(range(len(rows)), size) for cs in combinations(cols, size)]
+
+
+def _canonical(g: dict) -> tuple[int, ...]:
+    """The coefficients, lowest degree first, of the associate +-t^m g with
+    a positive constant term; () for zero.  Associates get one tuple, and
+    the shift keeps the roots u != 0 of g modulo any prime."""
+    if not g:
+        return ()
+    out = [g.get(e, 0) for e in range(min(g), max(g) + 1)]
+    return tuple(-c for c in out) if out[0] < 0 else tuple(out)
 
 
 @cache  # every ideal bound scans the same primes
@@ -121,35 +134,16 @@ def _primes_upto(bound: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _integer_poly(g: LaurentPolynomial) -> list[int]:
-    """Integer coefficients of g times the power of t that gives it a
-    nonzero constant term, lowest degree first; [] for zero.  The shift
-    keeps the roots u != 0 of g modulo any prime."""
-    span = g.degree_range()
-    if span is None:
-        return []
-    out = [0] * (span[1] - span[0] + 1)
-    for e, c in g.items():
-        out[e - span[0]] = c
-    return out
-
-
-def _poly_mod(g: LaurentPolynomial, p: int) -> list[int]:
-    """``_integer_poly(g)`` over Z/p with no zero leading coefficient;
-    [] when g vanishes mod p."""
-    out = [c % p for c in _integer_poly(g)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_mod(gens: Sequence[LaurentPolynomial], p: int) -> list[int]:
-    """A gcd over Z/p of the generators as ``_poly_mod`` polynomials: every
-    common root u != 0 mod p is one of its roots.  [] when all vanish mod p;
+def _gcd_mod(gens: Sequence[Sequence[int]], p: int) -> list[int]:
+    """A gcd over Z/p of the generators, coefficient sequences lowest degree
+    first with a nonzero constant term (or empty for zero): every common
+    root u != 0 mod p is one of its roots.  [] when all vanish mod p;
     length 1 (a nonzero constant) when they share no root."""
     a: list[int] = []
     for g in gens:
-        b = _poly_mod(g, p)
+        b = [c % p for c in g]
+        while b and not b[-1]:
+            b.pop()
         while b:  # Euclid: a, b = b, a mod b
             inv = pow(b[-1], p - 2, p)
             while len(a) >= len(b):
@@ -165,9 +159,9 @@ def _gcd_mod(gens: Sequence[LaurentPolynomial], p: int) -> list[int]:
     return a
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) a mod b over Z, as ``_integer_poly``
-    lists with no zero leading coefficient; deg a >= deg b."""
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z, as coefficient lists
+    lowest degree first with no zero leading coefficient; deg a >= deg b."""
     lead, n = b[-1], len(b)
     unused = len(a) - n + 1  # powers of lc(b) left to multiply in
     while len(a) >= n:
@@ -183,7 +177,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return [c * scale for c in a]
 
 
-def _resultant(f: list[int], g: list[int]) -> int:
+def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
     """Res(f, g) of two integer polynomials, lowest degree first with
     nonzero leading coefficients, not both constant: the subresultant
     polynomial remainder sequence, whose every division is exact, in
@@ -209,16 +203,15 @@ def _resultant(f: list[int], g: list[int]) -> int:
     return sign * b[-1] ** deg // h ** (deg - 1)
 
 
-def _resultant_filter(gens: Sequence[LaurentPolynomial]) -> int:
+def _resultant_filter(gens: Sequence[Sequence[int]]) -> int:
     """An integer N divisible by every prime over which the generators
-    share a root u != 0; 0 when no such N is at hand.
+    (as for ``_gcd_mod``) share a root u != 0; 0 when no such N is at hand.
 
-    N is Res(f, g) of the first two nonzero generators as ``_integer_poly``
-    polynomials, or gcd(f, g) when both are constants (their resultant
-    would be 1).  Res(f, g) = A f + B g with A, B in Z[t], so a common root
-    u mod p gives p | N.  N = 0 when f and g share a factor over Q, or when
-    there are fewer than two."""
-    pair = [_integer_poly(h) for h in islice((h for h in gens if not h.is_zero), 2)]
+    N is Res(f, g) of the first two nonzero generators, or gcd(f, g) when
+    both are constants (their resultant would be 1).  Res(f, g) = A f + B g
+    with A, B in Z[t], so a common root u mod p gives p | N.  N = 0 when f
+    and g share a factor over Q, or when there are fewer than two."""
+    pair = list(islice((g for g in gens if g), 2))
     if len(pair) < 2:
         return 0
     f, g = pair
@@ -232,34 +225,36 @@ class IdealBoundResult(NamedTuple):
     witness: Optional[tuple[int, int, int]]  # (prime, unit, nullity) or None
 
 
-def _presentation(d: GaussDiagram, seq: ColoringSequence) -> AlexanderMatrix:
+def _presentation(d: GaussDiagram, seq: ColoringSequence) -> list[tuple[dict, ...]]:
     """The Alexander module on the seeds of a coloring sequence: a column
     per seed, the Fox row (form(before) >^e form(b)) - form(after) per
     relation that no move used, with x >^e y = t^e x + (1 - t^e) y.  A form
-    maps (seed, exponent) to a nonzero coefficient."""
+    maps ex * k + j to the nonzero coefficient of t^ex in seed j's column,
+    for the k seeds, so t^e shifts every key by e * k."""
+    k = seq.k
     moves, unused = sequence_relations(d, seq)
     forms: list = [None] * strand_table(d).n_strands
     for j, s in enumerate(seq.seeds):
-        forms[s] = {(j, 0): 1}
+        forms[s] = {j: 1}
 
     def act(x: dict, y: dict, e: int, z: dict) -> dict:  # y + t^e (x - y) - z
         if x == y and not z:
             return x
         out = dict(y)
-        for form, sign, shift in ((x, 1, e), (y, -1, e), (z, -1, 0)):
-            for (j, ex), c in form.items():
-                out[j, ex + shift] = out.get((j, ex + shift), 0) + sign * c
+        for form, sign, shift in ((x, 1, e * k), (y, -1, e * k), (z, -1, 0)):
+            for key, c in form.items():
+                out[key + shift] = out.get(key + shift, 0) + sign * c
         return {key: c for key, c in out.items() if c}
 
     for strand, src, tail, e in moves:
         forms[strand] = act(forms[src], forms[tail], e, {})
     rows = []
     for after, before, tail, e in unused:
-        row: dict = {}
-        for (j, ex), c in act(forms[before], forms[tail], e, forms[after]).items():
-            row.setdefault(j, {})[ex] = c
-        rows.append(tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in range(seq.k)))
-    return AlexanderMatrix(tuple(rows), seq.k)
+        row: tuple[dict, ...] = tuple({} for _ in range(k))
+        for key, c in act(forms[before], forms[tail], e, forms[after]).items():
+            row[key % k][key // k] = c
+        rows.append(row)
+    return rows
 
 
 def sequence_bound(
@@ -275,12 +270,11 @@ def sequence_bound(
     width = seq.k
     if width < 2:
         return IdealBoundResult(1, None)
-    pres = _presentation(d, seq)
+    rows = _presentation(d, seq)
     # column 0 is minus the sum of the others, so it adds no rank
-    rest = AlexanderMatrix(tuple(row[1:] for row in pres.rows), width - 1)
-    minors = _minor_determinants(rest, width - 1, deadline)
-    minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
-    if ONE in minors:  # a unit vanishes nowhere
+    minors = _minor_determinants([row[1:] for row in rows], width - 1, deadline)
+    minors = list(dict.fromkeys(map(_canonical, minors)))
+    if (1,) in minors:  # a unit vanishes nowhere
         return IdealBoundResult(1, None)
     best = None
     res = None  # N, once a prime has shown no common root
@@ -299,8 +293,12 @@ def sequence_bound(
                 v = (v * u + c) % p
             if v:
                 continue
-            rows = [[g.evaluate_mod(p, u) for g in row] for row in pres.rows]
-            nullity = width - _rank_mod(rows, p)
+            # u^(p-1) = 1 mod p, so negative exponents reduce cleanly
+            at = [
+                [sum(c * pow(u, e % (p - 1), p) for e, c in g.items()) % p for g in row]
+                for row in rows
+            ]
+            nullity = width - _rank_mod(at, p)
             if best is None or nullity > best[2]:
                 best = (p, u, nullity)
                 if nullity == width:

@@ -15,7 +15,7 @@ leaves a valid one.
 from __future__ import annotations
 
 from .errors import require_knot
-from .gauss import Chord, Endpoint, GaussDiagram, strand_table
+from .gauss import Chord, Endpoint, GaussDiagram, _new, strand_table
 from .linkgroup import IdealBoundResult, ideal_lower_bound, sequence_bound
 from .search import WirtingerResult, apply_coloring_moves, reduced_seed_set
 
@@ -35,16 +35,20 @@ def parity_projection(d: GaussDiagram) -> GaussDiagram:
     """Delete every odd chord, keeping cyclic order, labels and signs.
     All-odd diagrams project to the chordless circle, and a diagram with
     no odd chord is returned itself."""
-    parity = gaussian_parity(d)
+    return _project(d, gaussian_parity(d))
+
+
+def _project(d: GaussDiagram, parity: dict[int, int]) -> GaussDiagram:
+    """``parity_projection`` of ``d``, whose ``gaussian_parity`` is ``parity``."""
     if not any(parity.values()):
         return d
     kept = {}  # old position -> endpoint renumbered in the projection
     for e in d.components[0]:
         if not parity[e.chord_id]:
-            kept[e.position] = Endpoint(e.kind, e.chord_id, 0, len(kept))
+            kept[e.position] = _new(Endpoint, (e.kind, e.chord_id, 0, len(kept)))
     chords = tuple(
         [
-            Chord(c.id, c.sign, kept[c.tail.position], kept[c.head.position])
+            _new(Chord, (c.id, c.sign, kept[c.tail.position], kept[c.head.position]))
             for c in d.chords
             if not parity[c.id]
         ]
@@ -52,10 +56,9 @@ def parity_projection(d: GaussDiagram) -> GaussDiagram:
     return GaussDiagram((tuple(kept.values()),), chords)
 
 
-def _projected_seeds(d: GaussDiagram, seeds) -> set[int]:
-    """The projection's strands holding the strands ``seeds`` of ``d``: knot
-    strand j ends at head j, so it lies in the one numbered by the even heads before j."""
-    parity = gaussian_parity(d)
+def _projected_seeds(d: GaussDiagram, parity: dict[int, int], seeds) -> set[int]:
+    """The projection's strands holding the strands ``seeds`` of ``d``, of parity ``parity``:
+    knot strand j ends at head j, so it lies in the one numbered by the even heads before j."""
     even = [0]  # even[j]: even heads before head j
     for inc in strand_table(d).incidences:
         even.append(even[-1] + 1 - parity[inc.chord_id])
@@ -78,13 +81,17 @@ def parity_lower_bound(
     own projection, so it is returned unchanged.  Otherwise the projection
     is ranked on its ``reduced_seed_set``, started from the images of the
     seeds of ``result`` (the search of ``d``) when given: they color it, as
-    a move at an even chord is a move there too."""
+    a move at an even chord is a move there too, and a single image
+    colors it alone, which gives 1 with no search."""
     require_knot(d, "Gaussian parity")
     if result is not None and result.omega < 2:  # no more seeds in the projection
         return IdealBoundResult(1, None)
-    projection = parity_projection(d)
-    if projection is d:
+    parity = gaussian_parity(d)
+    if not any(parity.values()):  # d is its own projection
         return ideal or ideal_lower_bound(d, prime_bound=prime_bound, deadline=deadline, result=result)
-    images = None if result is None else _projected_seeds(d, result.seed_set)
+    images = None if result is None else _projected_seeds(d, parity, result.seed_set)
+    if images is not None and len(images) == 1:  # a width-1 presentation
+        return IdealBoundResult(1, None)
+    projection = _project(d, parity)
     seq = apply_coloring_moves(projection, reduced_seed_set(projection, deadline, images))
     return sequence_bound(projection, seq, prime_bound=prime_bound, deadline=deadline)

@@ -86,8 +86,7 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     checks what the plan relies on, that T heads follow the tail run, that
     each kink is adjacent when it is peeled and that the diagram ends
     empty."""
-    if not is_one_overbridge(d):
-        raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
+    require_knot(d, "one-overbridge test")
     [tokens] = component_tokens(d)
     initial = format_tokens([tokens])
     n_chords = d.n_chords
@@ -95,8 +94,10 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
         return UnknottingCertificate(initial, (), ".")
 
     length = len(tokens)
-    # the tails form one cyclically consecutive run; the heads follow it
-    run_start = next(p for p in range(length) if tokens[p][0] == TAIL and tokens[p - 1][0] == HEAD)
+    # one overbridge: the tails form one cyclic run, and the heads follow it
+    run_start, *more = [p for p in range(length) if tokens[p][0] == TAIL and tokens[p - 1][0] == HEAD]
+    if more:
+        raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
     run = [(run_start + i) % length for i in range(n_chords)]
     head_order = [tokens[(run_start + n_chords + i) % length][1] for i in range(n_chords)]
     # sort the tail run to the reverse of the head order by adjacent swaps,

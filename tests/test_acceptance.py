@@ -173,8 +173,8 @@ def test_fox_calculus_matrix_and_bounds(corpus):
             if s != 0:
                 bad_rows += 1
     trefoil_matrix = alexander_matrix(parse_gauss_code(D3_CODE))
-    minors = _minor_determinants(trefoil_matrix, 2)
-    minor_values = sorted({abs(m.evaluate_unit(-1)) for m in minors})
+    minors = _minor_determinants([[dict(g.items()) for g in row] for row in trefoil_matrix.rows], 2)
+    minor_values = sorted({abs(LaurentPolynomial(m).evaluate_unit(-1)) for m in minors})
     witness = properness_certificate(
         [LaurentPolynomial({1: 1, 0: 1}), LaurentPolynomial({0: 3})]
     )

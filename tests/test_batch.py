@@ -114,6 +114,26 @@ class TestPipeline:
         assert r.welded_unknot is None
         assert r.quandle_counts == {"R3": 9}
 
+    def test_one_bridge_count_per_record(self, monkeypatch):
+        # vb_d == 1 is the one-overbridge test on a knot, so neither the
+        # welded branch nor the certificate counts the bridges again
+        from vbridge import gauss, welded
+
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return gauss.bridge_count(d)
+
+        for module in (batch, welded):
+            monkeypatch.setattr(module, "bridge_count", counted)
+        for code, one in (("O1+O2+U1+U2+", True), ("O1-O2+O3-U2+U1-U3-", True), (TREFOIL, False)):
+            rec = batch.analyze(parse_gauss_code(code), PipelineConfig(certificates=True), ResultRecord(code))
+            assert len(calls) == 1 and (rec.vb_d == 1) is one, code
+            assert rec.welded_unknot is (True if one else None), code
+            assert ("welded" in rec.certificates) is one, code
+            calls.clear()
+
     def test_invariant_holds(self, records):
         for r in records.values():
             assert r.omega_d <= r.vb_d

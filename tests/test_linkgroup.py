@@ -11,6 +11,7 @@ from vbridge.laurent import LaurentPolynomial
 from vbridge.linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
+    _canonical,
     _minor_determinants,
     _presentation,
     _primes_upto,
@@ -20,7 +21,7 @@ from vbridge.linkgroup import (
     ideal_lower_bound,
     sequence_bound,
 )
-from vbridge.parity import _projected_seeds, parity_lower_bound, parity_projection
+from vbridge.parity import _projected_seeds, gaussian_parity, parity_lower_bound, parity_projection
 from vbridge.quandle import _rank_mod
 from vbridge.search import (
     apply_coloring_moves,
@@ -40,6 +41,7 @@ from util import (
     full_matrix_properness_certificate,
     gcd_scan_properness_certificate,
     ideal_summary,
+    integer_poly,
     laurent_alexander_matrix,
     minor_scan_ideal_lower_bound,
     one_strand_saturates,
@@ -138,9 +140,9 @@ class TestElementaryIdeals:
 
     def test_trefoil_minors_at_minus_one(self, d3):
         a = alexander_matrix(d3)
-        minors = _minor_determinants(a, 2)
+        minors = _minor_determinants([[dict(g.items()) for g in row] for row in a.rows], 2)
         assert len(minors) == 9
-        assert all(abs(m.evaluate_unit(-1)) == 3 for m in minors)
+        assert all(abs(LaurentPolynomial(m).evaluate_unit(-1)) == 3 for m in minors)
 
     def test_virtual_trefoil_units(self, dv):
         a = alexander_matrix(dv)
@@ -259,8 +261,8 @@ class TestResultantFilteredScan:
         cases = [([g + LaurentPolynomial() for g in gens], w) for gens, w in cases]
         for gens, expected in cases:
             assert self._assert_same_witness(gens) == expected, gens
-        assert _resultant_filter(cases[0][0]) == 3
-        assert _resultant_filter(cases[4][0]) == 0
+        assert _resultant_filter([integer_poly(g) for g in cases[0][0]]) == 3
+        assert _resultant_filter([integer_poly(g) for g in cases[4][0]]) == 0
 
     def test_resultant_is_the_sylvester_determinant(self):
         rng = random.Random(1913)
@@ -273,7 +275,7 @@ class TestResultantFilteredScan:
                 continue
             assert _resultant(f, g) == sylvester_resultant(f, g), (f, g)
         t = self.T
-        assert _resultant_filter([2 * t + 1, t * t + 1]) == 5
+        assert _resultant_filter([integer_poly(2 * t + 1), integer_poly(t * t + 1)]) == 5
 
     def test_every_prime_with_a_common_root_divides_the_resultant(self):
         rng = random.Random(1907)
@@ -281,7 +283,7 @@ class TestResultantFilteredScan:
         filtered = 0
         for _ in range(300):
             gens = _random_generators(rng)
-            n = _resultant_filter(gens)
+            n = _resultant_filter([integer_poly(g) for g in gens])
             for p in primes:
                 if any(all(g.evaluate_mod(p, u) == 0 for g in gens) for u in range(1, p)):
                     assert n % p == 0, (gens, p, n)
@@ -461,13 +463,13 @@ class TestNullityBound:
         diagrams += [random_knot(rng, max_chords=12, min_chords=6) for _ in range(60)]
         compared = 0
         for d in diagrams:
-            presentation = _presentation(d, wirtinger_number(d).sequence)
-            width = presentation.n_cols
+            seq = wirtinger_number(d).sequence
+            width = seq.k
             if width < 2:
                 continue
-            rest = AlexanderMatrix(tuple(row[1:] for row in presentation.rows), width - 1)
-            every = _minor_determinants(presentation, width - 1)
-            maximal = _minor_determinants(rest, width - 1)
+            rows = _presentation(d, seq)
+            every = list(map(LaurentPolynomial, _minor_determinants(rows, width - 1)))
+            maximal = list(map(LaurentPolynomial, _minor_determinants([r[1:] for r in rows], width - 1)))
             assert len(every) == width * width and len(maximal) == width
             for p in _primes_upto(13):
                 for u in range(1, p):
@@ -542,11 +544,11 @@ class TestAlexanderCore:
         ]
         for d in diagrams:
             seq = wirtinger_number(d).sequence
-            presentation = _presentation(d, seq)
-            assert presentation.n_cols == seq.k, d
-            assert presentation.n_rows == len(strand_table(d).incidences) - (len(seq.entries) - seq.k)
-            for row in presentation.rows:
-                assert sum(row, LaurentPolynomial()).is_zero, d
+            rows = _presentation(d, seq)
+            assert all(len(row) == seq.k for row in rows), d
+            assert len(rows) == len(strand_table(d).incidences) - (len(seq.entries) - seq.k)
+            for row in rows:
+                assert sum(map(LaurentPolynomial, row), LaurentPolynomial()).is_zero, d
 
     def test_presentation_nullity_is_the_full_matrix_nullity(self):
         # both present the Alexander module, so they have the same nullity
@@ -557,7 +559,10 @@ class TestAlexanderCore:
         diagrams += [parse_gauss_code(_connected_sum(TREFOIL, m)) for m in (2, 3)]
         nullities = set()
         for d in diagrams:
-            presentation = _presentation(d, wirtinger_number(d).sequence)
+            seq = wirtinger_number(d).sequence
+            presentation = AlexanderMatrix(
+                tuple(tuple(map(LaurentPolynomial, row)) for row in _presentation(d, seq)), seq.k
+            )
             full = laurent_alexander_matrix(d)
             for p in _primes_upto(13):
                 for u in range(1, p):
@@ -588,7 +593,7 @@ class TestAlexanderCore:
             projection = parity_projection(d)
             if projection is d:
                 continue
-            images = _projected_seeds(d, seeds)
+            images = _projected_seeds(d, gaussian_parity(d), seeds)
             assert len(images) <= len(seeds)
             # a sequence verifies only when it colors every strand
             assert verify_coloring_sequence(projection, apply_coloring_moves(projection, images)), d
@@ -708,7 +713,7 @@ class TestAlexanderCore:
         with pytest.raises(SearchTimeoutError):
             parity_lower_bound(d3, deadline=past)
         with pytest.raises(SearchTimeoutError):
-            _minor_determinants(core, 1, deadline=past)
+            _minor_determinants([[dict(g.items()) for g in row] for row in core.rows], 1, deadline=past)
         future = time.perf_counter() + 60.0
         assert ideal_lower_bound(d3, deadline=future).bound == 2
 
@@ -740,3 +745,148 @@ class TestAlexanderCore:
                 bound(start + 0.2)
             assert time.perf_counter() - start < 1.0
         assert parity_lower_bound(d) == core_parity_lower_bound(d) == (2, (5, 3, 2))
+
+
+# a knot of omega 3 with odd chords whose parity projection is 3 wide too
+WIDE_ODD_KNOT = "O2+O4-U10-U8-O10-U5+U2+U1-O5+O1-O9+U9+U6-U3-O11-U7-O3-U11-O7-U4-O8-O6-"
+
+
+def _assert_matches_the_laurent_bounds(d, search=None):
+    """The bounds on plain integer polynomials give the (bound, witness) of
+    the former ``LaurentPolynomial`` bounds kept in tests/util.py, on the
+    search's sequence and on ``reduced_seed_set``'s, with the search passed
+    in (and the parity stage given the ideal stage's result, as ``analyze``
+    does) and without."""
+    search = search or wirtinger_number(d)
+    local = apply_coloring_moves(d, reduced_seed_set(d))
+    for seq in (search.sequence, local):
+        assert sequence_bound(d, seq) == util.laurent_sequence_bound(d, seq), d
+    ideal = ideal_lower_bound(d, result=search)
+    assert ideal == util.laurent_ideal_lower_bound(d, result=search), d
+    assert ideal_lower_bound(d) == util.laurent_ideal_lower_bound(d), d
+    expected = util.laurent_parity_lower_bound(d, result=search, ideal=ideal)
+    assert parity_lower_bound(d, result=search, ideal=ideal) == expected, d
+    assert parity_lower_bound(d) == util.laurent_parity_lower_bound(d), d
+    return ideal
+
+
+class TestIntegerPolynomialOracle:
+    """The presentation, minors and prime scan on {exponent: coefficient}
+    dicts and coefficient tuples give what the ``LaurentPolynomial`` bounds
+    gave, witness included."""
+
+    def test_every_code_up_to_four_chords_every_sign(self):
+        bounds = []
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    d = parse_gauss_code(with_signs(code, signs))
+                    bounds.append(_assert_matches_the_laurent_bounds(d).bound)
+        assert len(bounds) == 1 + 2 * 2 + 12 * 4 + 120 * 8 + 1680 * 16
+        assert bounds.count(2) > 500
+
+    def test_canonical_minors_are_the_unit_canonical_coefficients(self):
+        # one tuple per class {+-t^m g}, so a unit is (1,) and ends the bound
+        rng = random.Random(3004)
+        assert _canonical({}) == () and _canonical({-3: -1}) == _canonical({2: 1}) == (1,)
+        for _ in range(300):
+            lo = rng.randint(-3, 3)
+            g = {lo + i: c for i in range(rng.randint(1, 5)) if (c := rng.choice((0, 1, -1, 2, -3)))}
+            expected = integer_poly(LaurentPolynomial(g).unit_canonical())
+            assert _canonical(g) == expected, g
+            assert _canonical({e: -c for e, c in g.items()}) == expected, g
+
+    def test_random_knots_on_both_sequences(self):
+        rng = random.Random(3001)
+        witnesses = 0
+        for _ in range(300):
+            d = random_knot(rng, max_chords=14, min_chords=5)
+            witnesses += _assert_matches_the_laurent_bounds(d).witness is not None
+        assert witnesses > 50
+
+    def test_connected_sums_up_to_width_seven(self):
+        for code in (TREFOIL, FIGURE_EIGHT):
+            for m in range(1, 7):
+                d = parse_gauss_code(_connected_sum(code, m))
+                search = wirtinger_number(d)
+                assert search.omega == m + 1
+                assert _assert_matches_the_laurent_bounds(d, search).bound == m + 1
+
+    def test_links_through_sequence_bound(self):
+        rng = random.Random(3002)
+        widths, witnesses = set(), 0
+        for _ in range(200):
+            d = parse_gauss_code(util.random_diagram_code(rng, 20, 3, 6, min_components=2))
+            seq = wirtinger_number(d).sequence
+            result = sequence_bound(d, seq)
+            assert result == util.laurent_sequence_bound(d, seq), d
+            widths.add(seq.k)
+            witnesses += result.witness is not None
+        assert {2, 3, 4} <= widths and witnesses > 20
+
+    def test_a_past_deadline_still_raises(self):
+        d = parse_gauss_code(_connected_sum(TREFOIL, 3))
+        seq = wirtinger_number(d).sequence
+        past = time.perf_counter() - 1.0
+        for bound in (
+            lambda: sequence_bound(d, seq, deadline=past),
+            lambda: ideal_lower_bound(d, deadline=past),
+            lambda: parity_lower_bound(d, deadline=past),
+            lambda: parity_lower_bound(parse_gauss_code(WIDE_ODD_KNOT), deadline=past),
+        ):
+            with pytest.raises(SearchTimeoutError):
+                bound()
+
+    def test_single_projected_seed_skips_the_local_search(self, monkeypatch):
+        # when the search's seeds project to one strand, that strand colors
+        # the projection, so the bound is the width-1 presentation's (1,
+        # None) and no local search runs; both only where that holds
+        codes = [with_signs(c, "+" * 4) for c in enumerate_knot_codes(4)]
+        rng = random.Random(3003)
+        diagrams = [parse_gauss_code(c) for c in codes]
+        diagrams += [random_knot(rng, max_chords=12, min_chords=5) for _ in range(200)]
+        cases = []
+        for d in diagrams:
+            search = wirtinger_number(d)
+            parity = gaussian_parity(d)
+            if search.omega >= 2 and any(parity.values()):
+                cases.append((d, search, len(_projected_seeds(d, parity, search.seed_set)) == 1))
+        assert sum(single for _, _, single in cases) > 20
+        assert sum(not single for _, _, single in cases) > 20
+        searched = []
+        real = reduced_seed_set
+
+        def counted(*args, **kwargs):
+            searched.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("vbridge.parity.reduced_seed_set", counted)
+        for d, search, single in cases:
+            result = parity_lower_bound(d, result=search)
+            assert result == util.laurent_parity_lower_bound(d, result=search), d
+            assert len(searched) == (0 if single else 1), d
+            if single:
+                assert result == (1, None)
+            searched.clear()
+
+
+class TestNoLaurentPolynomialInTheBounds:
+    def test_bounds_build_no_laurent_polynomial(self, monkeypatch):
+        # the ideal and parity bounds of width-3 knots, one classical and
+        # one whose projection keeps 3 seeds, with the constructor broken
+        cases = [
+            (parse_gauss_code(_connected_sum(TREFOIL, 2)), (3, (3, 2, 3)), (3, (3, 2, 3))),
+            (parse_gauss_code(WIDE_ODD_KNOT), (2, (3, 2, 2)), (2, (3, 2, 2))),
+        ]
+        searches = [wirtinger_number(d) for d, _, _ in cases]
+
+        def broken(self, *args, **kwargs):
+            raise AssertionError("the bounds must not build a LaurentPolynomial")
+
+        monkeypatch.setattr(LaurentPolynomial, "__init__", broken)
+        for (d, ideal, parity), search in zip(cases, searches):
+            assert search.omega == 3
+            assert ideal_lower_bound(d) == ideal_lower_bound(d, result=search) == ideal, d
+            assert parity_lower_bound(d) == parity_lower_bound(d, result=search) == parity, d
+        with pytest.raises(AssertionError):
+            alexander_matrix(cases[0][0])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from vbridge.errors import NotAKnotError
-from vbridge.gauss import parse_gauss_code, to_gauss_code
+from vbridge.gauss import Chord, Endpoint, parse_gauss_code, to_gauss_code
 from vbridge.linkgroup import ideal_lower_bound
 from vbridge.parity import gaussian_parity, parity_lower_bound, parity_projection
 from util import (
@@ -110,6 +110,9 @@ class TestParityProjection:
         for d in diagrams:
             p = parity_projection(d)
             assert p == token_parity_projection(d), d
+            # the records are built with tuple.__new__, and must keep their types
+            assert all(type(e) is Endpoint for e in p.components[0]), d
+            assert all(type(c) is Chord and type(c.head) is Endpoint for c in p.chords), d
             odd = sum(gaussian_parity(d).values())
             if not odd:
                 assert p is d

@@ -15,6 +15,7 @@ from vbridge.welded import (
 from util import (
     enumerate_knot_codes,
     insertion_sort_welded_certificate,
+    random_knot,
     random_one_overbridge_code,
     simulating_welded_certificate,
     token_scan_replay_certificate,
@@ -66,6 +67,32 @@ class TestCertificate:
     def test_rejects_two_overbridges(self, d3):
         with pytest.raises(NotOneOverbridgeError):
             welded_unknot_certificate(d3)
+
+    def test_rejects_exactly_what_is_one_overbridge_rejects(self):
+        # the certificate counts the tail runs of its tokens instead of the
+        # bridges: every code of at most 4 chords with every sign, seeded
+        # random knots and one-overbridge codes, and links
+        def diagrams():
+            for n_chords in range(5):
+                for code in enumerate_knot_codes(n_chords):
+                    for signs in itertools.product("+-", repeat=n_chords):
+                        yield parse_gauss_code(with_signs(code, signs))
+            rng = random.Random(3301)
+            for _ in range(300):
+                yield random_knot(rng, max_chords=30)
+                yield parse_gauss_code(random_one_overbridge_code(rng, max_chords=30))
+
+        accepted = 0
+        for d in diagrams():
+            if is_one_overbridge(d):
+                assert replay_certificate(welded_unknot_certificate(d)), d
+                accepted += 1
+            else:
+                with pytest.raises(NotOneOverbridgeError):
+                    welded_unknot_certificate(d)
+        assert 1000 < accepted < 27_000
+        with pytest.raises(NotAKnotError):
+            welded_unknot_certificate(parse_gauss_code("O1+U1+|."))
 
     def test_move_count_bound(self):
         rng = random.Random(31)

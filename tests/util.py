@@ -39,6 +39,16 @@ is the former library builder, reading each head incidence where it read
 that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
 kept to check that the matrix built as the presentation with every strand
 a seed is the same.
+The Laurent sequence bound is the former library ``sequence_bound``, kept
+verbatim with its ``LaurentPolynomial`` presentation and minors
+(``laurent_presentation``, ``laurent_minor_determinants``), to check that
+the bound on plain integer polynomials gives the same bound and witness;
+``laurent_ideal_lower_bound`` and ``laurent_parity_lower_bound`` are the
+former bounds on it, the latter running the local search on the projection
+even when the search's seeds project to one strand.  ``_gcd_mod`` and
+``_resultant_filter`` hand ``LaurentPolynomial`` generators to the
+library's coefficient-tuple versions through ``integer_poly``, the former
+library ``_integer_poly``.
 The simulating welded certificate is the former library generator, which
 carried out every move it emitted on a token list under three asserts,
 kept verbatim to check that the planned certificates are the same.  The
@@ -78,6 +88,7 @@ from vbridge.errors import (
     SignMismatchError,
     UnbalancedChordError,
     check_deadline,
+    require_knot,
 )
 from vbridge.gauss import (
     HEAD,
@@ -99,19 +110,21 @@ from vbridge.linkgroup import (
     _IDEAL,
     AlexanderMatrix,
     IdealBoundResult,
-    _gcd_mod,
-    _minor_determinants,
     _primes_upto,
-    _resultant_filter,
 )
-from vbridge.parity import gaussian_parity
+from vbridge.linkgroup import _gcd_mod as _coefficient_gcd_mod
+from vbridge.linkgroup import _resultant_filter as _coefficient_resultant_filter
+from vbridge.parity import _projected_seeds, gaussian_parity, parity_projection
 from vbridge.quandle import FiniteQuandle, _alexander_unit, _rank_mod
 from vbridge.search import (
+    ColoringSequence,
     SequenceEntry,
     VerifyResult,
     WirtingerResult,
     _moves,
     _saturate_batch,
+    apply_coloring_moves,
+    reduced_seed_set,
     sequence_relations,
 )
 from vbridge.welded import UnknottingCertificate, WeldedMove, is_one_overbridge
@@ -532,7 +545,7 @@ def core_ideal_lower_bound(
         return IdealBoundResult(1, None)
     # column 0 is minus the sum of the others, so it adds no rank
     rest = AlexanderMatrix(tuple(row[1:] for row in core.rows), width - 1)
-    minors = _minor_determinants(rest, width - 1, deadline)
+    minors = laurent_minor_determinants(rest, width - 1, deadline)
     minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
     best = None
     res = None  # N, once a prime has shown no common root
@@ -579,7 +592,7 @@ def elementary_ideal_generators(
     if size > a.n_rows:
         return []
     seen = {}
-    for minor in _minor_determinants(a, size, deadline):
+    for minor in laurent_minor_determinants(a, size, deadline):
         canon = minor.unit_canonical()
         seen.setdefault(str(canon), canon)
     return [seen[key] for key in sorted(seen)]
@@ -734,6 +747,180 @@ def token_parity_projection(d: GaussDiagram) -> GaussDiagram:
         return d
     [tokens] = component_tokens(d)
     return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
+
+
+def integer_poly(g: LaurentPolynomial) -> tuple[int, ...]:
+    """Integer coefficients of g times the power of t that gives it a
+    nonzero constant term, lowest degree first; () for zero: the form in
+    which the library's gcd mod p and resultant filter read a polynomial."""
+    span = g.degree_range()
+    if span is None:
+        return ()
+    out = [0] * (span[1] - span[0] + 1)
+    for e, c in g.items():
+        out[e - span[0]] = c
+    return tuple(out)
+
+
+def _gcd_mod(gens: Sequence[LaurentPolynomial], p: int) -> list[int]:
+    """``linkgroup._gcd_mod`` of ``LaurentPolynomial`` generators."""
+    return _coefficient_gcd_mod([integer_poly(g) for g in gens], p)
+
+
+def _resultant_filter(gens: Sequence[LaurentPolynomial]) -> int:
+    """``linkgroup._resultant_filter`` of ``LaurentPolynomial`` generators."""
+    return _coefficient_resultant_filter([integer_poly(g) for g in gens])
+
+
+def laurent_minor_determinants(
+    a: AlexanderMatrix, size: int, deadline: Optional[float] = None
+) -> list[LaurentPolynomial]:
+    """All size x size minors, by cofactor expansion memoized on the
+    (rows, cols) index pair so shared subminors are computed once.
+    Raises SearchTimeoutError once ``time.perf_counter()`` passes
+    ``deadline``, checked on entry and before each subminor of size two or
+    more that is not in the memo."""
+    check_deadline(deadline, _IDEAL)
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPolynomial] = {}
+
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPolynomial:
+        if len(rows) == 1:
+            return a.rows[rows[0]][cols[0]]
+        key = (rows, cols)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        check_deadline(deadline, _IDEAL)
+        total = LaurentPolynomial()
+        rest = rows[1:]
+        for j, col in enumerate(cols):
+            entry = a.rows[rows[0]][col]
+            if entry.is_zero:
+                continue
+            sub = det(rest, cols[:j] + cols[j + 1 :])
+            term = entry * sub
+            total = total + term if j % 2 == 0 else total - term
+        memo[key] = total
+        return total
+
+    out = []
+    for rows in itertools.combinations(range(a.n_rows), size):
+        for cols in itertools.combinations(range(a.n_cols), size):
+            out.append(det(rows, cols))
+    return out
+
+
+def laurent_presentation(d: GaussDiagram, seq: ColoringSequence) -> AlexanderMatrix:
+    """The Alexander module on the seeds of a coloring sequence: a column
+    per seed, the Fox row (form(before) >^e form(b)) - form(after) per
+    relation that no move used, with x >^e y = t^e x + (1 - t^e) y.  A form
+    maps (seed, exponent) to a nonzero coefficient."""
+    moves, unused = sequence_relations(d, seq)
+    forms: list = [None] * strand_table(d).n_strands
+    for j, s in enumerate(seq.seeds):
+        forms[s] = {(j, 0): 1}
+
+    def act(x: dict, y: dict, e: int, z: dict) -> dict:  # y + t^e (x - y) - z
+        if x == y and not z:
+            return x
+        out = dict(y)
+        for form, sign, shift in ((x, 1, e), (y, -1, e), (z, -1, 0)):
+            for (j, ex), c in form.items():
+                out[j, ex + shift] = out.get((j, ex + shift), 0) + sign * c
+        return {key: c for key, c in out.items() if c}
+
+    for strand, src, tail, e in moves:
+        forms[strand] = act(forms[src], forms[tail], e, {})
+    rows = []
+    for after, before, tail, e in unused:
+        row: dict = {}
+        for (j, ex), c in act(forms[before], forms[tail], e, forms[after]).items():
+            row.setdefault(j, {})[ex] = c
+        rows.append(tuple(LaurentPolynomial(row[j]) if j in row else ZERO for j in range(seq.k)))
+    return AlexanderMatrix(tuple(rows), seq.k)
+
+
+def laurent_sequence_bound(
+    d: GaussDiagram,
+    seq: ColoringSequence,
+    *,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+) -> IdealBoundResult:
+    """``ideal_lower_bound`` of the knot ``d`` on the presentation of a
+    coloring sequence that colors every strand, whose nullity never exceeds
+    its seed count; the scan stops once the nullity reaches it."""
+    width = seq.k
+    if width < 2:
+        return IdealBoundResult(1, None)
+    pres = laurent_presentation(d, seq)
+    # column 0 is minus the sum of the others, so it adds no rank
+    rest = AlexanderMatrix(tuple(row[1:] for row in pres.rows), width - 1)
+    minors = laurent_minor_determinants(rest, width - 1, deadline)
+    minors = list(dict.fromkeys(m.unit_canonical() for m in minors))
+    if ONE in minors:  # a unit vanishes nowhere
+        return IdealBoundResult(1, None)
+    best = None
+    res = None  # N, once a prime has shown no common root
+    for p in _primes_upto(prime_bound)[1:]:
+        if res and res % p:
+            continue
+        check_deadline(deadline, _IDEAL)
+        h = _gcd_mod(minors, p)  # [] when every minor vanishes mod p
+        if len(h) == 1:
+            if res is None:
+                res = _resultant_filter(minors)
+            continue
+        for u in range(2, p):
+            v = 0
+            for c in reversed(h):
+                v = (v * u + c) % p
+            if v:
+                continue
+            rows = [[g.evaluate_mod(p, u) for g in row] for row in pres.rows]
+            nullity = width - _rank_mod(rows, p)
+            if best is None or nullity > best[2]:
+                best = (p, u, nullity)
+                if nullity == width:
+                    return IdealBoundResult(width, best)
+    return IdealBoundResult(1 if best is None else best[2], best)
+
+
+def laurent_ideal_lower_bound(
+    d: GaussDiagram,
+    *,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+    result: Optional[WirtingerResult] = None,
+) -> IdealBoundResult:
+    """``ideal_lower_bound`` on ``laurent_sequence_bound``."""
+    require_knot(d, "elementary-ideal bound")
+    check_deadline(deadline, _IDEAL)
+    seq = result.sequence if result else apply_coloring_moves(d, reduced_seed_set(d, deadline))
+    return laurent_sequence_bound(d, seq, prime_bound=prime_bound, deadline=deadline)
+
+
+def laurent_parity_lower_bound(
+    d: GaussDiagram,
+    *,
+    prime_bound: int = 97,
+    deadline: Optional[float] = None,
+    ideal: Optional[IdealBoundResult] = None,
+    result: Optional[WirtingerResult] = None,
+) -> IdealBoundResult:
+    """``parity_lower_bound`` on ``laurent_sequence_bound``, which runs the
+    local search on the projection whatever the images of the seeds."""
+    require_knot(d, "Gaussian parity")
+    if result is not None and result.omega < 2:  # no more seeds in the projection
+        return IdealBoundResult(1, None)
+    projection = parity_projection(d)
+    if projection is d:
+        return ideal or laurent_ideal_lower_bound(
+            d, prime_bound=prime_bound, deadline=deadline, result=result
+        )
+    images = None if result is None else _projected_seeds(d, gaussian_parity(d), result.seed_set)
+    seq = apply_coloring_moves(projection, reduced_seed_set(projection, deadline, images))
+    return laurent_sequence_bound(projection, seq, prime_bound=prime_bound, deadline=deadline)
 
 
 def laurent_alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
