@@ -41,7 +41,6 @@ from .gauss import (
     strand_table,
     to_gauss_code,
 )
-from .laurent import LaurentPolynomial
 from .linkgroup import (
     AlexanderMatrix,
     IdealBoundResult,
@@ -121,7 +120,6 @@ __all__ = [
     # link group
     "AlexanderMatrix",
     "IdealBoundResult",
-    "LaurentPolynomial",
     "alexander_matrix",
     "ideal_lower_bound",
     # parity

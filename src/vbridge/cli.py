@@ -126,6 +126,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _polynomial_text(g: dict) -> str:
+    """A {exponent: coefficient} polynomial as c*t^e terms, highest exponent
+    first, "+" before each later positive coefficient; "0" when empty."""
+    return "".join(f"{c:+d}*t^{e}" for e, c in sorted(g.items(), reverse=True)).removeprefix("+") or "0"
+
+
 def _config(args, **fields) -> PipelineConfig:
     """PipelineConfig from ``--max-k``, ``--time-limit`` and ``fields``; a
     quandle key shared by two tables is a usage error."""
@@ -210,7 +216,7 @@ def _dispatch(args) -> int:
         out = {
             "generators": table.n_strands,
             "relations": len(table.incidences),
-            "matrix": [[str(entry) for entry in row] for row in alexander_matrix(d).rows],
+            "matrix": [[_polynomial_text(entry) for entry in row] for row in alexander_matrix(d).rows],
             "core_width": seq.k,
             "witness": None if result.witness is None else dict(zip(("p", "u", "nullity"), result.witness)),
             "lower_bound": result.bound,

@@ -6,8 +6,11 @@ strand and e the chord sign.  Fox derivatives of that relation,
 abelianized to Z[t, 1/t], give the Alexander matrix row
   column a_after: -1,  column a_before: t^e,  column b: 1 - t^e,
 with coincident generators accumulating.  The elementary ideal E_k is
-proper when some prime p and unit u make every generator vanish at t = u
-over Z/p, which puts the bridge number above k.
+proper, which puts the bridge number above k, when some prime p and unit u
+make every generator vanish at t = u over Z/p.  Only these degree-1 points
+(p, t - u) are tried, for odd p up to ``prime_bound``, and no maximal ideal
+(p, f) with deg f >= 2, so the bound is the largest nullity at those
+points: at most 1 + max{k : E_k proper}, and at most omega.
 
 The bound ranks the presentation on a seed set that colors every strand
 (``_presentation``): the Wirtinger search's, else
@@ -26,7 +29,7 @@ Horner's rule.  A common root mod p of two minors f and g makes p divide
 Res(f, g) = A f + B g (A, B in Z[t]), so once one prime shows no common
 root, every prime not dividing the resultant of the first two nonzero
 minors is skipped.  Entries and minors are {exponent: coefficient} dicts, and
-canonical minors coefficient tuples; only ``alexander_matrix`` builds ``LaurentPolynomial``s.
+canonical minors coefficient tuples; ``alexander_matrix`` returns the dicts too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import check_deadline, require_knot
 from .gauss import GaussDiagram, strand_table
-from .laurent import LaurentPolynomial
 from .quandle import _rank_mod
 from .search import (
     ColoringSequence,
@@ -50,15 +52,12 @@ from .search import (
 )
 
 class AlexanderMatrix(NamedTuple):
-    rows: tuple[tuple[LaurentPolynomial, ...], ...]  # one row per relation
+    rows: tuple[tuple[dict, ...], ...]  # one row per relation, {exponent: coefficient} entries
     n_cols: int  # one column per generator, also when there is no row
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def row_sums_at_one(self) -> list[int]:
-        return [sum(p.evaluate_unit(1) for p in row) for row in self.rows]
 
 
 def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
@@ -66,7 +65,7 @@ def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
     the presentation on every strand as a seed, so no move is used."""
     n = strand_table(d).n_strands
     rows = _presentation(d, ColoringSequence(tuple(SequenceEntry(s, None) for s in range(n)), n))
-    return AlexanderMatrix(tuple(tuple(map(LaurentPolynomial, row)) for row in rows), n)
+    return AlexanderMatrix(tuple(rows), n)
 
 
 _IDEAL = "during the elementary-ideal bound"  # the end of its timeout message
@@ -313,15 +312,17 @@ def ideal_lower_bound(
     deadline: Optional[float] = None,
     result: Optional[WirtingerResult] = None,
 ) -> IdealBoundResult:
-    """Bridge-number lower bound 1 + max{k : E_k proper}: the largest
-    nullity at t = u over Z/p, for primes p <= ``prime_bound`` and units u,
-    of the presentation on the seeds of the Wirtinger search ``result``, or
-    else of ``reduced_seed_set(d)`` (the nullity at each (p, u) is the
-    module's, so only the cost differs); 1, with no witness, when no
-    nullity reaches 2.  The witness is the first (p, u) of largest nullity.
-    At u = 1 a knot's nullity is 1, as its relations chain its strands into
-    one cycle, and p = 2 has no unit to try.  Raises SearchTimeoutError
-    once ``time.perf_counter()`` passes ``deadline``.  Knot diagrams only."""
+    """Bridge-number lower bound: the largest nullity at t = u over Z/p,
+    for odd primes p <= ``prime_bound`` and units u, of the presentation
+    on the seeds of the Wirtinger search ``result``, or else of
+    ``reduced_seed_set(d)`` (the nullity at each (p, u) is the module's, so
+    only the cost differs); 1, with no witness, when no nullity reaches 2.
+    No point (p, f) with deg f >= 2 is tried, so the bound is at most
+    1 + max{k : E_k proper}, and at most omega.  The witness is the first
+    (p, u) of largest nullity.  At u = 1 a knot's nullity is 1, as its
+    relations chain its strands into one cycle, and p = 2 has no unit to
+    try.  Raises SearchTimeoutError once ``time.perf_counter()`` passes
+    ``deadline``.  Knot diagrams only."""
     require_knot(d, "elementary-ideal bound")
     check_deadline(deadline, _IDEAL)
     seq = result.sequence if result else apply_coloring_moves(d, reduced_seed_set(d, deadline))

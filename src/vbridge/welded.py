@@ -54,9 +54,14 @@ class UnknottingCertificate(NamedTuple):
             moves = []
             for m in data["moves"]:
                 if m.get("kind") == "swap" and "at" in m:
-                    moves.append(WeldedMove("swap", at=tuple(int(i) for i in m["at"])))
+                    at = m["at"]
+                    if type(at) is not list or any(type(i) is not int for i in at):
+                        raise ValueError(f"a swap's positions are a list of integers in {m!r}")
+                    moves.append(WeldedMove("swap", at=tuple(at)))
                 elif m.get("kind") == "r1" and "chord" in m:
-                    moves.append(WeldedMove("r1", chord=int(m["chord"])))
+                    if type(m["chord"]) is not int:
+                        raise ValueError(f"an r1 move's chord is an integer in {m!r}")
+                    moves.append(WeldedMove("r1", chord=m["chord"]))
                 else:
                     raise ValueError(f"unknown move kind or missing field in {m!r}")
             initial, final = data["initial"], data["final"]

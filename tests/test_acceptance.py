@@ -19,7 +19,6 @@ from vbridge.gauss import (
     strand_table,
     to_gauss_code,
 )
-from vbridge.laurent import LaurentPolynomial
 from vbridge.linkgroup import _minor_determinants, alexander_matrix, ideal_lower_bound
 from vbridge.parity import parity_projection
 from vbridge.quandle import count_colorings, dihedral_quandle, trivial_quandle
@@ -32,11 +31,13 @@ from vbridge.welded import replay_certificate, welded_unknot_certificate
 from conftest import D3_CODE, D6_CODE, DV_CODE
 from test_batch import DATA
 from util import (
+    LaurentPolynomial,
     brute_force_omega,
     enumerate_knot_codes,
     properness_certificate,
     random_diagram,
     random_one_overbridge_code,
+    row_sums_at_one,
     shuffled_closure,
 )
 
@@ -168,12 +169,12 @@ def test_fox_calculus_matrix_and_bounds(corpus):
         c for c in corpus if c.n_components == 1
     ]:
         matrix = alexander_matrix(d)
-        for s in matrix.row_sums_at_one():
+        for s in row_sums_at_one(matrix):
             checked_rows += 1
             if s != 0:
                 bad_rows += 1
     trefoil_matrix = alexander_matrix(parse_gauss_code(D3_CODE))
-    minors = _minor_determinants([[dict(g.items()) for g in row] for row in trefoil_matrix.rows], 2)
+    minors = _minor_determinants(trefoil_matrix.rows, 2)
     minor_values = sorted({abs(LaurentPolynomial(m).evaluate_unit(-1)) for m in minors})
     witness = properness_certificate(
         [LaurentPolynomial({1: 1, 0: 1}), LaurentPolynomial({0: 3})]

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import util
 from vbridge import batch, cli, quandle
 from vbridge.batch import PipelineConfig, ingest_table, run_pipeline
 from vbridge.gauss import ensure_tail_per_component, parse_gauss_code
@@ -184,6 +185,24 @@ class TestSingleDiagramCommands:
         assert (data["generators"], data["relations"], data["matrix"]) == (1, 0, [])
         # the presentation keeps the one seed as a column, though it has no row
         assert (data["core_width"], data["witness"], data["lower_bound"]) == (1, None, 1)
+
+    def test_alexander_matrix_text(self, capsys):
+        # c*t^e terms, highest exponent first, "+" before each later
+        # positive coefficient, "0" for a zero entry
+        data = run_json(capsys, "alexander", "O1-U2-O3-U1-O4+U3-O2-U4+")
+        assert data["matrix"] == [
+            ["1*t^-1", "-1*t^0", "0", "1*t^0-1*t^-1"],
+            ["1*t^0-1*t^-1", "1*t^-1", "-1*t^0", "0"],
+            ["0", "1*t^0-1*t^-1", "1*t^-1", "-1*t^0"],
+            ["-1*t^0", "0", "-1*t^1+1*t^0", "1*t^1"],
+        ]
+        # every knot of the sample table prints the Laurent oracle's text
+        knots = [e.code for e in ingest_table(DATA)[0] if parse_gauss_code(e.code).n_components == 1]
+        assert len(knots) == 13
+        for code in knots:
+            oracle = util.laurent_alexander_matrix(parse_gauss_code(code))
+            expected = [list(map(str, row)) for row in oracle.rows]
+            assert run_json(capsys, "alexander", code)["matrix"] == expected, code
 
     def test_alexander_core_width_is_the_reduced_seed_count(self, capsys, monkeypatch):
         # the bound ranks the presentation on search.reduced_seed_set, taken

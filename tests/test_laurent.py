@@ -1,6 +1,6 @@
 import pytest
 
-from vbridge.laurent import ONE, T, T_INV, ZERO, LaurentPolynomial
+from util import ONE, T, T_INV, ZERO, LaurentPolynomial
 
 
 def test_construction_drops_zeros():

@@ -65,11 +65,12 @@ def test_parallel_batch_loads_no_executor():
 
 
 def test_pytest_finds_the_package_without_pythonpath():
-    # pyproject.toml puts src/ on the path, so a plain checkout needs no install
+    # pyproject.toml puts src/ on the path, so a plain checkout needs no
+    # install; test_records.py imports the package's modules at its top
     root = SRC.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_laurent.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_records.py"],
         cwd=root,
         env=env,
         check=True,

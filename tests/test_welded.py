@@ -352,8 +352,15 @@ class TestJsonRoundtrip:
     def test_malformed_moves_rejected(self):
         # a move without a kind, positions that are no list, a chord that
         # is no number, a move that is no object: each a ValueError, like a
-        # missing field
+        # missing field; so are positions and chords that int() would
+        # coerce into a legal move, as the coloring sequence's loader does
         moves = ({"at": [0, 1]}, {"kind": "swap", "at": 7}, {"kind": "r1", "chord": None}, 7, "swap")
+        moves += (
+            {"kind": "swap", "at": "01"},
+            {"kind": "swap", "at": [0.9, "1"]},
+            {"kind": "r1", "chord": 1.5},
+            {"kind": "r1", "chord": True},
+        )
         for move in moves:
             with pytest.raises(ValueError):
                 UnknottingCertificate.from_json_dict(
