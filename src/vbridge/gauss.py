@@ -11,53 +11,49 @@ undercrossing passage (token ``U``, the arrowhead).  Textual grammar:
 Whitespace between tokens is ignored.  Chord labels are global, so a chord
 may join two different components.
 
-This module owns the token codec and the strand table.  ``parse_gauss_code``
-tokenizes a code and ``from_tokens`` builds the validated diagram from
-per-component ``(kind, label, sign)`` tokens; ``component_tokens`` is its
-inverse.  ``format_tokens`` is the only formatter: ``to_gauss_code``
-writes a diagram's tokens with it, and ``welded`` the token list it walks,
-to keep the code as text in a certificate.  ``parity_projection`` builds a
-diagram from endpoints.  Each diagram builds
-its chord index and strand table once, on first use, and they are freed
-with the diagram.
+This module owns the token codec and the strand table.  A diagram is its
+tokens: ``GaussDiagram`` holds a tuple of ``(kind, label, sign)`` tokens per
+component and each chord label's sign.  ``parse_gauss_code`` tokenizes a
+code and ``from_tokens`` validates tokens into a diagram; ``component_tokens``
+is its inverse.  ``format_tokens``, the only formatter, writes a diagram's
+tokens for ``to_gauss_code`` and the token list ``welded`` walks.  The
+strand table, bridge count, R1 normalization, parity projection and welded
+replay read tokens and signs; the ``Endpoint`` and ``Chord`` records are
+views, which the batch pipeline never asks for.  Views and strand table
+are built once per diagram, on first use, and freed with it.
 
-Each stage is one pass: a component is checked with one pattern match and
-read with one ``findall``; ``from_tokens`` collects each label's ends in
-the walk that builds the endpoints; the strand table slices each
-component's tails between consecutive heads.
-
-The records a parse, a strand table and a parity projection build many of
-(``Endpoint``, ``Chord``, ``Strand``, ``HeadIncidence``) are named tuples,
-about a third of a frozen dataclass's cost, made with ``tuple.__new__``
-from their field values in order, which skips the named tuple's generated
-Python ``__new__``: 145 ns a record against 306 ns (timeit, Python 3.11).
+Each stage is one pass: a component is read with one ``findall``, whose
+tokens must cover it, and a token text seen before with one cache lookup;
+``from_tokens`` compares the label -> sign maps of the arrowtails and the
+arrowheads, and walks the tokens one by one only to report the first fault;
+the strand table slices each component's tails between consecutive heads.
+Records (``Strand``, ``HeadIncidence``, ``Endpoint``, ``Chord``) are named
+tuples made with ``tuple.__new__`` from their field values, which skips the
+generated Python ``__new__``: 145 ns a record against 306 ns (timeit,
+Python 3.11).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    EmptyInputError,
-    GaussSyntaxError,
-    SignMismatchError,
-    UnbalancedChordError,
-)
+from .errors import EmptyInputError, GaussSyntaxError, SignMismatchError, UnbalancedChordError
 
 TAIL = "O"
 HEAD = "U"
 
-_TOKEN = re.compile(r"([OU])([0-9]+)([+-])")
-_COMPONENT = re.compile(r"(?:[OU][0-9]+[+-])+")
+_TOKEN = re.compile(r"[OU][0-9]+[+-]")
 _SIGN = {"+": 1, "-": -1}
 
 Token = tuple[str, int, int]  # (kind, chord label, sign)
+_kind = itemgetter(0)
+_label = itemgetter(1)
 
-# builds a named tuple from its field values in order, skipping the
-# generated Python __new__; for the records a parse builds many of
-_new = tuple.__new__
+_new = tuple.__new__  # a named tuple from its field values, in order
 
 
 class Endpoint(NamedTuple):
@@ -76,32 +72,58 @@ class Chord(NamedTuple):
     head: Endpoint
 
 
-@dataclass(frozen=True)
 class GaussDiagram:
-    """Immutable parsed diagram: cyclic endpoint sequences plus chords."""
+    """A tuple of ``(kind, label, sign)`` tokens per component, and
+    ``signs``, chord label -> sign in the code order of the arrowtails.
+    The constructor takes both as given; ``from_tokens`` validates.
+    Equality and hash read the tokens, which fix the signs.  Treat it as
+    immutable: the strand table and the views are kept on the instance."""
 
-    components: tuple[tuple[Endpoint, ...], ...]
-    chords: tuple[Chord, ...]  # ascending by chord id
+    __slots__ = ("tokens", "signs", "_strand_table", "_views", "__weakref__")
 
-    # Built on first use and kept on the instance.  Unannotated, so not
-    # fields: they take no part in construction, equality, hash or repr.
-    _chord_index = None
-    _strand_table = None
+    def __init__(self, tokens: tuple[tuple[Token, ...], ...], signs: dict[int, int]):
+        self.tokens, self.signs = tokens, signs
+        self._strand_table = self._views = None  # views: (components, chords, chord id -> chord)
+
+    def __eq__(self, other):
+        return self.tokens == other.tokens if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.tokens)
+
+    def __repr__(self):
+        return f"GaussDiagram({self.tokens!r}, {self.signs!r})"
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.tokens)
 
     @property
     def n_chords(self) -> int:
-        return len(self.chords)
+        return len(self.signs)
+
+    @property
+    def components(self) -> tuple[tuple[Endpoint, ...], ...]:
+        """Cyclic endpoint sequences, one per component."""
+        return (self._views or self._build_views())[0]
+
+    @property
+    def chords(self) -> tuple[Chord, ...]:
+        """The chords, ascending by id; each ends at endpoints of ``components``."""
+        return (self._views or self._build_views())[1]
 
     def chord(self, chord_id: int) -> Chord:
-        index = self._chord_index
-        if index is None:
-            index = {c.id: c for c in self.chords}
-            object.__setattr__(self, "_chord_index", index)
-        return index[chord_id]
+        return (self._views or self._build_views())[2][chord_id]
+
+    def _build_views(self):
+        ends: dict[int, list] = {}  # label -> [tail, head]
+        for ci, comp in enumerate(self.tokens):
+            for pos, (kind, label, _) in enumerate(comp):
+                ends.setdefault(label, [None, None])[kind == HEAD] = _new(Endpoint, (kind, label, ci, pos))
+        components = tuple(tuple([ends[label][kind == HEAD] for kind, label, _ in comp]) for comp in self.tokens)
+        index = {label: _new(Chord, (label, self.signs[label], *ends[label])) for label in sorted(self.signs)}
+        self._views = views = (components, tuple(index.values()), index)
+        return views
 
 
 class Strand(NamedTuple):
@@ -159,17 +181,22 @@ def _tokenize(text: str) -> list[list[Token]]:
             continue
         if not comp_text:
             raise GaussSyntaxError(f"component {ci} is empty; use '.' for a chordless circle")
-        if _COMPONENT.fullmatch(comp_text) is None:
+        found = _TOKEN.findall(comp_text)
+        if sum(map(len, found)) != len(comp_text):  # the tokens found leave a gap
             raise GaussSyntaxError(f"bad token at {_bad_token(comp_text)!r} in component {ci}")
-        out.append(
-            [(kind, int(label), _SIGN[sign]) for kind, label, sign in _TOKEN.findall(comp_text)]
-        )
+        out.append(list(map(_read_token, found)))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _read_token(text: str) -> Token:
+    """The token of one token text; a text read before is looked up."""
+    return (text[0], int(text[1:-1]), _SIGN[text[-1]])
 
 
 def _bad_token(comp_text: str) -> str:
     """Up to eight characters from the first position where no token
-    starts, in a component that fails the component pattern."""
+    starts, in a component its tokens do not cover."""
     pos = 0
     while (m := _TOKEN.match(comp_text, pos)) is not None:
         pos = m.end()
@@ -177,53 +204,45 @@ def _bad_token(comp_text: str) -> str:
 
 
 def from_tokens(component_tokens: Sequence[Sequence[Token]]) -> GaussDiagram:
-    """Build a validated diagram from per-component token lists; an empty
-    list is a chordless circle.  Raises the errors of parse_gauss_code:
-    a label below 1 first, in code order; then, by ascending label, an
-    unbalanced chord before a sign mismatch."""
+    """Build a validated diagram from per-component token sequences, each
+    token a tuple or a list; an empty one is a chordless circle.  Raises the
+    errors of parse_gauss_code: a label below 1 first, in code order; then,
+    by ascending label, an unbalanced chord before a sign mismatch."""
     if not component_tokens:
         raise EmptyInputError("no components in Gauss code")
-    components = []
-    ends: dict[int, list] = {}  # label -> [endpoint, sign, ...] in code order
-    for ci, tokens in enumerate(component_tokens):
-        comp = []
-        for pos, (kind, label, sign) in enumerate(tokens):
+    tokens = tuple([tuple(map(tuple, comp)) for comp in component_tokens])
+    signs = {label: sign for comp in tokens for kind, label, sign in comp if kind == TAIL}
+    heads = {label: sign for comp in tokens for kind, label, sign in comp if kind == HEAD}
+    # valid iff each label has one tail and one head, of one sign, and is positive
+    if sum(map(len, tokens)) != 2 * len(signs) or signs != heads or min(signs, default=1) < 1:
+        _raise_first_fault(tokens)
+    return GaussDiagram(tokens, signs)
+
+
+def _raise_first_fault(tokens: Sequence[Sequence[Token]]) -> None:
+    """Raise the error from_tokens reports for invalid tokens."""
+    ends: dict[int, list] = {}  # label -> [kind, sign, ...] in code order
+    for comp in tokens:
+        for kind, label, sign in comp:
             if label < 1:
                 raise GaussSyntaxError(f"chord label must be positive, got {label}")
-            e = _new(Endpoint, (kind, label, ci, pos))
-            comp.append(e)
-            seen = ends.get(label)
-            if seen is None:
-                ends[label] = [e, sign]
-            else:
-                seen += (e, sign)
-        components.append(tuple(comp))
-
-    chords = []
+            ends.setdefault(label, []).extend((kind, sign))
     for label, seen in sorted(ends.items()):
-        if len(seen) != 4 or {seen[0].kind, seen[2].kind} != {TAIL, HEAD}:
-            raise UnbalancedChordError(
-                f"chord {label} must appear exactly once as O and once as U"
-            )
-        first, sign, second, other_sign = seen
-        if sign != other_sign:
+        if len(seen) != 4 or {seen[0], seen[2]} != {TAIL, HEAD}:
+            raise UnbalancedChordError(f"chord {label} must appear exactly once as O and once as U")
+        if seen[1] != seen[3]:
             raise SignMismatchError(f"chord {label} carries both signs")
-        tail, head = (first, second) if first.kind == TAIL else (second, first)
-        chords.append(_new(Chord, (label, sign, tail, head)))
-    return GaussDiagram(tuple(components), tuple(chords))
 
 
 def component_tokens(d: GaussDiagram) -> list[list[Token]]:
-    """Per-component token lists; from_tokens(component_tokens(d)) == d."""
-    return [
-        [(e.kind, e.chord_id, d.chord(e.chord_id).sign) for e in comp]
-        for comp in d.components
-    ]
+    """Per-component token lists, copies of the stored tuples;
+    from_tokens(component_tokens(d)) == d."""
+    return [list(comp) for comp in d.tokens]
 
 
 def to_gauss_code(d: GaussDiagram) -> str:
     """Serialize with no whitespace; parse(to_gauss_code(d)) == d."""
-    return format_tokens(component_tokens(d))
+    return format_tokens(d.tokens)
 
 
 def format_tokens(component_tokens: Sequence[Sequence[Token]]) -> str:
@@ -243,8 +262,7 @@ def strand_table(d: GaussDiagram) -> StrandTable:
     """
     table = d._strand_table
     if table is None:
-        table = _build_strand_table(d)
-        object.__setattr__(d, "_strand_table", table)
+        table = d._strand_table = _build_strand_table(d)
     return table
 
 
@@ -255,9 +273,9 @@ def _build_strand_table(d: GaussDiagram) -> StrandTable:
     tail_strand: dict[int, int] = {}  # chord id -> strand carrying its arrowtail
     heads: list[tuple[int, int, int]] = []  # (chord, before, after)
 
-    for ci, comp in enumerate(d.components):
-        ids = tuple([e.chord_id for e in comp])
-        head_positions = [e.position for e in comp if e.kind == HEAD]
+    for ci, comp in enumerate(d.tokens):
+        ids = tuple(map(_label, comp))
+        head_positions = [p for p, kind in enumerate(map(_kind, comp)) if kind == HEAD]
         base = len(strands)
         if not head_positions:
             strands.append(_new(Strand, (base, ci, ids)))
@@ -277,14 +295,11 @@ def _build_strand_table(d: GaussDiagram) -> StrandTable:
             heads.append((ids[hp], sid, base + (j + 1) % m))
             prev = hp
 
-    sign = {c.id: c.sign for c in d.chords}
-    incidences = tuple(
-        [
-            _new(HeadIncidence, (cid, before, after, tail_strand[cid], sign[cid]))
-            for cid, before, after in heads
-        ]
-    )
-    return StrandTable(tuple(strands), incidences)
+    signs = d.signs
+    incidences = [
+        _new(HeadIncidence, (cid, before, after, tail_strand[cid], signs[cid])) for cid, before, after in heads
+    ]
+    return _new(StrandTable, (tuple(strands), tuple(incidences)))
 
 
 def bridge_count(d: GaussDiagram) -> int:
@@ -292,13 +307,13 @@ def bridge_count(d: GaussDiagram) -> int:
     without an arrowtail, chordless circles included (each counts the R1
     kink ensure_tail_per_component would add)."""
     tail_strands = sum(1 for s in strand_table(d).strands if s.tails)
-    return tail_strands + sum(1 for comp in d.components if all(e.kind != TAIL for e in comp))
+    return tail_strands + sum(1 for comp in d.tokens if TAIL not in map(_kind, comp))
 
 
 def cut_split_witness(d: GaussDiagram) -> Optional[CutSplitWitness]:
     """A chordless component or an arrowhead whose strand is adjacent to
     itself, if any; None otherwise."""
-    for ci, comp in enumerate(d.components):
+    for ci, comp in enumerate(d.tokens):
         if not comp:
             return CutSplitWitness("component", ci)
     for inc in strand_table(d).incidences:
@@ -314,12 +329,12 @@ def is_cut_split(d: GaussDiagram) -> bool:
 def ensure_tail_per_component(d: GaussDiagram) -> GaussDiagram:
     """Insert an R1 kink (fresh chord, tail then head) on every component
     that carries no arrowtail, chordless circles included."""
-    if all(any(e.kind == TAIL for e in comp) for comp in d.components):
+    if all(TAIL in map(_kind, comp) for comp in d.tokens):
         return d
     tokens = component_tokens(d)
-    label = max((c.id for c in d.chords), default=0)
+    label = max(d.signs, default=0)
     for comp in tokens:
-        if not any(kind == TAIL for kind, _, _ in comp):
+        if TAIL not in map(_kind, comp):
             label += 1
             comp[:0] = [(TAIL, label, 1), (HEAD, label, 1)]
     return from_tokens(tokens)

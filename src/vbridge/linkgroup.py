@@ -55,10 +55,6 @@ class AlexanderMatrix(NamedTuple):
     rows: tuple[tuple[dict, ...], ...]  # one row per relation, {exponent: coefficient} entries
     n_cols: int  # one column per generator, also when there is no row
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
 
 def alexander_matrix(d: GaussDiagram) -> AlexanderMatrix:
     """The n x n Alexander matrix: a row per relation, a column per strand;

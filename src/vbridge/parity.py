@@ -6,8 +6,8 @@ span are two per chord nested in it and one per chord crossing it, so the
 parity is the span length, |head position - tail position| - 1, mod 2.
 Bridge-type lower bounds computed on the projection are bounds for the
 original knot, and the projection of a classical (all-even) diagram is the
-diagram itself.  The projection is built from the diagram's own endpoints:
-the kept ones are renumbered in order and their chords rebuilt, with no
+diagram itself.  The projection is built from the diagram's own tokens:
+the even chords' tokens are kept in order, and their signs, with no
 tokenizing or validation, since deleting chords of a valid knot diagram
 leaves a valid one.
 """
@@ -15,20 +15,21 @@ leaves a valid one.
 from __future__ import annotations
 
 from .errors import require_knot
-from .gauss import Chord, Endpoint, GaussDiagram, _new, strand_table
+from .gauss import GaussDiagram, strand_table
 from .linkgroup import IdealBoundResult, ideal_lower_bound, sequence_bound
 from .search import WirtingerResult, apply_coloring_moves, reduced_seed_set
 
 
 def gaussian_parity(d: GaussDiagram) -> dict[int, int]:
-    """Chord id -> parity bit: the number of chords whose endpoints
-    alternate with the chord's own around the circle, mod 2.
-
-    The |head.position - tail.position| - 1 ends strictly inside a chord's
-    span are two per nested chord and one per crossing chord, so that
-    count mod 2 is the parity; no pair of chords is compared."""
+    """Chord id -> parity bit, ascending by id: the number of chords whose
+    endpoints alternate with the chord's own around the circle, mod 2.
+    For ends at positions p and q that is the span length |q - p| - 1 mod
+    2 (see above), so the parity of p + q + 1, summed in one token pass."""
     require_knot(d, "Gaussian parity")
-    return {c.id: (abs(c.head.position - c.tail.position) - 1) % 2 for c in d.chords}
+    span = dict.fromkeys(sorted(d.signs), 1)  # chord id -> 1 + the positions of its ends
+    for pos, (_, label, _) in enumerate(d.tokens[0]):
+        span[label] += pos
+    return {label: total % 2 for label, total in span.items()}
 
 
 def parity_projection(d: GaussDiagram) -> GaussDiagram:
@@ -42,18 +43,8 @@ def _project(d: GaussDiagram, parity: dict[int, int]) -> GaussDiagram:
     """``parity_projection`` of ``d``, whose ``gaussian_parity`` is ``parity``."""
     if not any(parity.values()):
         return d
-    kept = {}  # old position -> endpoint renumbered in the projection
-    for e in d.components[0]:
-        if not parity[e.chord_id]:
-            kept[e.position] = _new(Endpoint, (e.kind, e.chord_id, 0, len(kept)))
-    chords = tuple(
-        [
-            _new(Chord, (c.id, c.sign, kept[c.tail.position], kept[c.head.position]))
-            for c in d.chords
-            if not parity[c.id]
-        ]
-    )
-    return GaussDiagram((tuple(kept.values()),), chords)
+    kept = tuple([t for t in d.tokens[0] if not parity[t[1]]])
+    return GaussDiagram((kept,), {label: sign for label, sign in d.signs.items() if not parity[label]})
 
 
 def _projected_seeds(d: GaussDiagram, parity: dict[int, int], seeds) -> set[int]:

@@ -16,7 +16,7 @@ import json
 from typing import NamedTuple, Optional
 
 from .errors import NotOneOverbridgeError, require_knot
-from .gauss import HEAD, TAIL, GaussDiagram, _tokenize, bridge_count, component_tokens, format_tokens, from_tokens
+from .gauss import HEAD, TAIL, GaussDiagram, _tokenize, bridge_count, format_tokens, from_tokens
 from .search import VerifyResult
 
 
@@ -92,7 +92,7 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     each kink is adjacent when it is peeled and that the diagram ends
     empty."""
     require_knot(d, "one-overbridge test")
-    [tokens] = component_tokens(d)
+    [tokens] = d.tokens
     initial = format_tokens([tokens])
     n_chords = d.n_chords
     if n_chords == 0:
@@ -143,24 +143,22 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         if not isinstance(move, WeldedMove):
             return VerifyResult(False, idx)
         if move.kind == "swap":
-            at = move.at
-            if not isinstance(at, (tuple, list)) or len(at) != 2:
+            at = move.at  # two int positions; True is an int instance, not of type int
+            if not (isinstance(at, (tuple, list)) and len(at) == 2 and type(at[0]) is type(at[1]) is int):
                 return VerifyResult(False, idx)
             i, j = at
-            if not (isinstance(i, int) and isinstance(j, int)):
-                return VerifyResult(False, idx)
-            if not (0 <= i < length and j == (i + 1) % length):
-                return VerifyResult(False, idx)
-            if tokens[i][0] != TAIL or tokens[j][0] != TAIL:
+            if not (0 <= i < length and j == (i + 1) % length) or tokens[i][0] != TAIL or tokens[j][0] != TAIL:
                 return VerifyResult(False, idx)
             tokens[i], tokens[j] = tokens[j], tokens[i]
         elif move.kind == "r1":
             # a chord's two tokens, found by value: O(T) in C, not in Python
+            if type(move.chord) is not int:  # True would look up chord 1
+                return VerifyResult(False, idx)
             try:
-                sign = d.chord(move.chord).sign
+                sign = d.signs[move.chord]
                 p = tokens.index((TAIL, move.chord, sign))
                 q = tokens.index((HEAD, move.chord, sign))
-            except (KeyError, TypeError, ValueError):  # unknown, unhashable or peeled chord
+            except (KeyError, ValueError):  # unknown or peeled chord
                 return VerifyResult(False, idx)
             if (p - q) % length not in (1, length - 1):
                 return VerifyResult(False, idx)

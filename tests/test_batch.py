@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from vbridge import batch, search
+from vbridge import batch, parity, search
 from vbridge.batch import (
     CSV_COLUMNS,
     PipelineConfig,
@@ -22,7 +22,7 @@ from vbridge.batch import (
     write_results,
 )
 from vbridge.errors import SearchExhaustedError
-from vbridge.gauss import ensure_tail_per_component, is_cut_split, parse_gauss_code, strand_table, to_gauss_code
+from vbridge.gauss import GaussDiagram, ensure_tail_per_component, is_cut_split, parse_gauss_code, strand_table, to_gauss_code
 from vbridge.quandle import dihedral_quandle, trivial_quandle, validate_quandle
 from vbridge.search import (
     ColoringSequence,
@@ -141,7 +141,7 @@ class TestPipeline:
                 assert r.ideal_lb <= r.omega_d
 
     def test_bounds_agree_with_direct_calls(self, records):
-        from vbridge.gauss import ensure_tail_per_component, parse_gauss_code
+        from vbridge.gauss import GaussDiagram, ensure_tail_per_component, parse_gauss_code
         from vbridge.parity import parity_lower_bound
 
         entries, _ = ingest_table(DATA)
@@ -222,8 +222,6 @@ class TestPipeline:
         assert any(r.parity_lb == 2 for r in knots)
 
     def test_parity_reuses_the_ideal_bound_of_an_even_knot(self, monkeypatch):
-        from vbridge import parity
-
         real = batch.ideal_lower_bound
         calls = []
 
@@ -366,6 +364,35 @@ class TestPipeline:
             recs = run_pipeline(entries, PipelineConfig(jobs=jobs))
             assert [r.name for r in recs] == [e.name for e in entries]
 
+
+
+class TestNoRecordViews:
+    def test_analyze_builds_no_endpoint_or_chord_view(self, monkeypatch):
+        # the pipeline reads tokens, sign maps and strand tables alone: a
+        # components, chords or chord(id) view built anywhere on the way
+        # would call _build_views.  The sample table projects no knot, so
+        # seeded random knots add parity projections that are ranked
+        def fail(d):
+            raise AssertionError(f"a view of {d!r} was built")
+
+        projected = []
+        project = parity._project
+        monkeypatch.setattr(GaussDiagram, "_build_views", fail)
+        monkeypatch.setattr(parity, "_project", lambda d, bits: projected.append(d) or project(d, bits))
+        entries, _ = ingest_table(DATA)
+        rng = random.Random(3303)
+        codes = [e.code for e in entries] + [to_gauss_code(random_knot(rng, max_chords=9)) for _ in range(40)]
+        cfg = PipelineConfig(quandles=(dihedral_quandle(3),), certificates=True)
+        assert cfg.analyses == batch.ALL_ANALYSES
+        ran = set()
+        for code in codes:
+            d = ensure_tail_per_component(parse_gauss_code(code))
+            rec = batch.analyze(d, cfg, ResultRecord(code))
+            assert d._views is None, code
+            assert rec.quandle_counts
+            analyses = {"ideal": rec.ideal_lb, "parity": rec.parity_lb, "welded": rec.welded_unknot}
+            ran |= {name for name, value in analyses.items() if value is not None}
+        assert ran == {"ideal", "parity", "welded"} and projected
 
 
 class TestInvariantStatus:

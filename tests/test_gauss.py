@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import inspect
 import itertools
 import random
 import re
@@ -32,11 +32,19 @@ from vbridge.gauss import (
     strand_table,
     to_gauss_code,
 )
+from vbridge.parity import gaussian_parity, parity_projection
 from vbridge.search import wirtinger_number
 from conftest import D6_CODE
 from util import (
+    assert_same_diagram,
     assert_same_records,
     chord_index_strand_table,
+    endpoint_bridge_count,
+    endpoint_ensure_tail_per_component,
+    endpoint_from_tokens,
+    endpoint_gaussian_parity,
+    endpoint_parity_projection,
+    endpoint_strand_table,
     enumerate_knot_codes,
     named_tuple_from_tokens,
     oracle_from_tokens,
@@ -147,8 +155,11 @@ class TestRecords:
         a, b = parse_gauss_code(D6_CODE), parse_gauss_code(D6_CODE)
         strand_table(a)
         a.chord(1)
-        assert [f.name for f in dataclasses.fields(GaussDiagram)] == ["components", "chords"]
+        assert list(inspect.signature(GaussDiagram).parameters) == ["tokens", "signs"]
+        assert repr(a) == f"GaussDiagram({a.tokens!r}, {a.signs!r})"
+        assert eval(repr(a), {"GaussDiagram": GaussDiagram}) == a
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a == GaussDiagram(b.tokens, b.signs) and hash(a) == hash(b.tokens)
         assert a.chord(1) is a.chords[0]
 
 
@@ -157,10 +168,10 @@ def assert_matches_oracle(code: str) -> GaussDiagram:
     record types included; returns the diagram."""
     tokens = _tokenize(code)
     assert tokens == oracle_tokenize(code), code
-    d = from_tokens(tokens)
-    assert d == oracle_from_tokens(tokens), code
+    d, expected = from_tokens(tokens), oracle_from_tokens(tokens)
+    assert_same_diagram(d, expected)
     table = _build_strand_table(d)
-    assert table == oracle_strand_table(d), code
+    assert table == oracle_strand_table(expected), code
     assert all(type(e) is Endpoint for comp in d.components for e in comp)
     assert all(type(s) is Strand for s in table.strands)
     assert all(type(i) is HeadIncidence for i in table.incidences)
@@ -286,19 +297,17 @@ class TestMalformedInputOracle:
 
 class TestTupleRecordsOracle:
     """Records built with tuple.__new__, and strand tables reading signs
-    from the chords, against the former builders that called each named
+    from the sign map, against the former builders that called each named
     tuple's own __new__ and read signs through GaussDiagram.chord."""
 
     @staticmethod
     def _check(code: str) -> GaussDiagram:
         tokens = _tokenize(code)
         d, expected = from_tokens(tokens), named_tuple_from_tokens(tokens)
-        assert_same_records(d.components, expected.components)
-        assert_same_records(d.chords, expected.chords)
-        assert d == expected
         table = _build_strand_table(d)
+        assert d._views is None  # no chord or endpoint built for the table
         assert_same_records(table, chord_index_strand_table(expected))
-        assert d._chord_index is None  # no chord index built for the table
+        assert_same_diagram(d, expected)
         return d
 
     def test_every_code_up_to_three_chords_every_sign(self):
@@ -338,6 +347,96 @@ class TestTupleRecordsOracle:
         expected = _failure(named_tuple_from_tokens, tokens)
         assert expected is not None
         assert _failure(from_tokens, tokens) == expected
+
+
+def assert_matches_endpoint_oracle(tokens) -> GaussDiagram:
+    """The diagram of ``tokens``, its strand table, bridge count, R1
+    normalization, Gaussian parity and parity projection equal those of
+    the endpoint-building code it replaced, and none of them builds an
+    endpoint or chord view; then its views equal the oracle's records.
+    Components and tokens given as tuples or lists give one diagram.
+    Returns it."""
+    d, expected = from_tokens(tokens), endpoint_from_tokens(tokens)
+    assert_same_records(strand_table(d), endpoint_strand_table(expected))
+    assert bridge_count(d) == endpoint_bridge_count(expected)
+    normalized = ensure_tail_per_component(d)
+    knot = d.n_components == 1
+    if knot:
+        parity = gaussian_parity(d)
+        assert list(parity.items()) == list(endpoint_gaussian_parity(expected).items())
+        assert list(parity) == sorted(d.signs)  # ascending by chord id
+        projection = parity_projection(d)
+    assert d._views is None and normalized._views is None
+    assert_same_diagram(normalized, endpoint_ensure_tail_per_component(expected))
+    if knot:
+        assert_same_diagram(projection, endpoint_parity_projection(expected))
+    assert_same_diagram(d, expected)
+    for given in (tuple(tuple(comp) for comp in tokens), [[list(t) for t in comp] for comp in tokens]):
+        same = from_tokens(given)
+        assert (same, repr(same), hash(same)) == (d, repr(d), hash(d))
+    return d
+
+
+class TestTokenDiagramOracle:
+    """The diagram that holds its tokens and a sign map, and everything
+    that reads them, against the endpoint-building parser, strand table,
+    bridge count, R1 normalization, parity and projection it replaced
+    (kept in tests/util.py)."""
+
+    def test_every_knot_code_up_to_four_chords_every_sign(self):
+        checked = 0
+        for n in range(5):
+            for code in enumerate_knot_codes(n):
+                for signs in itertools.product("+-", repeat=n):
+                    assert_matches_endpoint_oracle(_tokenize(with_signs(code, signs)))
+                    checked += 1
+        assert checked == 1 + 2 * 2 + 12 * 4 + 120 * 8 + 1680 * 16
+
+    def test_seeded_random_knots_up_to_forty_chords(self):
+        rng = random.Random(3301)
+        for _ in range(300):
+            assert_matches_endpoint_oracle(_tokenize(random_diagram_code(rng, max_chords=40, max_components=1)))
+
+    def test_seeded_random_links_up_to_thirty_two_chords(self):
+        rng = random.Random(3302)
+        sizes = set()
+        for _ in range(300):
+            code = random_diagram_code(rng, max_chords=32, max_components=3, min_components=2)
+            sizes.add(assert_matches_endpoint_oracle(_tokenize(code)).n_components)
+        assert sizes == {2, 3}
+
+    def test_tailless_components(self):
+        for code in [".", ".|.", "O1+|U1+", "O1-O2+|U2+U1-|.", "U1+U2-|O2-O1+"]:
+            assert_matches_endpoint_oracle(_tokenize(code))
+
+    @pytest.mark.parametrize("code", [code for code, _ in TestMalformedInputOracle.CASES])
+    def test_malformed_codes_fail_as_before(self, code):
+        expected = _failure(lambda text: endpoint_from_tokens(_tokenize(text)), code)
+        assert expected is not None
+        assert _failure(parse_gauss_code, code) == expected
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            [[("O", 1, 1), ("O", 0, 1)], [("U", -5, 1)]],
+            [[("U", -5, 1)], [("O", 0, 1)]],
+            [[("O", 3, 1), ("U", 3, -1), ("O", -1, 1)]],
+            [[("O", 1, 1), ("U", 1, 1), ("X", 2, 1), ("U", 2, 1)]],
+            [[("O", 1, 1)], [("U", 1, 1)], [("O", 1, 1)]],
+            [[("O", 2, 1), ("U", 2, -1), ("O", 1, 1), ("O", 1, 1)]],
+            [[("O", 1, 1), ("U", 1, -1), ("O", 2, 1), ("O", 2, 1)]],
+            [[("O", 1, 1), ("O", 1, -1)]],
+            [[("O", 1, 1), ("U", 1, 1), ("U", 1, 1)]],
+            [[("O", 1, 1), ("U", 2, 1)], [("U", 1, 1), ("O", 2, -1)]],
+        ],
+    )
+    def test_malformed_token_lists_fail_as_before(self, tokens):
+        expected = _failure(endpoint_from_tokens, tokens)
+        assert expected is not None
+        assert _failure(from_tokens, tokens) == expected
+        assert _failure(from_tokens, tuple(tuple(comp) for comp in tokens)) == expected
+        assert _failure(from_tokens, [[list(t) for t in comp] for comp in tokens]) == expected
 
 
 class TestStrands:

@@ -505,7 +505,7 @@ class TestAlexanderCore:
 
     def test_trefoil_core(self, d3):
         core = alexander_core(d3)
-        assert (core.n_rows, core.n_cols) == (2, 2)
+        assert (len(core.rows), core.n_cols) == (2, 2)
         assert not any(p.is_unit for row in core.rows for p in row)
         # E_1 of the core is the Alexander polynomial's ideal, as before
         assert [str(g) for g in elementary_ideal_generators(core, 1)] == ["1*t^2-1*t^1+1*t^0"]
@@ -526,7 +526,7 @@ class TestAlexanderCore:
         assert alexander_matrix(circle).n_cols == 1
         d = parse_gauss_code("O1+U1+|.")
         core = alexander_core(d)
-        assert (core.n_rows, core.n_cols) == (1, 2)
+        assert (len(core.rows), core.n_cols) == (1, 2)
         assert core == dense_alexander_core(laurent_alexander_matrix(d))
 
     def test_every_row_sums_to_zero(self):

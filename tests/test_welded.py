@@ -310,6 +310,23 @@ class TestReplayRejections:
             r = replay_certificate(cert)
             assert not r and r.failed_at == 0, at
 
+    def test_bool_positions_and_chords_fail_at_their_own_index(self, dv):
+        # True == 1 and False == 0, so compared by value these moves would
+        # read as the certificate's own swap (0, 1) and r1 of chord 1
+        cert = self._cert(dv)
+        assert cert.moves[:2] == (WeldedMove("swap", at=(0, 1)), WeldedMove("r1", chord=1))
+        for i, move in [
+            (0, WeldedMove("swap", at=(False, True))),
+            (0, WeldedMove("swap", at=(True, 2))),
+            (1, WeldedMove("r1", chord=True)),
+        ]:
+            moves = cert.moves[:i] + (move,) + cert.moves[i + 1 :]
+            r = replay_certificate(cert._replace(moves=moves))
+            assert not r and r.failed_at == i, move
+        # positions 1 and 2 hold two arrowtails here, so only the type fails
+        r = replay_certificate(UnknottingCertificate("O1+O2+O3+U1+U2+U3+", (WeldedMove("swap", at=(True, 2)),), "."))
+        assert not r and r.failed_at == 0
+
     def test_move_that_is_no_welded_move(self):
         for move in ({"kind": "r1", "chord": 1}, ("r1", None, 1), None):
             r = replay_certificate(UnknottingCertificate("O1+U1+", (move,), "."))

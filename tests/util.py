@@ -35,7 +35,15 @@ The token-by-token tokenizer, the two-pass diagram builder, the
 position-walking strand table and the pairwise Gaussian parity are the
 former library code, kept verbatim to check that the one-pass
 replacements build equal diagrams, tables and parities and raise the same
-errors with the same messages.  The Sylvester-determinant resultant
+errors with the same messages.  The ``endpoint_`` parser, strand table,
+bridge count, R1 normalization, Gaussian parity and parity projection are
+the former library code, which built an ``Endpoint`` per token and a
+``Chord`` per label and read those, kept verbatim to check that the
+diagram holding its tokens gives the same records, tables, counts and
+errors.  Every diagram builder here returns an ``EndpointDiagram``, the
+``(components, chords)`` pair the library's ``GaussDiagram`` held before
+it held tokens, which ``assert_same_diagram`` compares with a diagram's
+tokens, sign map and views.  The Sylvester-determinant resultant
 checks the subresultant sequence.  The gcd-scan properness certificate and
 the token round-trip parity projection are the former library code, kept
 verbatim to check that the resultant-filtered root scan finds the same
@@ -105,6 +113,7 @@ from vbridge.gauss import (
     HeadIncidence,
     Strand,
     StrandTable,
+    _new,
     component_tokens,
     from_tokens,
     parse_gauss_code,
@@ -313,7 +322,36 @@ def oracle_tokenize(text: str) -> list[list[tuple[str, int, int]]]:
     return out
 
 
-def oracle_from_tokens(component_tokens) -> GaussDiagram:
+class EndpointDiagram(NamedTuple):
+    """A diagram as the library held it before it held its tokens: cyclic
+    endpoint sequences, and the chords ascending by id.  The endpoint
+    oracles build and read it."""
+
+    components: tuple[tuple[Endpoint, ...], ...]
+    chords: tuple[Chord, ...]
+
+    @property
+    def n_components(self) -> int:
+        return len(self.components)
+
+    def chord(self, chord_id: int) -> Chord:
+        return next(c for c in self.chords if c.id == chord_id)
+
+
+def assert_same_diagram(d: GaussDiagram, expected: EndpointDiagram) -> None:
+    """``d`` holds the tokens of ``expected`` and its signs, in the code
+    order of the arrowtails, and its views are the records of
+    ``expected``, record types included."""
+    sign = {c.id: c.sign for c in expected.chords}
+    tokens = tuple(tuple((e.kind, e.chord_id, sign[e.chord_id]) for e in comp) for comp in expected.components)
+    tails = [e.chord_id for comp in expected.components for e in comp if e.kind == TAIL]
+    assert d.tokens == tokens and list(d.signs.items()) == [(label, sign[label]) for label in tails]
+    assert_same_records(d.components, expected.components)
+    assert_same_records(d.chords, expected.chords)
+    assert all(d.chord(c.id) is c for c in d.chords)
+
+
+def oracle_from_tokens(component_tokens) -> EndpointDiagram:
     """The diagram of per-component tokens: endpoints first, then every
     label checked in a second pass by sorting the kinds of its ends."""
     if not component_tokens:
@@ -340,14 +378,14 @@ def oracle_from_tokens(component_tokens) -> GaussDiagram:
             raise SignMismatchError(f"chord {label} carries both signs")
         tail, head = (first, second) if first.kind == TAIL else (second, first)
         chords.append(Chord(label, sign, tail, head))
-    return GaussDiagram(components, tuple(chords))
+    return EndpointDiagram(components, tuple(chords))
 
 
-def oracle_parse(text: str) -> GaussDiagram:
+def oracle_parse(text: str) -> EndpointDiagram:
     return oracle_from_tokens(oracle_tokenize(text))
 
 
-def oracle_strand_table(d: GaussDiagram) -> StrandTable:
+def oracle_strand_table(d: EndpointDiagram) -> StrandTable:
     """Strand table from a walk over every position of every strand."""
     strands: list[Strand] = []
     pos_to_strand: list[list[int]] = []
@@ -743,7 +781,7 @@ def elementary_ideal_generators(
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < {n}, got {k}")
     size = n - k
-    if size > a.n_rows:
+    if size > len(a.rows):
         return []
     seen = {}
     for minor in laurent_minor_determinants(a, size, deadline):
@@ -958,7 +996,7 @@ def laurent_minor_determinants(
         return total
 
     out = []
-    for rows in itertools.combinations(range(a.n_rows), size):
+    for rows in itertools.combinations(range(len(a.rows)), size):
         for cols in itertools.combinations(range(a.n_cols), size):
             out.append(det(rows, cols))
     return out
@@ -1349,7 +1387,7 @@ def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         length = len(tokens)
         if move.kind == "swap":
             at = move.at if isinstance(move.at, (tuple, list)) else ()
-            if len(at) != 2 or not all(isinstance(i, int) for i in at):
+            if len(at) != 2 or not all(type(i) is int for i in at):
                 return VerifyResult(False, idx)
             i, j = at
             if not (0 <= i < length and j == (i + 1) % length):
@@ -1358,6 +1396,8 @@ def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
                 return VerifyResult(False, idx)
             tokens[i], tokens[j] = tokens[j], tokens[i]
         elif move.kind == "r1":
+            if type(move.chord) is not int:
+                return VerifyResult(False, idx)
             pos = [p for p, t in enumerate(tokens) if t[1] == move.chord]
             if len(pos) != 2:
                 return VerifyResult(False, idx)
@@ -1430,7 +1470,7 @@ def assert_same_records(a, b) -> None:
         assert a == b, (a, b)
 
 
-def named_tuple_from_tokens(component_tokens) -> GaussDiagram:
+def named_tuple_from_tokens(component_tokens) -> EndpointDiagram:
     """Build a validated diagram from per-component token lists; an empty
     list is a chordless circle.  Raises the errors of parse_gauss_code:
     a label below 1 first, in code order; then, by ascending label, an
@@ -1464,10 +1504,10 @@ def named_tuple_from_tokens(component_tokens) -> GaussDiagram:
             raise SignMismatchError(f"chord {label} carries both signs")
         tail, head = (first, second) if first.kind == TAIL else (second, first)
         chords.append(Chord(label, sign, tail, head))
-    return GaussDiagram(tuple(components), tuple(chords))
+    return EndpointDiagram(tuple(components), tuple(chords))
 
 
-def chord_index_strand_table(d: GaussDiagram) -> StrandTable:
+def chord_index_strand_table(d: EndpointDiagram) -> StrandTable:
     """One walk per component: the tails between consecutive heads form a
     strand, and each chord id maps to the strand carrying its tail."""
     strands: list[Strand] = []
@@ -1504,6 +1544,130 @@ def chord_index_strand_table(d: GaussDiagram) -> StrandTable:
         ]
     )
     return StrandTable(tuple(strands), incidences)
+
+
+def endpoint_from_tokens(component_tokens) -> EndpointDiagram:
+    """Build a validated diagram from per-component token lists; an empty
+    list is a chordless circle.  Raises the errors of parse_gauss_code:
+    a label below 1 first, in code order; then, by ascending label, an
+    unbalanced chord before a sign mismatch."""
+    if not component_tokens:
+        raise EmptyInputError("no components in Gauss code")
+    components = []
+    ends: dict[int, list] = {}  # label -> [endpoint, sign, ...] in code order
+    for ci, tokens in enumerate(component_tokens):
+        comp = []
+        for pos, (kind, label, sign) in enumerate(tokens):
+            if label < 1:
+                raise GaussSyntaxError(f"chord label must be positive, got {label}")
+            e = _new(Endpoint, (kind, label, ci, pos))
+            comp.append(e)
+            seen = ends.get(label)
+            if seen is None:
+                ends[label] = [e, sign]
+            else:
+                seen += (e, sign)
+        components.append(tuple(comp))
+
+    chords = []
+    for label, seen in sorted(ends.items()):
+        if len(seen) != 4 or {seen[0].kind, seen[2].kind} != {TAIL, HEAD}:
+            raise UnbalancedChordError(
+                f"chord {label} must appear exactly once as O and once as U"
+            )
+        first, sign, second, other_sign = seen
+        if sign != other_sign:
+            raise SignMismatchError(f"chord {label} carries both signs")
+        tail, head = (first, second) if first.kind == TAIL else (second, first)
+        chords.append(_new(Chord, (label, sign, tail, head)))
+    return EndpointDiagram(tuple(components), tuple(chords))
+
+
+def endpoint_strand_table(d: EndpointDiagram) -> StrandTable:
+    """One walk per component: the tails between consecutive heads form a
+    strand, and each chord id maps to the strand carrying its tail."""
+    strands: list[Strand] = []
+    tail_strand: dict[int, int] = {}  # chord id -> strand carrying its arrowtail
+    heads: list[tuple[int, int, int]] = []  # (chord, before, after)
+
+    for ci, comp in enumerate(d.components):
+        ids = tuple([e.chord_id for e in comp])
+        head_positions = [e.position for e in comp if e.kind == HEAD]
+        base = len(strands)
+        if not head_positions:
+            strands.append(_new(Strand, (base, ci, ids)))
+            for cid in ids:
+                tail_strand[cid] = base
+            continue
+        m = len(head_positions)
+        last = len(comp) - 1
+        prev = head_positions[-1]
+        for j, hp in enumerate(head_positions):
+            start = prev + 1 if prev < last else 0
+            tails = ids[start:hp] if start <= hp else ids[start:] + ids[:hp]
+            sid = base + j
+            for cid in tails:
+                tail_strand[cid] = sid
+            strands.append(_new(Strand, (sid, ci, tails)))
+            heads.append((ids[hp], sid, base + (j + 1) % m))
+            prev = hp
+
+    sign = {c.id: c.sign for c in d.chords}
+    incidences = tuple(
+        [
+            _new(HeadIncidence, (cid, before, after, tail_strand[cid], sign[cid]))
+            for cid, before, after in heads
+        ]
+    )
+    return StrandTable(tuple(strands), incidences)
+
+
+def endpoint_bridge_count(d: EndpointDiagram) -> int:
+    """Number of overbridges: tail-bearing strands plus one per component
+    without an arrowtail, chordless circles included (each counts the R1
+    kink ensure_tail_per_component would add)."""
+    tail_strands = sum(1 for s in endpoint_strand_table(d).strands if s.tails)
+    return tail_strands + sum(1 for comp in d.components if all(e.kind != TAIL for e in comp))
+
+
+def endpoint_ensure_tail_per_component(d: EndpointDiagram) -> EndpointDiagram:
+    """Insert an R1 kink (fresh chord, tail then head) on every component
+    that carries no arrowtail, chordless circles included."""
+    if all(any(e.kind == TAIL for e in comp) for comp in d.components):
+        return d
+    tokens = [[(e.kind, e.chord_id, d.chord(e.chord_id).sign) for e in comp] for comp in d.components]
+    label = max((c.id for c in d.chords), default=0)
+    for comp in tokens:
+        if not any(kind == TAIL for kind, _, _ in comp):
+            label += 1
+            comp[:0] = [(TAIL, label, 1), (HEAD, label, 1)]
+    return endpoint_from_tokens(tokens)
+
+
+def endpoint_gaussian_parity(d: EndpointDiagram) -> dict[int, int]:
+    """Chord id -> parity bit: the span length between the chord's ends."""
+    require_knot(d, "Gaussian parity")
+    return {c.id: (abs(c.head.position - c.tail.position) - 1) % 2 for c in d.chords}
+
+
+def endpoint_parity_projection(d: EndpointDiagram) -> EndpointDiagram:
+    """Delete every odd chord: the kept endpoints renumbered in order and
+    their chords rebuilt."""
+    parity = endpoint_gaussian_parity(d)
+    if not any(parity.values()):
+        return d
+    kept = {}  # old position -> endpoint renumbered in the projection
+    for e in d.components[0]:
+        if not parity[e.chord_id]:
+            kept[e.position] = _new(Endpoint, (e.kind, e.chord_id, 0, len(kept)))
+    chords = tuple(
+        [
+            _new(Chord, (c.id, c.sign, kept[c.tail.position], kept[c.head.position]))
+            for c in d.chords
+            if not parity[c.id]
+        ]
+    )
+    return EndpointDiagram((tuple(kept.values()),), chords)
 
 
 def replacing_relabel(
