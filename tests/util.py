@@ -47,7 +47,7 @@ tokens, sign map and views.  The Sylvester-determinant resultant
 checks the subresultant sequence.  The gcd-scan properness certificate and
 the token round-trip parity projection are the former library code, kept
 verbatim to check that the resultant-filtered root scan finds the same
-witnesses and that the projection built from endpoints is the same
+witnesses and that the projection built from kept tokens is the same
 diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
 is the former library builder, reading each head incidence where it read
 that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
