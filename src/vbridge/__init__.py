@@ -26,9 +26,7 @@ from .errors import (
     VbridgeError,
 )
 from .gauss import (
-    Chord,
     CutSplitWitness,
-    Endpoint,
     GaussDiagram,
     HeadIncidence,
     Strand,
@@ -91,9 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # gauss
-    "Chord",
     "CutSplitWitness",
-    "Endpoint",
     "GaussDiagram",
     "HeadIncidence",
     "Strand",

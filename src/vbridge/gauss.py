@@ -13,24 +13,21 @@ may join two different components.
 
 This module owns the token codec and the strand table.  A diagram is its
 tokens: ``GaussDiagram`` holds a tuple of ``(kind, label, sign)`` tokens per
-component and each chord label's sign.  ``parse_gauss_code`` tokenizes a
-code and ``from_tokens`` validates tokens into a diagram; ``component_tokens``
-is its inverse.  ``format_tokens``, the only formatter, writes a diagram's
-tokens for ``to_gauss_code`` and the token list ``welded`` walks.  The
-strand table, bridge count, R1 normalization, parity projection and welded
-replay read tokens and signs; the ``Endpoint`` and ``Chord`` records are
-views, which the batch pipeline never asks for.  Views and strand table
-are built once per diagram, on first use, and freed with it.
+component and each chord label's sign; every stage reads those or the
+strand table, built once per diagram on first use and freed with it.
+``parse_gauss_code`` tokenizes a code and ``from_tokens`` validates tokens
+into a diagram, so ``from_tokens(d.tokens) == d``.  ``format_tokens``, the
+only formatter, writes tokens for ``to_gauss_code`` and for ``welded``.
 
 Each stage is one pass: a component is read with one ``findall``, whose
 tokens must cover it, and a token text seen before with one cache lookup;
 ``from_tokens`` compares the label -> sign maps of the arrowtails and the
-arrowheads, and walks the tokens one by one only to report the first fault;
-the strand table slices each component's tails between consecutive heads.
-Records (``Strand``, ``HeadIncidence``, ``Endpoint``, ``Chord``) are named
-tuples made with ``tuple.__new__`` from their field values, which skips the
-generated Python ``__new__``: 145 ns a record against 306 ns (timeit,
-Python 3.11).
+arrowheads, checks the types of their keys and values (ints and signs +-1
+by the grammar in a parse), and walks the tokens one by one only to report
+the first fault; the strand table slices each component's tails between
+consecutive heads.  Its records are named tuples made with ``tuple.__new__``
+from their field values, which skips the generated Python ``__new__``:
+145 ns a record against 306 ns (timeit, Python 3.11).
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ HEAD = "U"
 
 _TOKEN = re.compile(r"[OU][0-9]+[+-]")
 _SIGN = {"+": 1, "-": -1}
+_SIGNS = {1, -1}
 
 Token = tuple[str, int, int]  # (kind, chord label, sign)
 _kind = itemgetter(0)
@@ -56,34 +54,18 @@ _label = itemgetter(1)
 _new = tuple.__new__  # a named tuple from its field values, in order
 
 
-class Endpoint(NamedTuple):
-    """One passage of a chord through a circle component."""
-
-    kind: str  # TAIL ("O") or HEAD ("U")
-    chord_id: int
-    component: int
-    position: int
-
-
-class Chord(NamedTuple):
-    id: int
-    sign: int
-    tail: Endpoint
-    head: Endpoint
-
-
 class GaussDiagram:
     """A tuple of ``(kind, label, sign)`` tokens per component, and
     ``signs``, chord label -> sign in the code order of the arrowtails.
     The constructor takes both as given; ``from_tokens`` validates.
     Equality and hash read the tokens, which fix the signs.  Treat it as
-    immutable: the strand table and the views are kept on the instance."""
+    immutable: the strand table is kept on the instance."""
 
-    __slots__ = ("tokens", "signs", "_strand_table", "_views", "__weakref__")
+    __slots__ = ("tokens", "signs", "_strand_table", "__weakref__")
 
     def __init__(self, tokens: tuple[tuple[Token, ...], ...], signs: dict[int, int]):
         self.tokens, self.signs = tokens, signs
-        self._strand_table = self._views = None  # views: (components, chords, chord id -> chord)
+        self._strand_table = None
 
     def __eq__(self, other):
         return self.tokens == other.tokens if other.__class__ is self.__class__ else NotImplemented
@@ -101,29 +83,6 @@ class GaussDiagram:
     @property
     def n_chords(self) -> int:
         return len(self.signs)
-
-    @property
-    def components(self) -> tuple[tuple[Endpoint, ...], ...]:
-        """Cyclic endpoint sequences, one per component."""
-        return (self._views or self._build_views())[0]
-
-    @property
-    def chords(self) -> tuple[Chord, ...]:
-        """The chords, ascending by id; each ends at endpoints of ``components``."""
-        return (self._views or self._build_views())[1]
-
-    def chord(self, chord_id: int) -> Chord:
-        return (self._views or self._build_views())[2][chord_id]
-
-    def _build_views(self):
-        ends: dict[int, list] = {}  # label -> [tail, head]
-        for ci, comp in enumerate(self.tokens):
-            for pos, (kind, label, _) in enumerate(comp):
-                ends.setdefault(label, [None, None])[kind == HEAD] = _new(Endpoint, (kind, label, ci, pos))
-        components = tuple(tuple([ends[label][kind == HEAD] for kind, label, _ in comp]) for comp in self.tokens)
-        index = {label: _new(Chord, (label, self.signs[label], *ends[label])) for label in sorted(self.signs)}
-        self._views = views = (components, tuple(index.values()), index)
-        return views
 
 
 class Strand(NamedTuple):
@@ -167,7 +126,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     Raises EmptyInputError, GaussSyntaxError, UnbalancedChordError or
     SignMismatchError on invalid input.
     """
-    return from_tokens(_tokenize(text))
+    return _validated(_tokenize(text), typed=True)  # the grammar reads int labels and signs +-1
 
 
 def _tokenize(text: str) -> list[list[Token]]:
@@ -203,24 +162,42 @@ def _bad_token(comp_text: str) -> str:
     return comp_text[pos:pos + 8]
 
 
-def from_tokens(component_tokens: Sequence[Sequence[Token]]) -> GaussDiagram:
+def from_tokens(token_lists: Sequence[Sequence[Token]]) -> GaussDiagram:
     """Build a validated diagram from per-component token sequences, each
     token a tuple or a list; an empty one is a chordless circle.  Raises the
-    errors of parse_gauss_code: a label below 1 first, in code order; then,
-    by ascending label, an unbalanced chord before a sign mismatch."""
-    if not component_tokens:
+    errors of parse_gauss_code: a label that is no int or a sign other than
+    1 or -1 first, then a label below 1, each in code order; then, by
+    ascending label, an unbalanced chord before a sign mismatch."""
+    return _validated(token_lists, typed=False)
+
+
+def _validated(token_lists: Sequence[Sequence[Token]], typed: bool) -> GaussDiagram:
+    """from_tokens, checking label and sign types unless ``typed``."""
+    if not token_lists:
         raise EmptyInputError("no components in Gauss code")
-    tokens = tuple([tuple(map(tuple, comp)) for comp in component_tokens])
+    tokens = tuple([tuple(map(tuple, comp)) for comp in token_lists])
     signs = {label: sign for comp in tokens for kind, label, sign in comp if kind == TAIL}
     heads = {label: sign for comp in tokens for kind, label, sign in comp if kind == HEAD}
-    # valid iff each label has one tail and one head, of one sign, and is positive
-    if sum(map(len, tokens)) != 2 * len(signs) or signs != heads or min(signs, default=1) < 1:
+    # valid iff each label has one tail and one head, of one sign, and is
+    # positive; the maps then hold each label and sign once, so theirs are
+    # the types to check: ints, and signs +-1
+    typed = typed or (
+        {int}.issuperset(map(type, [*signs, *heads, *signs.values(), *heads.values()]))
+        and _SIGNS.issuperset(signs.values())
+    )
+    if not typed or sum(map(len, tokens)) != 2 * len(signs) or signs != heads or min(signs, default=1) < 1:
         _raise_first_fault(tokens)
     return GaussDiagram(tokens, signs)
 
 
 def _raise_first_fault(tokens: Sequence[Sequence[Token]]) -> None:
     """Raise the error from_tokens reports for invalid tokens."""
+    for comp in tokens:
+        for _, label, sign in comp:
+            if type(label) is not int:
+                raise GaussSyntaxError(f"chord label must be an int, got {label!r}")
+            if type(sign) is not int or sign not in _SIGNS:
+                raise GaussSyntaxError(f"chord sign must be 1 or -1, got {sign!r}")
     ends: dict[int, list] = {}  # label -> [kind, sign, ...] in code order
     for comp in tokens:
         for kind, label, sign in comp:
@@ -234,22 +211,16 @@ def _raise_first_fault(tokens: Sequence[Sequence[Token]]) -> None:
             raise SignMismatchError(f"chord {label} carries both signs")
 
 
-def component_tokens(d: GaussDiagram) -> list[list[Token]]:
-    """Per-component token lists, copies of the stored tuples;
-    from_tokens(component_tokens(d)) == d."""
-    return [list(comp) for comp in d.tokens]
-
-
 def to_gauss_code(d: GaussDiagram) -> str:
     """Serialize with no whitespace; parse(to_gauss_code(d)) == d."""
     return format_tokens(d.tokens)
 
 
-def format_tokens(component_tokens: Sequence[Sequence[Token]]) -> str:
+def format_tokens(token_lists: Sequence[Sequence[Token]]) -> str:
     """The code of per-component token lists, as to_gauss_code writes it."""
     return "|".join(
         "".join(f"{kind}{label}{'+' if sign > 0 else '-'}" for kind, label, sign in tokens) or "."
-        for tokens in component_tokens
+        for tokens in token_lists
     )
 
 
@@ -331,7 +302,7 @@ def ensure_tail_per_component(d: GaussDiagram) -> GaussDiagram:
     that carries no arrowtail, chordless circles included."""
     if all(TAIL in map(_kind, comp) for comp in d.tokens):
         return d
-    tokens = component_tokens(d)
+    tokens = [list(comp) for comp in d.tokens]
     label = max(d.signs, default=0)
     for comp in tokens:
         if TAIL not in map(_kind, comp):

@@ -271,11 +271,9 @@ def apply_coloring_moves(d: GaussDiagram, seeds: Iterable[int]) -> ColoringSeque
     """
     table = strand_table(d)
     n = table.n_strands
-    seed_list = sorted(set(int(s) for s in seeds))
+    seed_list = _seed_strands(seeds, n)
     if not seed_list:
         raise ValueError("need at least one seed strand")
-    if seed_list[0] < 0 or seed_list[-1] >= n:
-        raise ValueError(f"seed strand out of range 0..{n - 1}")
 
     colored = [False] * n
     entries = [SequenceEntry(s, None) for s in seed_list]
@@ -326,12 +324,22 @@ def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
     table = strand_table(d)
     n = table.n_strands
     x = [0] * n
-    for s in map(int, seeds):
-        if not 0 <= s < n:
-            raise ValueError(f"seed strand out of range 0..{n - 1}")
+    for s in _seed_strands(seeds, n):
         x[s] = 1
     _saturate_batch(_moves(table), x)
     return frozenset(s for s in range(n) if x[s])
+
+
+def _seed_strands(seeds: Iterable[int], n: int) -> list[int]:
+    """The seed strands ascending, once each; ValueError unless each is an integer in 0..n-1."""
+    seeds = list(seeds)
+    try:
+        seed_list = sorted(set(map(operator.index, seeds)))
+    except TypeError:
+        raise ValueError(f"seed strands must be integers, got {seeds!r}") from None
+    if seed_list and (seed_list[0] < 0 or seed_list[-1] >= n):
+        raise ValueError(f"seed strand out of range 0..{n - 1}")
+    return seed_list
 
 
 def reduced_seed_set(
@@ -481,7 +489,7 @@ def _replay(d: GaussDiagram, seq: ColoringSequence) -> tuple[VerifyResult, list]
         return VerifyResult(False, None), colors
     by_chord = {i.chord_id: i for i in table.incidences}
     for idx, e in enumerate(seq.entries):
-        if not (isinstance(e, SequenceEntry) and isinstance(e.strand, int) and 0 <= e.strand < n):
+        if not (isinstance(e, SequenceEntry) and type(e.strand) is int and 0 <= e.strand < n):
             return VerifyResult(False, idx), colors
         if colors[e.strand] is not None:
             return VerifyResult(False, idx), colors
@@ -490,7 +498,7 @@ def _replay(d: GaussDiagram, seq: ColoringSequence) -> tuple[VerifyResult, list]
             continue
         if e.via is None:
             candidates = table.incidences
-        elif isinstance(e.via, int) and e.via in by_chord:
+        elif type(e.via) is int and e.via in by_chord:
             candidates = [by_chord[e.via]]
         else:
             candidates = []

@@ -16,7 +16,6 @@ from vbridge.errors import (
     UnbalancedChordError,
 )
 from vbridge.gauss import (
-    Endpoint,
     GaussDiagram,
     HeadIncidence,
     Strand,
@@ -24,7 +23,6 @@ from vbridge.gauss import (
     _tokenize,
     bridge_count,
     cut_split_witness,
-    component_tokens,
     ensure_tail_per_component,
     from_tokens,
     is_cut_split,
@@ -61,7 +59,7 @@ class TestParser:
     def test_six_chord_example(self, d6):
         assert d6.n_components == 1
         assert d6.n_chords == 6
-        assert all(c.sign == -1 for c in d6.chords)
+        assert all(sign == -1 for sign in d6.signs.values())
         assert to_gauss_code(d6) == D6_CODE
 
     def test_chordless_circle(self):
@@ -77,8 +75,8 @@ class TestParser:
     def test_chord_across_components(self):
         d = parse_gauss_code("O1+|U1+")
         assert d.n_components == 2
-        assert d.chords[0].tail.component == 0
-        assert d.chords[0].head.component == 1
+        # chord 1's tail is the token of component 0, its head that of component 1
+        assert d.tokens == ((("O", 1, 1),), (("U", 1, 1),))
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -118,17 +116,18 @@ class TestParser:
         for _ in range(200):
             d = random_diagram(rng)
             assert parse_gauss_code(to_gauss_code(d)) == d
-            assert from_tokens(component_tokens(d)) == d
+            assert from_tokens(d.tokens) == d
 
     def test_knot_codes_round_trip(self):
         for n in range(5):
             for code in enumerate_knot_codes(n):
                 d = parse_gauss_code(code)
-                assert from_tokens(component_tokens(d)) == d
+                assert from_tokens(d.tokens) == d
 
 
 class TestRecords:
-    """Endpoints, chords, strands and head incidences are named tuples."""
+    """Strands and head incidences are named tuples, and a diagram's
+    tokens are tuples."""
 
     def test_equal_parses_are_equal_and_hash_equal(self):
         a, b = parse_gauss_code(D6_CODE), parse_gauss_code(D6_CODE)
@@ -139,40 +138,31 @@ class TestRecords:
 
     def test_fields_are_read_only(self, d6):
         table = strand_table(d6)
-        chord = d6.chords[0]
-        records = (
-            (chord.tail, "position"),
-            (chord, "sign"),
-            (table.strands[0], "tails"),
-            (table.incidences[0], "after"),
-        )
-        for record, name in records:
+        for record, name in ((table.strands[0], "tails"), (table.incidences[0], "after")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
-
+        assert type(d6.tokens) is tuple
+        assert all(type(comp) is tuple and all(type(t) is tuple for t in comp) for comp in d6.tokens)
 
     def test_lazy_caches_are_not_fields(self):
         a, b = parse_gauss_code(D6_CODE), parse_gauss_code(D6_CODE)
         strand_table(a)
-        a.chord(1)
         assert list(inspect.signature(GaussDiagram).parameters) == ["tokens", "signs"]
         assert repr(a) == f"GaussDiagram({a.tokens!r}, {a.signs!r})"
         assert eval(repr(a), {"GaussDiagram": GaussDiagram}) == a
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a == GaussDiagram(b.tokens, b.signs) and hash(a) == hash(b.tokens)
-        assert a.chord(1) is a.chords[0]
 
 
 def assert_matches_oracle(code: str) -> GaussDiagram:
     """Tokens, diagram and strand table of ``code`` equal the oracle's,
-    record types included; returns the diagram."""
+    table record types included; returns the diagram."""
     tokens = _tokenize(code)
     assert tokens == oracle_tokenize(code), code
     d, expected = from_tokens(tokens), oracle_from_tokens(tokens)
     assert_same_diagram(d, expected)
     table = _build_strand_table(d)
     assert table == oracle_strand_table(expected), code
-    assert all(type(e) is Endpoint for comp in d.components for e in comp)
     assert all(type(s) is Strand for s in table.strands)
     assert all(type(i) is HeadIncidence for i in table.incidences)
     return d
@@ -294,6 +284,32 @@ class TestMalformedInputOracle:
             "chord label must be positive, got -5"
         )
 
+    @pytest.mark.parametrize(
+        "tokens,message",
+        [
+            ([[("O", True, 1), ("U", True, 1)]], "chord label must be an int, got True"),
+            ([[("O", 1.5, 1), ("U", 1.5, 1)]], "chord label must be an int, got 1.5"),
+            ([[("O", "a", 1), ("U", "a", 1)]], "chord label must be an int, got 'a'"),
+            ([[("O", 1, 1), ("U", True, 1)]], "chord label must be an int, got True"),
+            ([[("O", 1, 2), ("U", 1, 2)]], "chord sign must be 1 or -1, got 2"),
+            ([[("O", 1, 0), ("U", 1, 0)]], "chord sign must be 1 or -1, got 0"),
+            ([[("O", 1, 1), ("U", 1, True)]], "chord sign must be 1 or -1, got True"),
+            ([[("O", 1, 1.0), ("U", 1, 1)]], "chord sign must be 1 or -1, got 1.0"),
+            # in code order, the label of a token before its sign
+            ([[("O", 1.5, 2), ("U", 1.5, 2)]], "chord label must be an int, got 1.5"),
+            ([[("O", 1, 2), ("U", 1, 2)], [("O", "x", 1), ("U", "x", 1)]], "chord sign must be 1 or -1, got 2"),
+            ([[("O", "x", 1), ("U", "x", 1)], [("O", 1, 2), ("U", 1, 2)]], "chord label must be an int, got 'x'"),
+            # before a label below 1, an unbalanced chord or a sign mismatch
+            ([[("O", 0, 1), ("U", 0, 1)], [("O", 2.5, 1), ("U", 2.5, 1)]], "chord label must be an int, got 2.5"),
+            ([[("O", 1, 1), ("O", 1, 1), ("O", 2, -2), ("U", 2, -2)]], "chord sign must be 1 or -1, got -2"),
+            ([[("O", 1, 1), ("U", 1, -1.0)]], "chord sign must be 1 or -1, got -1.0"),
+        ],
+    )
+    def test_labels_must_be_ints_and_signs_plus_or_minus_one(self, tokens, message):
+        # the oracles take any label and sign; these faults come first
+        for given in (tokens, [[list(t) for t in comp] for comp in tokens]):
+            assert _failure(from_tokens, given) == (GaussSyntaxError, message)
+
 
 class TestTupleRecordsOracle:
     """Records built with tuple.__new__, and strand tables reading signs
@@ -305,7 +321,6 @@ class TestTupleRecordsOracle:
         tokens = _tokenize(code)
         d, expected = from_tokens(tokens), named_tuple_from_tokens(tokens)
         table = _build_strand_table(d)
-        assert d._views is None  # no chord or endpoint built for the table
         assert_same_records(table, chord_index_strand_table(expected))
         assert_same_diagram(d, expected)
         return d
@@ -352,24 +367,17 @@ class TestTupleRecordsOracle:
 def assert_matches_endpoint_oracle(tokens) -> GaussDiagram:
     """The diagram of ``tokens``, its strand table, bridge count, R1
     normalization, Gaussian parity and parity projection equal those of
-    the endpoint-building code it replaced, and none of them builds an
-    endpoint or chord view; then its views equal the oracle's records.
-    Components and tokens given as tuples or lists give one diagram.
-    Returns it."""
+    the endpoint-building code it replaced.  Components and tokens given
+    as tuples or lists give one diagram.  Returns it."""
     d, expected = from_tokens(tokens), endpoint_from_tokens(tokens)
     assert_same_records(strand_table(d), endpoint_strand_table(expected))
     assert bridge_count(d) == endpoint_bridge_count(expected)
-    normalized = ensure_tail_per_component(d)
-    knot = d.n_components == 1
-    if knot:
+    assert_same_diagram(ensure_tail_per_component(d), endpoint_ensure_tail_per_component(expected))
+    if d.n_components == 1:
         parity = gaussian_parity(d)
         assert list(parity.items()) == list(endpoint_gaussian_parity(expected).items())
         assert list(parity) == sorted(d.signs)  # ascending by chord id
-        projection = parity_projection(d)
-    assert d._views is None and normalized._views is None
-    assert_same_diagram(normalized, endpoint_ensure_tail_per_component(expected))
-    if knot:
-        assert_same_diagram(projection, endpoint_parity_projection(expected))
+        assert_same_diagram(parity_projection(d), endpoint_parity_projection(expected))
     assert_same_diagram(d, expected)
     for given in (tuple(tuple(comp) for comp in tokens), [[list(t) for t in comp] for comp in tokens]):
         same = from_tokens(given)
@@ -472,8 +480,8 @@ class TestStrands:
         for _ in range(100):
             d = random_diagram(rng)
             table = strand_table(d)
-            for ci, comp in enumerate(d.components):
-                heads = sum(1 for e in comp if e.kind == "U")
+            for ci, comp in enumerate(d.tokens):
+                heads = sum(1 for kind, _, _ in comp if kind == "U")
                 strands = sum(1 for s in table.strands if s.component == ci)
                 assert strands == max(heads, 1)
 
@@ -540,4 +548,4 @@ class TestNormalization:
 
     def test_fresh_labels_do_not_collide(self):
         d = ensure_tail_per_component(parse_gauss_code("O7+|U7+"))
-        assert sorted(c.id for c in d.chords) == [7, 8]
+        assert sorted(d.signs) == [7, 8]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from vbridge.errors import NotAKnotError
-from vbridge.gauss import Chord, Endpoint, parse_gauss_code, to_gauss_code
+from vbridge.gauss import parse_gauss_code, to_gauss_code
 from vbridge.linkgroup import ideal_lower_bound
 from vbridge.parity import gaussian_parity, parity_lower_bound, parity_projection
 from util import (
@@ -42,23 +42,22 @@ class TestGaussianParity:
         for d in diagrams:
             parity = gaussian_parity(d)
             assert parity == quadratic_gaussian_parity(d)
-            assert list(parity) == [c.id for c in d.chords]
+            assert list(parity) == sorted(d.signs)
 
     def test_interleave_symmetry(self):
         # crossing counts are symmetric, so total interleavings come in pairs
         rng = random.Random(3)
         for _ in range(50):
             d = random_knot(rng, max_chords=8)
-            spans = {}
-            for c in d.chords:
-                p, q = sorted((c.tail.position, c.head.position))
-                spans[c.id] = (p, q)
-            for c in d.chords:
-                for o in d.chords:
-                    if c.id >= o.id:
+            spans = {}  # chord id -> the positions of its ends, ascending
+            for pos, (_, label, _) in enumerate(d.tokens[0]):
+                spans.setdefault(label, []).append(pos)
+            for c in spans:
+                for o in spans:
+                    if c >= o:
                         continue
-                    p, q = spans[c.id]
-                    a, b = spans[o.id]
+                    p, q = spans[c]
+                    a, b = spans[o]
                     assert ((p < a < q) != (p < b < q)) == ((a < p < b) != (a < q < b))
 
 
@@ -86,13 +85,13 @@ class TestParityProjection:
         for _ in range(60):
             d = random_knot(rng, max_chords=8)
             p = parity_projection(d)
-            kept = {c.id for c in p.chords}
+            kept = set(p.signs)
             assert all(gaussian_parity(d)[i] == 0 for i in kept)
-            for c in p.chords:
-                assert c.sign == d.chord(c.id).sign
+            for i in kept:
+                assert p.signs[i] == d.signs[i]
             if p.n_chords:
-                orig = [e.chord_id for e in d.components[0] if e.chord_id in kept]
-                assert [e.chord_id for e in p.components[0]] == orig
+                # the kept tokens, in their order
+                assert p.tokens[0] == tuple(t for t in d.tokens[0] if t[1] in kept)
 
     def test_matches_the_token_round_trip(self):
         # every code up to 4 chords with every sign, then seeded random
@@ -111,9 +110,6 @@ class TestParityProjection:
             p = parity_projection(d)
             oracle = token_parity_projection(d)
             assert (p, repr(p)) == (oracle, repr(oracle)), d
-            # the records are built with tuple.__new__, and must keep their types
-            assert all(type(e) is Endpoint for e in p.components[0]), d
-            assert all(type(c) is Chord and type(c.head) is Endpoint for c in p.chords), d
             odd = sum(gaussian_parity(d).values())
             if not odd:
                 assert p is d

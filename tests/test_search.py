@@ -6,11 +6,13 @@ import re
 import time
 import types
 
+import numpy as np
 import pytest
 
 from vbridge import errors, search
 from vbridge.errors import CutSplitError, SearchExhaustedError, SearchTimeoutError
 from vbridge.gauss import bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
+from vbridge.quandle import count_colorings, dihedral_quandle
 from vbridge.search import (
     ColoringSequence,
     SequenceEntry,
@@ -55,6 +57,18 @@ class TestApplyColoringMoves:
             apply_coloring_moves(d3, set())
         with pytest.raises(ValueError):
             apply_coloring_moves(d3, {9})
+
+    def test_non_integral_seeds_are_rejected_not_truncated(self, d3):
+        # int() would seed strands 0 and 1; numpy integers stay seeds
+        for seeds in ([0.7, 1.9], [0, 1.0], ["1"]):
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                apply_coloring_moves(d3, seeds)
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                saturated_strands(d3, seeds)
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                count_colorings(d3, dihedral_quandle(3), seeds=seeds)
+        assert apply_coloring_moves(d3, np.array([0, 1])) == apply_coloring_moves(d3, [0, 1])
+        assert saturated_strands(d3, [np.int64(0), np.int64(1)]) == frozenset({0, 1, 2})
 
     def test_colors_never_cross_components(self):
         d = parse_gauss_code("O1+U1+|O2+U2+")
@@ -462,8 +476,16 @@ class TestVerifySequence:
 
     @pytest.mark.parametrize(
         "index, entry",
-        [(0, (0, None)), (2, (2, 1)), (0, SequenceEntry("0", None)), (2, SequenceEntry("2", 1)), (2, SequenceEntry(2, [1]))],
-        ids=["tuple-seed", "tuple-move", "str-seed", "str-move", "list-via"],
+        [
+            (0, (0, None)),
+            (2, (2, 1)),
+            (0, SequenceEntry("0", None)),
+            (2, SequenceEntry("2", 1)),
+            (2, SequenceEntry(2, [1])),
+            (1, SequenceEntry(True, None)),
+            (2, SequenceEntry(2, True)),
+        ],
+        ids=["tuple-seed", "tuple-move", "str-seed", "str-move", "list-via", "bool-seed", "bool-via"],
     )
     def test_malformed_entry_fails_at_its_index(self, d3, index, entry):
         # the trefoil's sequence is seeds 0, 1 and strand 2 via chord 1

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import vbridge
@@ -125,6 +126,17 @@ def test_every_exported_name_exists():
     # a stale __all__ entry breaks ``from vbridge import *``
     missing = [name for name in vbridge.__all__ if not hasattr(vbridge, name)]
     assert not missing and len(set(vbridge.__all__)) == len(vbridge.__all__)
+
+
+def test_every_public_name_is_exported():
+    # the reverse: a name __init__.py binds but __all__ leaves out is
+    # missing from ``from vbridge import *``.  Submodules are bound too
+    public = {
+        name
+        for name, value in vars(vbridge).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public and not public - set(vbridge.__all__), public - set(vbridge.__all__)
 
 
 def test_benchmark_smoke_passes():

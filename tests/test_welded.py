@@ -118,9 +118,7 @@ class TestCertificate:
         for _ in range(25):
             d = parse_gauss_code(random_one_overbridge_code(rng, max_chords=7))
             cert = welded_unknot_certificate(d)
-            tokens = [
-                (e.kind, e.chord_id) for e in d.components[0]
-            ]
+            tokens = [(kind, label) for kind, label, _ in d.tokens[0]]
             for m in cert.moves:
                 if m.kind == "swap":
                     i, j = m.at

@@ -40,15 +40,16 @@ bridge count, R1 normalization, Gaussian parity and parity projection are
 the former library code, which built an ``Endpoint`` per token and a
 ``Chord`` per label and read those, kept verbatim to check that the
 diagram holding its tokens gives the same records, tables, counts and
-errors.  Every diagram builder here returns an ``EndpointDiagram``, the
-``(components, chords)`` pair the library's ``GaussDiagram`` held before
-it held tokens, which ``assert_same_diagram`` compares with a diagram's
-tokens, sign map and views.  The Sylvester-determinant resultant
-checks the subresultant sequence.  The gcd-scan properness certificate and
-the token round-trip parity projection are the former library code, kept
-verbatim to check that the resultant-filtered root scan finds the same
-witnesses and that the projection built from kept tokens is the same
-diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
+errors.  ``Endpoint`` and ``Chord`` are the former library records,
+defined here since the library no longer has them.  Every diagram builder
+here returns an ``EndpointDiagram``, the ``(components, chords)`` pair the
+library's ``GaussDiagram`` held before it held tokens, which
+``assert_same_diagram`` compares with a diagram's tokens and sign map.
+The Sylvester-determinant resultant checks the subresultant sequence.
+The gcd-scan properness certificate and the token round-trip parity
+projection are the former library code, kept verbatim to check that the
+resultant-filtered root scan finds the same witnesses and that the
+projection built from kept tokens is the same diagram.  The Alexander matrix built with ``LaurentPolynomial`` arithmetic
 is the former library builder, reading each head incidence where it read
 that incidence's ``Relation`` copy (whose ``tail`` is ``tail_strand``),
 kept to check that the matrix built as the presentation with every strand
@@ -107,14 +108,11 @@ from vbridge.errors import (
 from vbridge.gauss import (
     HEAD,
     TAIL,
-    Chord,
-    Endpoint,
     GaussDiagram,
     HeadIncidence,
     Strand,
     StrandTable,
     _new,
-    component_tokens,
     from_tokens,
     parse_gauss_code,
     strand_table,
@@ -322,6 +320,22 @@ def oracle_tokenize(text: str) -> list[list[tuple[str, int, int]]]:
     return out
 
 
+class Endpoint(NamedTuple):
+    """One passage of a chord through a circle component."""
+
+    kind: str  # TAIL ("O") or HEAD ("U")
+    chord_id: int
+    component: int
+    position: int
+
+
+class Chord(NamedTuple):
+    id: int
+    sign: int
+    tail: Endpoint
+    head: Endpoint
+
+
 class EndpointDiagram(NamedTuple):
     """A diagram as the library held it before it held its tokens: cyclic
     endpoint sequences, and the chords ascending by id.  The endpoint
@@ -340,15 +354,11 @@ class EndpointDiagram(NamedTuple):
 
 def assert_same_diagram(d: GaussDiagram, expected: EndpointDiagram) -> None:
     """``d`` holds the tokens of ``expected`` and its signs, in the code
-    order of the arrowtails, and its views are the records of
-    ``expected``, record types included."""
+    order of the arrowtails."""
     sign = {c.id: c.sign for c in expected.chords}
     tokens = tuple(tuple((e.kind, e.chord_id, sign[e.chord_id]) for e in comp) for comp in expected.components)
     tails = [e.chord_id for comp in expected.components for e in comp if e.kind == TAIL]
     assert d.tokens == tokens and list(d.signs.items()) == [(label, sign[label]) for label in tails]
-    assert_same_records(d.components, expected.components)
-    assert_same_records(d.chords, expected.chords)
-    assert all(d.chord(c.id) is c for c in d.chords)
 
 
 def oracle_from_tokens(component_tokens) -> EndpointDiagram:
@@ -444,20 +454,19 @@ def quadratic_gaussian_parity(d: GaussDiagram) -> dict[int, int]:
     endpoints alternate with its own."""
     if d.n_components != 1:
         raise NotAKnotError("Gaussian parity is defined for knot diagrams")
-    spans = {}
-    for c in d.chords:
-        p, q = sorted((c.tail.position, c.head.position))
-        spans[c.id] = (p, q)
+    spans: dict[int, list[int]] = {}  # chord id -> the positions of its ends, ascending
+    for pos, (_, label, _) in enumerate(d.tokens[0]):
+        spans.setdefault(label, []).append(pos)
     out = {}
-    for c in d.chords:
-        p, q = spans[c.id]
+    for cid in sorted(spans):
+        p, q = spans[cid]
         crossings = 0
-        for other in d.chords:
-            if other.id == c.id:
+        for other in spans:
+            if other == cid:
                 continue
-            a, b = spans[other.id]
+            a, b = spans[other]
             crossings += (p < a < q) != (p < b < q)
-        out[c.id] = crossings % 2
+        out[cid] = crossings % 2
     return out
 
 
@@ -937,7 +946,7 @@ def token_parity_projection(d: GaussDiagram) -> GaussDiagram:
     parity = gaussian_parity(d)
     if not any(parity.values()):
         return d
-    [tokens] = component_tokens(d)
+    [tokens] = d.tokens
     return from_tokens([[t for t in tokens if parity[t[1]] == 0]])
 
 
@@ -1290,7 +1299,7 @@ def simulating_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
     if not is_one_overbridge(d):
         raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
     initial = to_gauss_code(d)
-    [tokens] = component_tokens(d)
+    [tokens] = map(list, d.tokens)
     n_chords = d.n_chords
     if n_chords == 0:
         return UnknottingCertificate(initial, (), ".")
@@ -1345,7 +1354,7 @@ def insertion_sort_welded_certificate(d: GaussDiagram) -> UnknottingCertificate:
     if not is_one_overbridge(d):
         raise NotOneOverbridgeError("diagram has more than one tail-bearing strand")
     initial = to_gauss_code(d)
-    [tokens] = component_tokens(d)
+    [tokens] = map(list, d.tokens)
     n_chords = d.n_chords
     if n_chords == 0:
         return UnknottingCertificate(initial, (), ".")
@@ -1381,7 +1390,7 @@ def token_scan_replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         return VerifyResult(False, None)
     if d.n_components != 1:
         return VerifyResult(False, None)
-    [tokens] = component_tokens(d)
+    [tokens] = map(list, d.tokens)
 
     for idx, move in enumerate(cert.moves):
         length = len(tokens)
