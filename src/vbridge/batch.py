@@ -24,12 +24,20 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import GaussCodeError, InvariantError, SearchExhaustedError, SearchTimeoutError, check_deadline
-from .gauss import GaussDiagram, bridge_count, ensure_tail_per_component, parse_gauss_code, strand_table
+from .gauss import (
+    GaussDiagram,
+    bridge_count,
+    ensure_tail_per_component,
+    parse_gauss_code,
+    strand_table,
+    to_gauss_code,
+)
 from .linkgroup import ideal_lower_bound
 from .parity import parity_lower_bound
 from .quandle import FiniteQuandle, count_colorings
 from .search import SearchStats, wirtinger_number
-from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate  # noqa: F401, pipebench wraps it
+from .welded import UnknottingCertificate, plan_welded_moves, replay_welded_moves
+from .welded import is_one_overbridge, replay_certificate, welded_unknot_certificate  # noqa: F401, pipebench wraps them
 
 CSV_COLUMNS = [
     "name",
@@ -221,9 +229,12 @@ def analyze(
             diagram, q, result=result, deadline=deadline
         )
     if due("welded", is_knot) and rec.vb_d == 1:  # one overbridge, with no second count
-        cert = welded_unknot_certificate(diagram)
-        rec.welded_unknot = bool(replay_certificate(cert))
+        # the certificate's moves, replayed on a copy of the diagram's own
+        # tokens: what replay_certificate would parse back from its code
+        moves = plan_welded_moves(diagram)
+        rec.welded_unknot = bool(replay_welded_moves(list(diagram.tokens[0]), diagram.signs, moves))
         if config.certificates:
+            cert = UnknottingCertificate(to_gauss_code(diagram), moves, ".")
             rec.certificates["welded"] = cert.to_json_dict()
 
     lower = max(rec.ideal_lb or 0, rec.parity_lb or 0)  # an absent bound is None

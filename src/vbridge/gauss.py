@@ -167,7 +167,9 @@ def from_tokens(token_lists: Sequence[Sequence[Token]]) -> GaussDiagram:
     token a tuple or a list; an empty one is a chordless circle.  Raises the
     errors of parse_gauss_code: a label that is no int or a sign other than
     1 or -1 first, then a label below 1, each in code order; then, by
-    ascending label, an unbalanced chord before a sign mismatch."""
+    ascending label, an unbalanced chord before a sign mismatch.  Before
+    all of these, a token that is no ``(kind, label, sign)`` triple or has
+    an unhashable label raises GaussSyntaxError naming it, in code order."""
     return _validated(token_lists, typed=False)
 
 
@@ -175,9 +177,13 @@ def _validated(token_lists: Sequence[Sequence[Token]], typed: bool) -> GaussDiag
     """from_tokens, checking label and sign types unless ``typed``."""
     if not token_lists:
         raise EmptyInputError("no components in Gauss code")
-    tokens = tuple([tuple(map(tuple, comp)) for comp in token_lists])
-    signs = {label: sign for comp in tokens for kind, label, sign in comp if kind == TAIL}
-    heads = {label: sign for comp in tokens for kind, label, sign in comp if kind == HEAD}
+    try:
+        tokens = tuple([tuple(map(tuple, comp)) for comp in token_lists])
+        signs = {label: sign for comp in tokens for kind, label, sign in comp if kind == TAIL}
+        heads = {label: sign for comp in tokens for kind, label, sign in comp if kind == HEAD}
+    except (TypeError, ValueError):  # a token that is no triple, or an unhashable label
+        _raise_first_fault(token_lists)
+        raise
     # valid iff each label has one tail and one head, of one sign, and is
     # positive; the maps then hold each label and sign once, so theirs are
     # the types to check: ints, and signs +-1
@@ -191,7 +197,19 @@ def _validated(token_lists: Sequence[Sequence[Token]], typed: bool) -> GaussDiag
 
 
 def _raise_first_fault(tokens: Sequence[Sequence[Token]]) -> None:
-    """Raise the error from_tokens reports for invalid tokens."""
+    """Raise the error from_tokens reports for invalid tokens, first a
+    token that is no triple with a hashable label, which the maps of
+    ``_validated`` fail on with Python's own errors."""
+    for ci, comp in enumerate(tokens):
+        for token in comp:
+            try:
+                token = tuple(token)  # named as the tuple the diagram would hold
+                _, label, _ = token
+                hash(label)
+            except (TypeError, ValueError):
+                raise GaussSyntaxError(
+                    f"token {token!r} in component {ci} is no (kind, label, sign) triple with a hashable label"
+                ) from None
     for comp in tokens:
         for _, label, sign in comp:
             if type(label) is not int:

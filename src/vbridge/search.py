@@ -331,12 +331,16 @@ def saturated_strands(d: GaussDiagram, seeds: Iterable[int]) -> frozenset:
 
 
 def _seed_strands(seeds: Iterable[int], n: int) -> list[int]:
-    """The seed strands ascending, once each; ValueError unless each is an integer in 0..n-1."""
+    """The seed strands ascending, once each; ValueError unless each is an
+    integer in 0..n-1 and none is a bool, which operator.index would read
+    as 0 or 1."""
     seeds = list(seeds)
     try:
         seed_list = sorted(set(map(operator.index, seeds)))
     except TypeError:
-        raise ValueError(f"seed strands must be integers, got {seeds!r}") from None
+        seed_list = None
+    if seed_list is None or bool in map(type, seeds):
+        raise ValueError(f"seed strands must be integers, got {seeds!r}")
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= n):
         raise ValueError(f"seed strand out of range 0..{n - 1}")
     return seed_list

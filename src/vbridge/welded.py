@@ -7,16 +7,24 @@ nested against the head order: the chord whose head comes first after the
 overbridge gets its tail last, so tail and head become adjacent and the
 chord peels off as a Reidemeister-1 kink.  Repeating empties the diagram in
 at most T(T-1)/2 swaps plus T deletions for T chords.
+
+``plan_welded_moves`` plans that move list from the token order without
+carrying a move out, and ``replay_welded_moves`` is the one replay core: it
+applies a move list to a knot's token list and sign map in place and
+checks every move as it goes.  ``replay_certificate`` runs the core on the
+parsed ``initial`` of a certificate and then checks its ``final``; a batch
+record runs it on the diagram's own tokens, so it formats and parses no
+code.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotOneOverbridgeError, require_knot
-from .gauss import HEAD, TAIL, GaussDiagram, _tokenize, bridge_count, format_tokens, from_tokens
+from .gauss import HEAD, TAIL, GaussDiagram, Token, _new, _tokenize, bridge_count, format_tokens, from_tokens
 from .search import VerifyResult
 
 
@@ -85,18 +93,26 @@ def is_one_overbridge(d: GaussDiagram) -> bool:
 
 def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     """Explicit move list reducing a one-overbridge diagram to the chordless
-    circle; at most T(T-1)/2 + T moves for T chords.  The moves are planned
-    from the token order in O(T log T) Python steps, the swaps copied as
-    slices of T - 1 prebuilt moves, and never carried out: ``replay_certificate``
-    checks what the plan relies on, that T heads follow the tail run, that
-    each kink is adjacent when it is peeled and that the diagram ends
-    empty."""
+    circle: ``plan_welded_moves(d)`` from the code of ``d`` to ``"."``.
+    ``replay_certificate`` carries it out on the parsed code with the
+    replay core, ``replay_welded_moves``, which ``batch`` runs on the
+    diagram's own tokens without formatting or parsing a code."""
+    moves = plan_welded_moves(d)
+    return UnknottingCertificate(format_tokens(d.tokens), moves, ".")
+
+
+def plan_welded_moves(d: GaussDiagram) -> tuple[WeldedMove, ...]:
+    """The moves of ``welded_unknot_certificate(d)``: at most T(T-1)/2 + T
+    for T chords, planned from the token order in O(T log T) Python steps,
+    the swaps copied as slices of T - 1 prebuilt moves, and not carried
+    out here: ``replay_welded_moves`` checks what the plan relies on, that
+    T heads follow the tail run, that each kink is adjacent when it is
+    peeled and that the diagram ends empty."""
     require_knot(d, "one-overbridge test")
     [tokens] = d.tokens
-    initial = format_tokens([tokens])
     n_chords = d.n_chords
     if n_chords == 0:
-        return UnknottingCertificate(initial, (), ".")
+        return ()
 
     length = len(tokens)
     # one overbridge: the tails form one cyclic run, and the heads follow it
@@ -111,7 +127,7 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
     # rank above it, by the swaps at run positions i-1, i-2, ..., i-c: the
     # prebuilt swaps[i-c:i] reversed, with c counted by bisection
     rank = {label: n_chords - 1 - i for i, label in enumerate(head_order)}
-    swaps = [WeldedMove("swap", (run[j], run[j + 1])) for j in range(n_chords - 1)]
+    swaps = [_new(WeldedMove, ("swap", (run[j], run[j + 1]), None)) for j in range(n_chords - 1)]
     ranks: list[int] = []  # of the tails sorted so far, ascending
     moves: list[WeldedMove] = []
     for i, p in enumerate(run):
@@ -119,16 +135,17 @@ def welded_unknot_certificate(d: GaussDiagram) -> UnknottingCertificate:
         c = i - bisect.bisect(ranks, r)
         moves += swaps[i - c : i][::-1]
         bisect.insort(ranks, r)
-    moves += [WeldedMove("r1", chord=label) for label in head_order]
-    return UnknottingCertificate(initial, tuple(moves), ".")
+    moves += [_new(WeldedMove, ("r1", None, label)) for label in head_order]
+    return tuple(moves)
 
 
 def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
     """Re-run a certificate move by move on the token list of its parsed
-    ``initial``.  Accepts it only if every move is a legal WeldedMove at
-    its stage, the end state matches ``final``, and the end state is the
-    chordless circle.  ``failed_at`` is the first illegal move index, or
-    None when the initial parse or the final comparison is what failed."""
+    ``initial``, with ``replay_welded_moves``.  Accepts it only if every
+    move is a legal WeldedMove at its stage, the end state matches
+    ``final``, and the end state is the chordless circle.  ``failed_at`` is
+    the first illegal move index, or None when the initial parse or the
+    final comparison is what failed."""
     try:
         parsed = _tokenize(cert.initial)
         d = from_tokens(parsed)
@@ -136,28 +153,41 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
         return VerifyResult(False, None)
     if d.n_components != 1:
         return VerifyResult(False, None)
-    [tokens] = parsed  # the parse's own token list, changed in place
+    result = replay_welded_moves(parsed[0], d.signs, cert.moves)  # the parse's own token list
+    if result and cert.final != ".":
+        return VerifyResult(False, None)
+    return result
 
-    for idx, move in enumerate(cert.moves):
-        length = len(tokens)
+
+def replay_welded_moves(
+    tokens: list[Token], signs: dict[int, int], moves: Sequence[WeldedMove]
+) -> VerifyResult:
+    """Carry out ``moves`` on ``tokens``, the token list of a knot whose
+    chord label -> sign map is ``signs``, changing the list in place.
+    ``ok`` only if every move is a legal WeldedMove at its stage and the
+    list ends empty, the chordless circle; ``failed_at`` is the first
+    illegal move index, or None."""
+    for idx, move in enumerate(moves):
         if not isinstance(move, WeldedMove):
             return VerifyResult(False, idx)
-        if move.kind == "swap":
-            at = move.at  # two int positions; True is an int instance, not of type int
+        kind, at, chord = move
+        length = len(tokens)
+        if kind == "swap":
+            # two int positions; True is an int instance, not of type int
             if not (isinstance(at, (tuple, list)) and len(at) == 2 and type(at[0]) is type(at[1]) is int):
                 return VerifyResult(False, idx)
             i, j = at
             if not (0 <= i < length and j == (i + 1) % length) or tokens[i][0] != TAIL or tokens[j][0] != TAIL:
                 return VerifyResult(False, idx)
             tokens[i], tokens[j] = tokens[j], tokens[i]
-        elif move.kind == "r1":
+        elif kind == "r1":
             # a chord's two tokens, found by value: O(T) in C, not in Python
-            if type(move.chord) is not int:  # True would look up chord 1
+            if type(chord) is not int:  # True would look up chord 1
                 return VerifyResult(False, idx)
             try:
-                sign = d.signs[move.chord]
-                p = tokens.index((TAIL, move.chord, sign))
-                q = tokens.index((HEAD, move.chord, sign))
+                sign = signs[chord]
+                p = tokens.index((TAIL, chord, sign))
+                q = tokens.index((HEAD, chord, sign))
             except (KeyError, ValueError):  # unknown or peeled chord
                 return VerifyResult(False, idx)
             if (p - q) % length not in (1, length - 1):
@@ -166,7 +196,4 @@ def replay_certificate(cert: UnknottingCertificate) -> VerifyResult:
             del tokens[min(p, q)]
         else:
             return VerifyResult(False, idx)
-
-    if tokens or cert.final != ".":
-        return VerifyResult(False, None)
-    return VerifyResult(True, None)
+    return VerifyResult(not tokens, None)

@@ -39,6 +39,7 @@ from util import (
     random_diagram,
     random_diagram_code,
     random_knot,
+    random_one_overbridge_code,
     replacing_relabel,
     with_signs,
 )
@@ -133,6 +134,27 @@ class TestPipeline:
             assert rec.welded_unknot is (True if one else None), code
             assert ("welded" in rec.certificates) is one, code
             calls.clear()
+
+    def test_welded_record_formats_and_parses_no_code(self, monkeypatch):
+        # the record replays the planned moves on the diagram's own tokens;
+        # only --certificates writes the code, for the certificate's initial
+        from vbridge import gauss, welded
+
+        codes = ["O1+O2+U1+U2+", "O1-O2+O3-U2+U1-U3-", "O1+U1+"]
+        codes.append(random_one_overbridge_code(random.Random(3504), min_chords=30, max_chords=30))
+        knots = [parse_gauss_code(code) for code in codes]
+
+        def refuse(*args):
+            raise AssertionError("a one-overbridge record formatted or tokenized a code")
+
+        for module in (gauss, welded):
+            monkeypatch.setattr(module, "format_tokens", refuse)
+            monkeypatch.setattr(module, "_tokenize", refuse)
+        for d in knots:
+            rec = batch.analyze(d, PipelineConfig(), ResultRecord("knot"))
+            assert rec.status == "ok" and rec.vb_d == 1 and rec.welded_unknot is True
+        with pytest.raises(AssertionError, match="formatted or tokenized"):  # the patch bites
+            batch.analyze(knots[0], PipelineConfig(certificates=True), ResultRecord("knot"))
 
     def test_invariant_holds(self, records):
         for r in records.values():

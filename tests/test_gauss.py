@@ -311,6 +311,33 @@ class TestMalformedInputOracle:
             assert _failure(from_tokens, given) == (GaussSyntaxError, message)
 
 
+    @pytest.mark.parametrize(
+        "tokens,where",
+        [
+            (["O1+U1+"], (0, 0)),  # a code string per component: its tokens are characters
+            ([[("O", 1)]], (0, 0)),
+            ([[("O", 1, 1), ("U", 1, 1, 0)]], (0, 1)),
+            ([[("O", 1, 1), 7]], (0, 1)),
+            ([[("O", [1], 1), ("U", [1], 1)]], (0, 0)),
+            ([[("X", [1], 1)]], (0, 0)),
+            # in code order, and before every other fault
+            ([[("O", 1)], [("U", [2], 1)]], (0, 0)),
+            ([[("O", 1.5, 1), ("U", 1.5, 1)], [("O", 2)]], (1, 0)),
+            ([[("O", 0, 1), ("U", 0, 2), ("O", 3, 1)], [("O", 2, 1, 5)]], (1, 0)),
+        ],
+    )
+    def test_tokens_that_are_no_triples_are_named(self, tokens, where):
+        # each raised ValueError or TypeError from unpacking or hashing
+        # and is named as the tuple a diagram would hold
+        ci, ti = where
+        token = tokens[ci][ti]
+        token = tuple(token) if isinstance(token, (str, tuple)) else token
+        message = f"token {token!r} in component {ci} is no (kind, label, sign) triple with a hashable label"
+        as_lists = [[list(t) if isinstance(t, tuple) else t for t in comp] for comp in tokens]
+        for given in (tokens, as_lists):
+            assert _failure(from_tokens, given) == (GaussSyntaxError, message)
+
+
 class TestTupleRecordsOracle:
     """Records built with tuple.__new__, and strand tables reading signs
     from the sign map, against the former builders that called each named

@@ -70,6 +70,16 @@ class TestApplyColoringMoves:
         assert apply_coloring_moves(d3, np.array([0, 1])) == apply_coloring_moves(d3, [0, 1])
         assert saturated_strands(d3, [np.int64(0), np.int64(1)]) == frozenset({0, 1, 2})
 
+    def test_bool_seeds_are_rejected(self, d3):
+        # operator.index(True) is 1, so True would seed strand 1
+        for seeds in ([True], [0, False], (False,)):
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                apply_coloring_moves(d3, seeds)
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                saturated_strands(d3, seeds)
+            with pytest.raises(ValueError, match="seed strands must be integers"):
+                count_colorings(d3, dihedral_quandle(3), seeds=seeds)
+
     def test_colors_never_cross_components(self):
         d = parse_gauss_code("O1+U1+|O2+U2+")
         # strand 0 alone: strand 1 is the other component

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from vbridge.batch import PipelineConfig, ResultRecord, analyze
 from vbridge.errors import NotAKnotError, NotOneOverbridgeError
-from vbridge.gauss import TAIL, parse_gauss_code, strand_table, to_gauss_code
+from vbridge.gauss import HEAD, TAIL, bridge_count, parse_gauss_code, strand_table, to_gauss_code
 from vbridge.welded import (
     UnknottingCertificate,
     WeldedMove,
     is_one_overbridge,
+    plan_welded_moves,
     replay_certificate,
+    replay_welded_moves,
     welded_unknot_certificate,
 )
 from util import (
@@ -248,6 +251,92 @@ class TestReplayMatchesTokenScan:
         for _ in range(60):
             self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=150)), rng, verdicts)
         assert verdicts == {True, False, "move"}
+
+
+class TestRecordMatchesCertificateRoundTrip:
+    """A batch record replays the planned moves on the diagram's own tokens;
+    its verdict and its --certificates JSON equal those of the certificate
+    formatted by welded_unknot_certificate and parsed back by
+    replay_certificate."""
+
+    CONFIG = PipelineConfig(analyses=frozenset({"welded"}), certificates=True)
+
+    def _check(self, d):
+        cert = welded_unknot_certificate(d)
+        rec = analyze(d, self.CONFIG, ResultRecord(to_gauss_code(d)))
+        assert rec.welded_unknot is bool(replay_certificate(cert)) is True, cert.initial
+        assert rec.certificates["welded"] == cert.to_json_dict(), cert.initial
+        assert plan_welded_moves(d) == cert.moves
+        assert replay_welded_moves(list(d.tokens[0]), d.signs, cert.moves) == replay_certificate(cert)
+
+    def test_every_signed_knot_of_bridge_number_one_up_to_4_chords(self):
+        checked = 0
+        for n_chords in range(5):
+            for code in enumerate_knot_codes(n_chords):
+                for signs in itertools.product("+-", repeat=n_chords):
+                    d = parse_gauss_code(with_signs(code, signs))
+                    if bridge_count(d) == 1:
+                        self._check(d)
+                        checked += 1
+        assert checked == 3397
+
+    def test_seeded_one_overbridge_knots_up_to_100_chords(self):
+        rng = random.Random(3501)
+        for _ in range(40):
+            self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=100)))
+
+
+class TestTamperedMovesFailAlikeThroughBothEntryPoints:
+    """A tampered move list fails at the same index through
+    replay_certificate and through the replay core on the diagram's own
+    tokens, which batch records use."""
+
+    @staticmethod
+    def _tampered(d, moves, rng):
+        # (index, move) pairs, each move illegal at that index of the
+        # certificate's moves with the move inserted there
+        i = rng.randrange(len(moves) + 1)
+        tokens = list(d.tokens[0])
+        assert replay_welded_moves(tokens, d.signs, moves[:i]).failed_at is None
+        length = len(tokens)
+        yield i, WeldedMove("swap", at=(True, 2))
+        yield i, WeldedMove("swap", at=(0, 2))  # never adjacent
+        if tokens:  # a tail that a head follows: a swap onto the head
+            p = next(p for p in range(length) if tokens[p][0] == TAIL and tokens[(p + 1) % length][0] == HEAD)
+            yield i, WeldedMove("swap", at=(p, (p + 1) % length))
+        yield i, WeldedMove("r1", chord=max(d.signs) + 1)  # unknown
+        peeled = [j for j, m in enumerate(moves) if m.kind == "r1"]
+        j = peeled[rng.randrange(len(peeled))]
+        yield j + 1, moves[j]  # already peeled
+
+    def _check(self, d, rng):
+        cert = welded_unknot_certificate(d)
+        moves = cert.moves
+        for i, move in self._tampered(d, moves, rng):
+            bad = moves[:i] + (move,) + moves[i:]
+            through_cert = replay_certificate(cert._replace(moves=bad))
+            through_tokens = replay_welded_moves(list(d.tokens[0]), d.signs, bad)
+            assert through_cert == through_tokens == (False, i), (cert.initial, i, move)
+        r = replay_certificate(cert._replace(final="O1+U1+"))
+        assert not r and r.failed_at is None
+        assert replay_welded_moves(list(d.tokens[0]), d.signs, moves)
+
+    def test_census_knots(self):
+        rng = random.Random(3502)
+        checked = 0
+        for n_chords in range(1, 5):
+            for code in enumerate_knot_codes(n_chords):
+                signs = [rng.choice("+-") for _ in range(n_chords)]
+                d = parse_gauss_code(with_signs(code, signs))
+                if is_one_overbridge(d):
+                    self._check(d, rng)
+                    checked += 1
+        assert checked == 238
+
+    def test_seeded_one_overbridge_knots_up_to_100_chords(self):
+        rng = random.Random(3503)
+        for _ in range(40):
+            self._check(parse_gauss_code(random_one_overbridge_code(rng, max_chords=100)), rng)
 
 
 class TestReplayRejections:
